@@ -11,6 +11,13 @@ When there are no base points (k = 0) the projection can be singular -- the
 Segre quadric x0*x3 - x1*x2 has no pure-square component at all -- and the
 construction falls back to an arbitrary canonical basis of the mn moving
 quadrics, which is all that case needs.
+
+The determinant and the verification run on Python ints.  Each row of M is
+scaled once to integer coefficients; det M is evaluated on an integer grid by
+fraction-free Bareiss elimination, interpolated with integer differences and
+integer Newton weights, and divided once at the end, so det_interpolation
+returns det M exactly.  Verification clears the denominators of each sample
+point and of the polynomial and tests vanishing over Z.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm
 
 from .basepoints import CheckConfig, ConditionReport, check_all
 from .linalg import RatMatrix, det_bareiss, invert, rref
@@ -293,6 +301,21 @@ def select_quadric_rows(elements, columns, pivots, working_bidegree, fallback):
 # ---------------------------------------------------------------------------
 # determinants
 
+BACKENDS = ("cofactor", "interp", "both")
+
+
+def resolve_backend(M, backend="auto"):
+    """The backend det_poly runs for M.
+
+    `auto` is cofactor expansion up to size 2 and grid interpolation above;
+    `cofactor` and `both` remain as oracles for the interpolated path.
+    """
+    if backend == "auto":
+        return "cofactor" if M.size <= 2 else "interp"
+    if backend not in BACKENDS:
+        raise ValueError("unknown determinant backend %r" % backend)
+    return backend
+
 
 def det_cofactor(M):
     """Minor expansion along rows, memoized on (row, remaining columns)."""
@@ -321,114 +344,177 @@ def det_cofactor(M):
     return minor(0, tuple(range(n)))
 
 
-def _divided_diffs(values):
-    """Newton coefficients of the interpolant at the unit nodes 0..len-1."""
-    dd = list(values)
-    for level in range(1, len(dd)):
-        for i in range(len(dd) - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / level
-    return dd
+def _clear(values):
+    """Integer multiples of `values` (ints or Fractions) by the lcm of their
+    denominators; returns (ints, lcm)."""
+    den = 1
+    for x in values:
+        den = lcm(den, x.denominator)
+    return [x.numerator * (den // x.denominator) for x in values], den
 
 
-def _newton_basis(order):
-    """Monomial coefficients of prod_{p<a}(y - p) for a = 0..order."""
-    out = [[Fraction(1)]]
-    for a in range(order):
+def _int_polys(polys):
+    """The polynomials scaled by one common integer that clears all their
+    denominators, as lists of (int coefficient, exponents) pairs; returns
+    (lists, scale)."""
+    ints, den = _clear([c for f in polys for c in f.terms.values()])
+    it = iter(ints)
+    return [[(next(it), mono) for mono in f.terms] for f in polys], den
+
+
+def _int_eval(terms, point):
+    """Value of an integer polynomial, given as (coefficient, exponents)
+    pairs, at an integer point, by int power tables."""
+    if not terms:
+        return 0
+    top = max(max(mono) for _, mono in terms)
+    tables = []
+    for x in point:
+        pw = [1] * (top + 1)
+        for e in range(1, top + 1):
+            pw[e] = pw[e - 1] * x
+        tables.append(pw)
+    p0, p1, p2, p3 = tables
+    return sum(c * p0[a] * p1[b] * p2[d] * p3[e] for c, (a, b, d, e) in terms)
+
+
+class _IntegerRows:
+    """M with each row scaled once to integer coefficients.
+
+    det of the scaled matrix is `scale` times det M, where `scale` is the
+    product of the row lcms.  Entries are compiled to (coefficient, monomial
+    index) pairs over the distinct monomials of M, so that evaluating at an
+    integer point costs one power product per monomial and int dot products.
+    """
+
+    def __init__(self, M):
+        index = {}
+        self.rows = []
+        self.scale = 1
+        for row in M.entries:
+            entries, den = _int_polys(row)
+            self.scale *= den
+            self.rows.append([[(c, index.setdefault(m, len(index)))
+                               for c, m in e] for e in entries])
+        self.monomials = list(index)
+
+    def det(self, point):
+        """scale * det M at an integer x-point, by Bareiss over Z."""
+        x0, x1, x2, x3 = point
+        mv = [x0 ** a * x1 ** b * x2 ** c * x3 ** d
+              for a, b, c, d in self.monomials]
+        A = RatMatrix([[sum(c * mv[i] for c, i in entry) for entry in row]
+                       for row in self.rows], _trusted=True)
+        return det_bareiss(A).numerator
+
+
+def _forward_diffs(line):
+    """Forward differences of values at the nodes 0..len-1, from the node 0."""
+    d = list(line)
+    for level in range(1, len(d)):
+        for i in range(len(d) - 1, level - 1, -1):
+            d[i] -= d[i - 1]
+    return d
+
+
+def _newton_weights(D):
+    """Monomial coefficients of D!/a! * prod_{p<a}(y - p), a = 0..D.
+
+    These are the Newton basis polynomials with 1/a! folded in, times D! so
+    that every coefficient is an integer.
+    """
+    out = [[1]]
+    for a in range(D):
         prev = out[-1]
-        nxt = [Fraction(0)] * (len(prev) + 1)
+        nxt = [0] * (len(prev) + 1)
         for e, c in enumerate(prev):
             nxt[e + 1] += c
             nxt[e] -= a * c
         out.append(nxt)
-    return out
+    fact = factorial(D)
+    return [[fact // factorial(a) * c for c in w] for a, w in enumerate(out)]
+
+
+def _sweep(values, D, transform):
+    """Apply a line transform along the third, second, then first axis of
+    the triangular grid {(i, j, l) : i + j + l <= D}."""
+    for axis in (2, 1, 0):
+        for a in range(D + 1):
+            for b in range(D + 1 - a):
+                keys = [(a, b, x) if axis == 2 else
+                        (a, x, b) if axis == 1 else (x, a, b)
+                        for x in range(D + 1 - a - b)]
+                for key, v in zip(keys, transform([values[k] for k in keys])):
+                    values[key] = v
 
 
 def det_interpolation(M):
-    """Evaluate det M on a triangular integer grid and interpolate.
+    """Evaluate det M on a triangular integer grid and interpolate, over Z.
 
     det M is homogeneous of degree D = (number of linear rows) + 2*(number of
     quadratic rows), so its dehomogenization at x3 = 1 has total degree <= D
     in (x0, x1, x2) and is pinned down by its values on the principal lattice
-    {(i, j, l) : i + j + l <= D}.  Divided differences taken along each axis
-    in turn give the coefficients in the tensor Newton basis; coefficients of
-    combined order above D vanish for a polynomial of total degree <= D,
-    which is exactly why the triangular data suffices.
+    {(i, j, l) : i + j + l <= D}.
+
+    Each row of M is scaled once to integer coefficients, and every grid
+    value is an integer Bareiss determinant of that scaled matrix.  Forward
+    differences along each axis in turn give a! b! c! times the coefficients
+    in the tensor Newton basis; coefficients of combined order above D vanish
+    for a polynomial of total degree <= D, which is exactly why the
+    triangular data suffices.  Expanding with the integer weights
+    D!/a! * prod_{p<a}(y - p) keeps everything in Z, and a single division
+    by (D!)^3 times the row scale at the end returns det M exactly.
     """
     D = sum(M.row_degrees())
     if M.size == 0:
         return XPoly.monomial((0, 0, 0, 0))
+    rows = _IntegerRows(M)
     values = {}
     for i in range(D + 1):
         for j in range(D + 1 - i):
             for l in range(D + 1 - i - j):
-                values[(i, j, l)] = det_bareiss(M.evaluate((i, j, l, 1)))
-    # divided differences along the third, second, then first axis
-    for i in range(D + 1):
-        for j in range(D + 1 - i):
-            col = _divided_diffs([values[(i, j, l)]
-                                  for l in range(D + 1 - i - j)])
-            for c, v in enumerate(col):
-                values[(i, j, c)] = v
-    for i in range(D + 1):
-        for c in range(D + 1 - i):
-            col = _divided_diffs([values[(i, j, c)]
-                                  for j in range(D + 1 - i - c)])
-            for b, v in enumerate(col):
-                values[(i, b, c)] = v
-    for b in range(D + 1):
-        for c in range(D + 1 - b):
-            col = _divided_diffs([values[(i, b, c)]
-                                  for i in range(D + 1 - b - c)])
-            for a, v in enumerate(col):
-                values[(a, b, c)] = v
-    # expand the tensor Newton form into monomials and rehomogenize
-    nb = _newton_basis(D)
-    terms = {}
-    for (a, b, c), v in values.items():
-        if not v:
-            continue
-        for pa, ca in enumerate(nb[a]):
-            if not ca:
-                continue
-            va = v * ca
-            for pb, cb in enumerate(nb[b]):
-                if not cb:
-                    continue
-                vb = va * cb
-                for pc, cc in enumerate(nb[c]):
-                    if not cc:
-                        continue
-                    key = (pa, pb, pc)
-                    terms[key] = terms.get(key, Fraction(0)) + vb * cc
-    poly = XPoly({(pa, pb, pc, D - pa - pb - pc): v
-                  for (pa, pb, pc), v in terms.items() if v})
-    # guard: cross-check at a few random points off the grid
+                values[(i, j, l)] = rows.det((i, j, l, 1))
+    _sweep(values, D, _forward_diffs)
+    weights = _newton_weights(D)
+
+    def expand(line):
+        out = [0] * len(line)
+        for a, v in enumerate(line):
+            if v:
+                for p, w in enumerate(weights[a]):
+                    out[p] += v * w
+        return out
+
+    _sweep(values, D, expand)
+    # values now holds (D!)^3 * scale times the coefficients of det M
+    terms = [(v, (a, b, c, D - a - b - c))
+             for (a, b, c), v in values.items() if v]
+    cube = factorial(D) ** 3
+    # guard: cross-check at a few random points off the grid, each cleared
+    # to integers; both sides are homogeneous of degree D in the point
     rng = random.Random(1)
     for _ in range(3):
-        pt = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 7))
-                   for _ in range(4))
-        if poly.evaluate(pt) != det_bareiss(M.evaluate(pt)):
+        pt, _ = _clear([Fraction(rng.randint(-50, 50), rng.randint(1, 7))
+                        for _ in range(4)])
+        if _int_eval(terms, pt) != cube * rows.det(pt):
             raise ArithmeticError(
                 "interpolated determinant disagrees with a direct evaluation;"
                 " the determinant degree exceeds %d" % D)
-    return poly
+    den = cube * rows.scale
+    return XPoly({mono: Fraction(v, den) for v, mono in terms})
 
 
 def det_poly(M, backend="auto"):
     """Exact determinant of an MMatrix as an XPoly."""
-    if backend == "auto":
-        backend = "cofactor" if M.size <= 6 else "interp"
+    backend = resolve_backend(M, backend)
     if backend == "cofactor":
         return det_cofactor(M)
     if backend == "interp":
         return det_interpolation(M)
-    if backend == "both":
-        a = det_cofactor(M)
-        b = det_interpolation(M)
-        if a != b:
-            raise ArithmeticError("cofactor and interpolation determinants disagree")
-        return a
-    raise ValueError("unknown determinant backend %r" % backend)
+    a = det_cofactor(M)
+    if a != det_interpolation(M):
+        raise ArithmeticError("cofactor and interpolation determinants disagree")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -465,23 +551,42 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
         avoid the base locus, (b) it is homogeneous of total degree 2mn - k,
     (c) the monomial x3^(2mn-k) appears with nonzero coefficient (skipped on
     the k = 0 fallback path, where the echelon structure is unavailable).
+
+    The vanishing test runs over Z.  Clearing the denominators of the a_i,
+    of (s,u) and of (t,v) separately scales the bihomogeneous image phi(pt)
+    by a nonzero integer c.  The polynomial's own denominators are cleared
+    once, and its homogeneous part of degree d is weighted by c^(top - d),
+    so the integer value is zero exactly when poly(phi(pt)) is.  `failures`
+    lists the original rational points.
     """
     rng = random.Random(seed)
     expected = 2 * phi.mn - k
+    # one common factor for all four a_i only scales the image
+    forms, den = _int_polys(phi.a)
+    (terms,), _ = _int_polys([poly])
+    parts = {}
+    for c, mono in terms:
+        parts.setdefault(sum(mono), []).append((c, mono))
+    top = poly.total_degree()
     failures = []
     drawn = 0
     attempts = 0
     while drawn < samples:
         attempts += 1
         if attempts > 100 * samples + 100:
-            raise ValueError("could not sample points off the base locus; "
-                             "the map is degenerate")
+            raise VerificationError("could not sample points off the base "
+                                    "locus; the map is degenerate")
         pt = _sample_point(rng)
-        image = phi.evaluate(pt)
+        (s, u), den_su = _clear(pt[:2])
+        (t, v), den_tv = _clear(pt[2:])
+        image = [_int_eval(f, (s, u, t, v)) for f in forms]
         if not any(image):
             continue  # base point
         drawn += 1
-        if poly.evaluate(image) != 0:
+        scale = den * den_su ** phi.m * den_tv ** phi.n
+        value = sum(scale ** (top - d) * _int_eval(part, image)
+                    for d, part in parts.items())
+        if value:
             failures.append(pt)
     degree_ok = poly.is_homogeneous() and poly.total_degree() == expected
     if check_x3:
@@ -562,16 +667,9 @@ def pipeline(phi, config=None, report=None):
                                        phi_run.working_bidegree, fallback)
     M = assemble_M(echelon, quadric_rows, pivots, phi_run.working_bidegree)
 
-    backend = config.det_backend
-    agreement = None
-    if backend == "both":
-        raw = det_poly(M, "both")
-        agreement = True
-        backend_used = "both"
-    else:
-        backend_used = ("cofactor" if M.size <= 6 else "interp") \
-            if backend == "auto" else backend
-        raw = det_poly(M, backend_used)
+    backend_used = resolve_backend(M, config.det_backend)
+    raw = det_poly(M, backend_used)
+    agreement = True if backend_used == "both" else None
     if raw.is_zero():
         raise ConditionError("det M is identically zero; the construction "
                              "does not apply", report=report)

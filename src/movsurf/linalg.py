@@ -4,7 +4,9 @@ RREF, ranks, kernels and membership solves use Gauss-Jordan elimination over
 Fraction with immediate pivot normalization; rows with a zero in the pivot
 column are never touched, which keeps the very sparse multiplication matrices
 of this package cheap.  Determinants use fraction-free Bareiss elimination
-over integers after clearing row denominators.
+over integers after clearing row denominators; a matrix whose entries are
+already ints (the integer evaluation grid of the interpolated determinant)
+goes through the same routine with no Fraction arithmetic until the result.
 
 Pivoting is always "first nonzero in column order": arithmetic is exact, so
 pivot choice is about reproducibility, not stability.
@@ -271,7 +273,11 @@ def invert(A):
 
 
 def det_bareiss(A):
-    """Exact determinant by fraction-free Bareiss elimination."""
+    """Exact determinant by fraction-free Bareiss elimination.
+
+    Entries may be ints or Fractions; each row is cleared to integers by the
+    lcm of its denominators, and the result divided by their product.
+    """
     if A.rows != A.cols:
         raise ValueError("determinant of a non-square %d x %d matrix"
                          % (A.rows, A.cols))
@@ -285,7 +291,7 @@ def det_bareiss(A):
         for x in row:
             den = den * x.denominator // gcd(den, x.denominator)
         scale *= den
-        m.append([int(x * den) for x in row])
+        m.append([x.numerator * (den // x.denominator) for x in row])
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -9,8 +9,9 @@ from movsurf import (BihomPoly, ConditionError, MMatrix, Parametrization,
                      echelon_plane_basis, generic_change, monomial_basis,
                      moving_planes, moving_quadrics, normalize, parse,
                      parse_xpoly, pipeline, quadric_basis_via_projection,
-                     verify_polynomial)
-from movsurf.implicitize import det_cofactor, det_interpolation, select_quadric_rows
+                     VerificationError, verify_polynomial)
+from movsurf.implicitize import (_sample_point, det_cofactor, det_interpolation,
+                                 resolve_backend, select_quadric_rows)
 from movsurf.syzygy import MovingSurface, x_monomial
 
 from conftest import load_golden, random_parametrization
@@ -198,20 +199,64 @@ def test_det_of_diagonal_matrix():
 
 
 def test_det_backends_agree_on_random_homogeneous_matrices():
+    # rows carry Fraction coefficients, each row over its own denominators;
+    # interpolation must give det M exactly, not just up to a scalar
     rng = random.Random(31)
     xm1 = [x_monomial(i) for i in range(4)]
     xm2 = [x_monomial(i, j) for i in range(4) for j in range(i, 4)]
-    for trial in range(6):
-        n = rng.randint(1, 3)
+    for trial in range(10):
+        n = trial % 4 + 1
         linear = rng.randint(0, n)
         rows = []
         for i in range(n):
             monos = xm1 if i < linear else xm2
-            rows.append([XPoly({m: Fraction(rng.randint(-4, 4)) for m in monos})
+            dens = rng.sample([1, 2, 3, 5, 7, 11], 3)
+            rows.append([XPoly({m: Fraction(rng.randint(-6, 6), rng.choice(dens))
+                                for m in monos if rng.random() < 0.7})
                          for _ in range(n)])
         M = MMatrix(size=n, entries=rows, linear_rows=linear,
                     col_monomials=list(range(n)), row_labels=["r"] * n)
         assert det_cofactor(M) == det_interpolation(M)
+
+
+def test_det_interpolation_through_row_swaps_and_zero_columns():
+    rows = [["x0", "2/3*x2", "1/2*x1 + x3"],
+            ["1/5*x0 + x3", "x2", "x1"],
+            ["x1*x3", "x0*x2", "3/7*x0^2 - x3^2"]]
+    M = MMatrix(size=3, entries=[[parse_xpoly(e) for e in row] for row in rows],
+                linear_rows=2, col_monomials=[0, 1, 2], row_labels=["r"] * 3)
+    # at x0 = 0 the first pivot is zero and Bareiss swaps rows; at x2 = 0
+    # the whole second column vanishes and Bareiss stops on a zero column
+    assert M.evaluate((0, 1, 1, 1))[0, 0] == 0
+    assert M.evaluate((0, 1, 1, 1))[1, 0] != 0
+    assert M.evaluate((1, 1, 0, 1)).column(1) == [0, 0, 0]
+    det = det_interpolation(M)
+    assert det == det_cofactor(M)
+    assert not det.is_zero()
+
+
+def test_det_interpolation_guard_catches_underdeclared_degrees():
+    rows = [["x0^2 + x1*x3", "x2^2"], ["x1^2", "x3^2 - x0*x2"]]
+    entries = [[parse_xpoly(e) for e in row] for row in rows]
+    # declaring the quadratic rows linear makes D = 2 instead of 4
+    M = MMatrix(size=2, entries=entries, linear_rows=2, col_monomials=[0, 1],
+                row_labels=["r"] * 2)
+    with pytest.raises(ArithmeticError):
+        det_interpolation(M)
+    honest = MMatrix(size=2, entries=entries, linear_rows=0,
+                     col_monomials=[0, 1], row_labels=["r"] * 2)
+    assert det_interpolation(honest) == det_cofactor(honest)
+
+
+def test_auto_backend_is_cofactor_only_up_to_size_two():
+    for n, expected in [(1, "cofactor"), (2, "cofactor"), (3, "interp"),
+                        (6, "interp"), (9, "interp")]:
+        M = MMatrix(size=n, entries=[], linear_rows=0,
+                    col_monomials=list(range(n)), row_labels=[])
+        assert resolve_backend(M) == expected
+        assert resolve_backend(M, "both") == "both"
+        with pytest.raises(ValueError):
+            resolve_backend(M, "lu")
 
 
 def test_det_poly_backend_dispatch(quartic_bp):
@@ -264,6 +309,57 @@ def test_verify_segre_identity(segre):
                                check_x3=False)
     assert record.ok
     assert record.x3_power == "skipped"
+
+
+def _oracle_failures(poly, phi, samples, seed):
+    """The sample points at which poly(phi(pt)) != 0, by Fraction arithmetic."""
+    rng = random.Random(seed)
+    failures = []
+    drawn = 0
+    while drawn < samples:
+        pt = _sample_point(rng)
+        image = phi.evaluate(pt)
+        if not any(image):
+            continue
+        drawn += 1
+        if poly.evaluate(image) != 0:
+            failures.append(pt)
+    return failures
+
+
+RATIONAL_SEGRE = ["1/2*s*t", "2/3*s*v - u*t", "u*t", "3/5*u*v + s*t"]
+
+
+@pytest.mark.parametrize("polystr", [
+    "x0^7 + x1^7",                              # wrong, integer
+    "2/3*x0*x3 - 5/7*x1*x2",                    # wrong, non-integer
+    "x0 - 1",                                   # inhomogeneous
+    "1/2*x0^2*x3 - 1/3*x1*x2*x3 + x0 - 2/5*x2", # inhomogeneous, non-integer
+])
+@pytest.mark.parametrize("which", ["quartic", "rational_segre"])
+def test_verify_failures_match_fraction_oracle(quartic_bp, which, polystr):
+    phi = quartic_bp if which == "quartic" else Parametrization(
+        1, 1, tuple(parse(s) for s in RATIONAL_SEGRE))
+    poly = parse_xpoly(polystr)
+    record = verify_polynomial(poly, phi, k=0, samples=60, seed=3)
+    assert record.failures == _oracle_failures(poly, phi, 60, 3)
+
+
+def test_verify_oracle_sees_mixed_outcomes_on_inhomogeneous_input(segre):
+    # x0 - 1 vanishes only where s*t = 1: the integer path has to weight the
+    # two homogeneous parts correctly to agree with the oracle
+    poly = parse_xpoly("x0 - 1")
+    record = verify_polynomial(poly, segre, k=0, samples=200, seed=0)
+    assert 0 < len(record.failures) < 200
+    assert record.failures == _oracle_failures(poly, segre, 200, 0)
+
+
+def test_verify_raises_verification_error_when_sampling_fails():
+    zero = BihomPoly.zero((1, 1))
+    phi = Parametrization(1, 1, (zero, zero, zero, zero))
+    with pytest.raises(VerificationError) as info:
+        verify_polynomial(parse_xpoly("x0"), phi, k=0, samples=1)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_verify_wrapper_reruns_certificates(quartic_bp):
