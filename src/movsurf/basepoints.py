@@ -15,7 +15,8 @@ must pass six checks, reported as B1..B6:
 
 B1-B4 are invariant under invertible linear recombination of the a_i, while
 B5/B6 hold only in sufficiently general position; when just B5/B6 fail, a
-seeded random recombination is applied and the checks rerun.
+seeded random recombination is applied and only B5/B6 are rerun, B1-B4
+being computed once per check.
 
 Degrees of zero-dimensional schemes are read off as stabilized values of the
 Hilbert function dim (R/I)_{d,d'} sampled along a diagonal window, never via
@@ -24,11 +25,13 @@ primary decomposition.
 
 from __future__ import annotations
 
+import copy
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix, SpanSolver, det_bareiss, kernel_basis, rank
+from .linalg import (RatMatrix, det_bareiss, echelon, in_row_span,
+                     kernel_basis, rank)
 from .ring import bidegree_leq, coeff_vector, monomial_basis
 from .syzygy import (Parametrization, moving_planes, mult_matrix, syz_dim_abc)
 
@@ -170,18 +173,16 @@ def saturation_member(f, generators, max_power):
     for N in range(max_power + 1):
         target = (f.bidegree[0] + N, f.bidegree[1] + N)
         usable = [g for g in generators if bidegree_leq(g.bidegree, target)]
+        if not usable:
+            continue
         row_basis = monomial_basis(target)
-        if usable:
-            solver = SpanSolver(mult_matrix(usable, target))
-        else:
-            solver = None
-        ok = True
-        for mu in monomial_basis((N, N)):
-            prod = f * f.__class__.monomial(mu)
-            if solver is None or not solver.contains(coeff_vector(prod, row_basis)):
-                ok = False
-                break
-        if ok:
+        # the generator multiples are the columns of the multiplication
+        # matrix; echelonized as rows once, they answer every mu*f below
+        multiples = mult_matrix(usable, target)
+        span = echelon(zip(*multiples.entries), len(row_basis))
+        if all(in_row_span(span, coeff_vector(f * f.__class__.monomial(mu),
+                                              row_basis))
+               for mu in monomial_basis((N, N))):
             return SaturationResult(member=True, power=N)
     return SaturationResult(member=False, bound_reached=True)
 
@@ -227,7 +228,9 @@ def _sat_bound(phi, config):
     return 2 * max(phi.m, phi.n) + 2
 
 
-def _evaluate_conditions(phi, config):
+def _invariant_conditions(phi, config):
+    """B1-B4, which a coordinate change leaves unchanged: the ideal of the
+    a_i and its square are the same after an invertible recombination."""
     verdicts = {}
     witnesses = {}
 
@@ -249,6 +252,15 @@ def _evaluate_conditions(phi, config):
                        "expected": None if k is None else 3 * k}
     verdicts["B4"] = check_regularity(phi, summary)
     witnesses["B4"] = {"value_at_start": summary.hilbert_values[0], "k": k}
+    return verdicts, witnesses, summary
+
+
+def _evaluate_conditions(phi, config, invariant=None):
+    """B1..B6 on phi; B1-B4 are taken from `invariant` when given, the
+    result of _invariant_conditions on phi or on any recombination of it."""
+    if invariant is None:
+        invariant = _invariant_conditions(phi, config)
+    verdicts, witnesses, summary = copy.deepcopy(invariant)
 
     if summary.finite:
         scheme_ok, abc_values = _abc_scheme_matches(phi, summary)
@@ -279,12 +291,14 @@ def check_all(phi, config=None):
     config = config or CheckConfig()
     phi_cur, change, change_seed = phi, None, None
     last_report = None
+    invariant = _invariant_conditions(phi, config)
     for attempt in range(config.attempts + 1):
         if attempt:
             change_seed = config.seed + attempt
             phi_cur, change = generic_change(phi, change_seed,
                                              bound=config.coord_bound)
-        verdicts, witnesses, summary = _evaluate_conditions(phi_cur, config)
+        verdicts, witnesses, summary = _evaluate_conditions(
+            phi_cur, config, invariant)
         k = summary.k
 
         short_path = False

@@ -1,12 +1,18 @@
 """Dense exact rational linear algebra.
 
-RREF, ranks, kernels and membership solves use Gauss-Jordan elimination over
-Fraction with immediate pivot normalization; rows with a zero in the pivot
-column are never touched, which keeps the very sparse multiplication matrices
-of this package cheap.  Determinants use fraction-free Bareiss elimination
-over integers after clearing row denominators; a matrix whose entries are
-already ints (the integer evaluation grid of the interpolated determinant)
-goes through the same routine with no Fraction arithmetic until the result.
+Ranks, kernels and span membership share one fraction-free integer echelon:
+rows are cleared of denominators and gcd-reduced, then eliminated over Z with
+their contents kept reduced.  The rank is its pivot count; kernel_basis
+back-substitutes it to a scaled reduced echelon form; in_row_span reduces a
+vector against it, which is how the B5 saturation search tests membership.
+Determinants use fraction-free Bareiss elimination over integers after
+clearing row denominators; a matrix whose entries are already ints (the
+integer evaluation grid of the interpolated determinant) goes through the
+same routine with no Fraction arithmetic until the result.
+
+Fraction Gauss-Jordan with immediate pivot normalization remains only for
+rref, invert and solve_membership, which need the rational transform or
+solution.
 
 Pivoting is always "first nonzero in column order": arithmetic is exact, so
 pivot choice is about reproducibility, not stability.
@@ -16,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .ring import content_normalize
@@ -156,31 +162,41 @@ def _int_rows(entries):
     """Denominator-cleared, gcd-reduced integer rows; zero rows dropped."""
     out = []
     for row in entries:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
         if g == 0:
             continue
         out.append([x // g for x in ints] if g > 1 else ints)
     return out
 
 
-def rank(A):
-    """Rank by fraction-free forward elimination over the integers.
+def _combine(row, prow, p, f):
+    """p*row - f*prow, divided by its content."""
+    new = [a * p - f * b for a, b in zip(row, prow)]
+    g = gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
+class Echelon(NamedTuple):
+    pivots: list   # pivot column of each row, increasing
+    rows: list     # gcd-reduced integer rows, row r zero before pivots[r]
+
+
+def echelon(entries, ncols):
+    """Fraction-free forward elimination of rows over the integers.
 
     Row contents stay gcd-reduced, so entries remain small on the sparse
     matrices this package produces; rows keep an all-zero prefix up to the
     current sweep column, which the inner loop skips.
     """
-    rows = _int_rows(A.entries)
-    ncols = A.cols
+    rows = _int_rows(entries)
     nrows = len(rows)
+    pivots = []
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pr = None
         for i in range(r, nrows):
             if rows[i][c]:
@@ -196,70 +212,86 @@ def rank(A):
             f = rows[i][c]
             if not f:
                 continue
-            new = [a * p - f * b for a, b in zip(rows[i][c:], prow)]
-            g = 0
-            for x in new:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-            if g > 1:
-                new = [x // g for x in new]
-            rows[i] = [0] * c + new
+            rows[i] = [0] * c + _combine(rows[i][c:], prow, p, f)
+        pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return r
+    return Echelon(pivots, rows[:r])
+
+
+def rank(A):
+    """Rank: the number of pivots of the integer echelon form."""
+    return len(echelon(A.entries, A.cols).pivots)
+
+
+def in_row_span(ech, v):
+    """Does the vector v (ints or Fractions) lie in the row span of ech?
+
+    v is reduced against the echelon rows in pivot order and the reduction
+    stops at its first nonzero entry outside a pivot column.
+    """
+    by_pivot = dict(zip(ech.pivots, ech.rows))
+    rows = _int_rows([v])
+    if not rows:
+        return True
+    b = rows[0]
+    c = 0
+    n = len(b)
+    while True:
+        while c < n and not b[c]:
+            c += 1
+        if c == n:
+            return True
+        row = by_pivot.get(c)
+        if row is None:
+            return False
+        b[c:] = _combine(b[c:], row[c:], row[c], b[c])
 
 
 def kernel_basis(A):
-    """Canonical basis of the right kernel, one vector per free column."""
-    rows = [list(r) for r in A.entries]
-    pivots = _eliminate(rows)
+    """Canonical basis of the right kernel, one vector per free column.
+
+    The integer echelon form is back-substituted to a scaled reduced echelon
+    form, whose uniqueness makes each free-column vector canonical after
+    content normalization.
+    """
+    pivots, rows = echelon(A.entries, A.cols)
+    for r in range(len(rows) - 1, 0, -1):
+        c = pivots[r]
+        prow = rows[r]
+        p = prow[c]
+        for i in range(r):
+            f = rows[i][c]
+            if not f:
+                continue
+            rows[i] = _combine(rows[i], prow, p, f)
     pivot_set = set(pivots)
     vectors = []
     for free in range(A.cols):
         if free in pivot_set:
             continue
-        v = [Fraction(0)] * A.cols
-        v[free] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][free]
-        vectors.append(content_normalize(v))
+        scale = lcm(*(row[pc] for pc, row in zip(pivots, rows) if row[free]))
+        v = [0] * A.cols
+        v[free] = scale
+        for pc, row in zip(pivots, rows):
+            if row[free]:
+                v[pc] = -row[free] * (scale // row[pc])
+        vectors.append(content_normalize([Fraction(x) for x in v]))
     return KernelBasis(dim=len(vectors), vectors=vectors)
-
-
-class SpanSolver:
-    """Factor a matrix once, then answer `A x = b` queries for many b."""
-
-    def __init__(self, A):
-        self.A = A
-        R, pivots, T = rref(A)
-        self.R = R
-        self.pivots = pivots
-        self.T = T
-        self.rank = len(pivots)
-
-    def solve(self, b):
-        """A coefficient vector x with A x = b, or None if b is not in the span."""
-        if len(b) != self.A.rows:
-            raise ValueError("dimension mismatch: %d rows, vector of %d"
-                             % (self.A.rows, len(b)))
-        tb = self.T.matvec(b)
-        for i in range(self.rank, self.A.rows):
-            if tb[i]:
-                return None
-        x = [Fraction(0)] * self.A.cols
-        for r, pc in enumerate(self.pivots):
-            x[pc] = tb[r]
-        return x
-
-    def contains(self, b):
-        return self.solve(b) is not None
 
 
 def solve_membership(A, b):
     """Solve A x = b exactly; None when b is outside the column span."""
-    return SpanSolver(A).solve(b)
+    if len(b) != A.rows:
+        raise ValueError("dimension mismatch: %d rows, vector of %d"
+                         % (A.rows, len(b)))
+    aug = RatMatrix([row + [x] for row, x in zip(A.entries, b)])
+    R, pivots, _ = rref(aug)
+    if pivots and pivots[-1] == A.cols:
+        return None
+    x = [Fraction(0)] * A.cols
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r, A.cols]
+    return x
 
 
 def invert(A):

@@ -162,7 +162,9 @@ def mult_matrix(generators, target):
                      mono[2] + mu[2], mono[3] + mu[3])
                 col[row_index[m]] += c
             columns.append(col)
-    return RatMatrix.from_columns(columns, len(row_basis))
+    # the entries are Fractions already, so the matrix skips conversion
+    return RatMatrix([[col[i] for col in columns]
+                      for i in range(len(row_basis))], _trusted=True)
 
 
 def _vectors_to_surfaces(vectors, phi, xmonos):

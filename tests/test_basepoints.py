@@ -5,8 +5,11 @@ import pytest
 from movsurf import (CheckConfig, Parametrization, RatMatrix,
                      base_point_summary, check_all, check_independence,
                      check_regularity, generic_change, hilbert_dim, parse,
-                     saturation_member)
+                     saturation_member, solve_membership)
+from movsurf import basepoints
 from movsurf.basepoints import independence_witness
+from movsurf.ring import bidegree_leq, coeff_vector, monomial_basis
+from movsurf.syzygy import mult_matrix
 
 from conftest import random_parametrization
 
@@ -243,3 +246,65 @@ def test_check_all_not_recoverable_failure_returns_immediately():
     assert not report.all_passed
     assert report.failure == "B2"
     assert report.coordinate_change is None
+
+
+# --- saturation and the single B1-B4 pass -------------------------------------
+
+def saturation_oracle(f, generators, max_power):
+    """Least N with every mu*f in the ideal at its bidegree, by one Fraction
+    membership solve per mu; None when the bound is reached."""
+    for N in range(max_power + 1):
+        target = (f.bidegree[0] + N, f.bidegree[1] + N)
+        usable = [g for g in generators if bidegree_leq(g.bidegree, target)]
+        if not usable:
+            continue
+        A = mult_matrix(usable, target)
+        basis = monomial_basis(target)
+        if all(solve_membership(A, coeff_vector(f * f.monomial(mu), basis))
+               is not None for mu in monomial_basis((N, N))):
+            return N
+    return None
+
+
+def test_saturation_member_matches_membership_oracle(quartic_bp, segre):
+    cases = [(quartic_bp.a[3], quartic_bp.a[:3], 4),
+             (quartic_bp.a[0], quartic_bp.a[:3], 2),
+             (segre.a[3], segre.a[:3], 3),
+             (parse("t"), [parse("s")], 3)]
+    changed, _ = generic_change(quartic_bp, 1)
+    cases.append((changed.a[3], changed.a[:3], 4))
+    powers = []
+    for f, gens, bound in cases:
+        res = saturation_member(f, gens, bound)
+        expected = saturation_oracle(f, gens, bound)
+        assert res.member == (expected is not None)
+        assert res.power == expected
+        assert res.bound_reached == (expected is None)
+        powers.append(res.power)
+    assert powers[0] == 2 and powers[2] is None
+
+
+def test_check_all_runs_b1_to_b4_once_across_coordinate_changes(monkeypatch):
+    a = (parse("s^2*t*v"), parse("u^2*t^2 + s*u*v^2"),
+         parse("s^2*v^2 + s^2*t^2"), parse("u^2*t*v + s^2*t*v"))
+    phi = Parametrization(2, 2, a)
+    calls = []
+    original = basepoints.base_point_summary
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(basepoints, "base_point_summary", counted)
+    report = check_all(phi)
+    assert report.coordinate_seed == 1 and report.coordinate_change is not None
+    assert report.all_passed
+    assert len(calls) == 1
+
+    fresh = original(report.phi, CheckConfig().window)
+    assert report.witnesses["B2"] == {
+        "window": fresh.stabilization_window, "values": fresh.hilbert_values,
+        "k": fresh.k, "reason": fresh.reason}
+    assert report.witnesses["B3"] == {"squared_values": fresh.hilbert_sq_values,
+                                      "expected": 3 * fresh.k}
+    assert report.witnesses["B4"] == {"value_at_start": fresh.hilbert_values[0],
+                                      "k": fresh.k}

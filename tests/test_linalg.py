@@ -5,8 +5,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from movsurf import (RatMatrix, det_bareiss, kernel_basis, rank, rref,
-                     solve_membership)
+from movsurf import (RatMatrix, det_bareiss, generic_change, kernel_basis,
+                     rank, rref, solve_membership)
+from movsurf.linalg import echelon, in_row_span
+from movsurf.ring import content_normalize
+from movsurf.syzygy import plane_map_matrix, quadric_map_matrix
 
 
 # --- independent oracles (textbook, no shared code with the package) --------
@@ -199,3 +202,87 @@ def test_det_with_rational_entries():
     A = RatMatrix([[Fraction(1, 2), Fraction(1, 3)],
                    [Fraction(1, 5), Fraction(1, 7)]])
     assert det_bareiss(A) == Fraction(1, 14) - Fraction(1, 15)
+
+
+# --- the integer echelon against the Fraction oracle ---------------------------
+
+def kernel_oracle(A):
+    """Canonical kernel vectors read off the Fraction RREF."""
+    R, pivots, _ = rref(A)
+    vectors = []
+    for free in range(A.cols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * A.cols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -R[r, free]
+        vectors.append(content_normalize(v))
+    return vectors
+
+
+def structured_matrix(rng, nrows, ncols):
+    """Fraction entries with mixed denominators, with zero rows, zero
+    columns and dependent rows planted at random."""
+    density = rng.choice((0.2, 0.5, 1.0))
+    rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 7))
+             if rng.random() < density else Fraction(0)
+             for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.4:
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = Fraction(0)
+    if rng.random() < 0.4:
+        rows[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    if nrows >= 3 and rng.random() < 0.6:
+        a, b, c = rng.sample(range(nrows), 3)
+        x, y = Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-3, 3)
+        rows[c] = [x * p + y * q for p, q in zip(rows[a], rows[b])]
+    return RatMatrix(rows)
+
+
+def low_rank_matrix(rng, nrows, ncols, r):
+    L = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(r)]
+         for _ in range(nrows)]
+    Rm = [[Fraction(rng.randint(-3, 3)) for _ in range(ncols)] for _ in range(r)]
+    return RatMatrix([[sum((L[i][k] * Rm[k][j] for k in range(r)), Fraction(0))
+                       for j in range(ncols)] for i in range(nrows)])
+
+
+def oracle_cases():
+    rng = random.Random(7)
+    cases = [structured_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
+             for _ in range(250)]
+    cases += [structured_matrix(rng, 2, 10), structured_matrix(rng, 10, 2),
+              structured_matrix(rng, 1, 10), structured_matrix(rng, 10, 1),
+              RatMatrix([[0] * 6] * 4)]
+    cases += [low_rank_matrix(rng, rng.randint(2, 10), rng.randint(2, 10),
+                              rng.randint(1, 4)) for _ in range(50)]
+    return cases
+
+
+def test_kernel_basis_and_rank_match_rref_oracle():
+    for A in oracle_cases():
+        assert kernel_basis(A).vectors == kernel_oracle(A)
+        assert rank(A) == len(rref(A).pivots)
+
+
+def test_kernel_basis_matches_oracle_on_changed_quartic_maps(quartic_bp):
+    phi, _ = generic_change(quartic_bp, 1)
+    for A in (plane_map_matrix(phi), quadric_map_matrix(phi)):
+        kb = kernel_basis(A)
+        assert kb.vectors == kernel_oracle(A)
+        assert kb.dim + rank(A) == A.cols
+
+
+def test_in_row_span_agrees_with_membership_solve():
+    rng = random.Random(13)
+    for A in oracle_cases()[:120]:
+        # rows of the echelon span the columns of A
+        ech = echelon(zip(*A.entries), A.rows)
+        inside = A.matvec([Fraction(rng.randint(-3, 3)) for _ in range(A.cols)])
+        outside = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                   for _ in range(A.rows)]
+        for b in (inside, outside):
+            assert in_row_span(ech, b) == (solve_membership(A, b) is not None)
+        assert in_row_span(ech, inside)
