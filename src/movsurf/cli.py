@@ -13,7 +13,9 @@ optional "seed": int, optional "assert_one_to_one": bool}.
 Every flag can be preset through an environment variable with prefix
 MOVSURF_ (e.g. MOVSURF_SEED=7, MOVSURF_DET_BACKEND=interp); explicit flags
 win over the environment.  Exit codes: 0 success, 1 condition or
-verification failure, 2 input error.
+verification failure, 2 input error (an unreadable job file or an option
+value out of range).  Any other exception is an internal error and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from fractions import Fraction
 
 from . import __version__
 from .basepoints import CONDITION_NAMES, CheckConfig, check_all, hilbert_dim
-from .implicitize import (ConditionError, PipelineConfig, VerificationError,
-                          pipeline)
+from .implicitize import (BACKENDS, ConditionError, PipelineConfig,
+                          VerificationError, pipeline)
 from .linalg import RatMatrix
 from .ring import MixedBidegreeError, ParseError, parse
 from .syzygy import Parametrization
@@ -39,6 +41,8 @@ ENV_PREFIX = "MOVSURF_"
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+
+DET_BACKENDS = BACKENDS + ("auto",)
 
 
 class InputError(Exception):
@@ -92,7 +96,7 @@ def build_parser():
                        default=_env("SEED", int, None),
                        help="seed for coordinate changes and sampling")
         p.add_argument("--det-backend",
-                       choices=("cofactor", "interp", "both", "auto"),
+                       choices=DET_BACKENDS,
                        default=_env("DET_BACKEND", str, "auto"))
         p.add_argument("--sat-bound", type=int,
                        default=_env("SAT_BOUND", int, None),
@@ -116,6 +120,27 @@ def build_parser():
             p.add_argument("--squared", action="store_true",
                            help="tabulate the squared ideal instead")
     return top
+
+
+def _check_args(args):
+    """Reject out-of-range option values.
+
+    argparse checks neither ranges nor the choices of a default taken from
+    the environment, so every value is checked here, as it is read.
+    """
+    if args.det_backend not in DET_BACKENDS:
+        raise InputError("--det-backend/%sDET_BACKEND must be one of %s, "
+                         "got %r" % (ENV_PREFIX, ", ".join(DET_BACKENDS),
+                                     args.det_backend))
+    if args.window < 2:
+        raise InputError("--window/%sWINDOW must be at least 2, got %d"
+                         % (ENV_PREFIX, args.window))
+    if args.sat_bound is not None and args.sat_bound < 0:
+        raise InputError("--sat-bound/%sSAT_BOUND must be at least 0, got %d"
+                         % (ENV_PREFIX, args.sat_bound))
+    if args.samples < 1:
+        raise InputError("--samples/%sSAMPLES must be at least 1, got %d"
+                         % (ENV_PREFIX, args.samples))
 
 
 def load_jobspec(path, seed_override=None):
@@ -385,6 +410,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         spec = load_jobspec(args.input, seed_override=args.seed)
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
@@ -392,9 +418,6 @@ def main(argv=None):
     try:
         return COMMANDS[args.command](spec, args)
     except InputError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     except ConditionError as exc:

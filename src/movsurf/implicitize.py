@@ -7,6 +7,11 @@ matrix M of linear and quadratic forms, and expands det M.  The normalized
 determinant is the implicit equation of the parametrized surface, of total
 degree 2mn - k.
 
+Both changes of basis put the identity on a chosen set of coordinates, so
+each is the reduced row echelon form of the basis vectors with those
+coordinates ordered first, computed by the integer echelon of linalg.  A
+chosen set of rank below the basis dimension shows up as a pivot outside it.
+
 When there are no base points (k = 0) the projection can be singular -- the
 Segre quadric x0*x3 - x1*x2 has no pure-square component at all -- and the
 construction falls back to an arbitrary canonical basis of the mn moving
@@ -28,11 +33,11 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .basepoints import CheckConfig, ConditionReport, check_all
-from .linalg import RatMatrix, det_bareiss, invert, rref
-from .ring import XPoly, monomial_basis, coeff_vector, content_normalize
-from .syzygy import (Parametrization, PROD_ORDER, SyzygyBasis,
-                     moving_planes, moving_quadrics, surface_to_vector,
-                     x_monomial)
+from .linalg import RatMatrix, det_bareiss, reduced_echelon
+from .ring import XPoly, monomial_basis, content_normalize
+from .syzygy import (Parametrization, PROD_ORDER, SyzygyBasis, X_MONOMIALS,
+                     _vectors_to_surfaces, moving_planes, moving_quadrics,
+                     surface_to_vector, x_monomial)
 
 X3 = x_monomial(3)
 X3SQ = x_monomial(3, 3)
@@ -123,7 +128,40 @@ class ImplicitResult:
 
 
 # ---------------------------------------------------------------------------
-# plane echelonization
+# changes of basis
+
+
+def _unit_basis(surfaces, chosen, wdeg):
+    """The reduced row echelon basis of the span of `surfaces`, with the
+    coordinates `chosen`, (parameter monomial, x monomial) pairs, ordered
+    first.
+
+    Returns (pivots, basis): pivots are the positions in `chosen` of the
+    unit columns, one per basis element.  basis is None when the chosen
+    coordinates have rank below len(surfaces), so that some pivot would lie
+    outside them.
+    """
+    xdegree = surfaces[0].xdegree
+    mono_basis = monomial_basis(wdeg)
+    flat = {(mono, xm): b * len(mono_basis) + i
+            for b, xm in enumerate(X_MONOMIALS[xdegree])
+            for i, mono in enumerate(mono_basis)}
+    first = [flat[c] for c in chosen]
+    taken = set(first)
+    order = first + [j for j in range(len(flat)) if j not in taken]
+    vectors = [surface_to_vector(s, wdeg) for s in surfaces]
+    pivots, rows = reduced_echelon([[v[j] for j in order] for v in vectors],
+                                   len(order))
+    pivots = [p for p in pivots if p < len(first)]
+    if len(pivots) < len(surfaces):
+        return pivots, None
+    units = []
+    for p, row in zip(pivots, rows):
+        vec = [None] * len(order)
+        for j, x in zip(order, row):
+            vec[j] = Fraction(x, row[p])
+        units.append(vec)
+    return pivots, _vectors_to_surfaces(units, wdeg, xdegree)
 
 
 def echelon_plane_basis(planes, working_bidegree):
@@ -137,35 +175,16 @@ def echelon_plane_basis(planes, working_bidegree):
     """
     k = planes.dim
     if k == 0:
-        return SyzygyBasis([], pivot_set=[]), []
+        return SyzygyBasis([]), []
     basis = monomial_basis(working_bidegree)
-    x3rows = RatMatrix([coeff_vector(p.coeffs[X3], basis)
-                        for p in planes.elements])
-    R, pivot_cols, T = rref(x3rows)
-    if len(pivot_cols) < k:
+    pivot_cols, elements = _unit_basis(
+        planes.elements, [(mono, X3) for mono in basis], working_bidegree)
+    if elements is None:
         raise ConditionError(
             "x3 block of the moving planes has rank %d < %d; "
             "a0,a1,a2 admit a syzygy" % (len(pivot_cols), k))
-    new_elements = []
-    for e in range(k):
-        acc = None
-        for j in range(k):
-            c = T[e, j]
-            if not c:
-                continue
-            part = planes.elements[j].scale(c)
-            acc = part if acc is None else acc.add(part)
-        new_elements.append(acc)
     pivots = [(basis[c][0], basis[c][2]) for c in pivot_cols]
-    return SyzygyBasis(new_elements, pivot_set=pivots), pivots
-
-
-# ---------------------------------------------------------------------------
-# quadric selection
-
-
-def _column_index(block, mono_idx, mn):
-    return block * mn + mono_idx
+    return SyzygyBasis(elements), pivots
 
 
 def distinguished_columns(pivots, working_bidegree):
@@ -190,49 +209,32 @@ def quadric_basis_via_projection(phi, pivots, quadrics=None):
     columns, one per column.
 
     Returns (elements, columns, fallback).  elements[i] projects to the unit
-    vector on columns.distinguished[i].  With base points (k > 0) a singular
-    projection means an upstream condition was certified wrongly and raises;
-    without base points it falls back to the plain canonical kernel basis
-    (fallback=True), keeping the construction available for quadrics like the
-    Segre one that have no pure-square component.
+    vector on columns.distinguished[i]: the elements are the reduced row
+    echelon form of the quadric basis with the distinguished columns ordered
+    first, in their listed order.  With base points (k > 0) a singular
+    projection, seen as a pivot outside the distinguished columns, means an
+    upstream condition was certified wrongly and raises; without base points
+    it falls back to the plain canonical kernel basis (fallback=True),
+    keeping the construction available for quadrics like the Segre one that
+    have no pure-square component.
     """
     if quadrics is None:
         quadrics = moving_quadrics(phi)
-    mn = phi.mn
     k = len(pivots)
-    expected = mn + 3 * k
+    expected = phi.mn + 3 * k
     if quadrics.dim != expected:
         raise ConditionError(
             "moving-quadric space has dimension %d, expected mn + 3k = %d"
             % (quadrics.dim, expected))
     columns = distinguished_columns(pivots, phi.working_bidegree)
-
-    basis = monomial_basis(phi.working_bidegree)
-    mono_pos = {m: i for i, m in enumerate(basis)}
-    block_pos = {x_monomial(i, j): b for b, (i, j) in enumerate(PROD_ORDER)}
-    vectors = [surface_to_vector(q, phi) for q in quadrics.elements]
-    idx = [_column_index(block_pos[xm], mono_pos[mono], mn)
-           for mono, xm in columns.distinguished]
-    # square restriction of the coordinate projection to the quadric space
-    P = RatMatrix([[vectors[j][i] for j in range(expected)] for i in idx])
-    Pinv = invert(P)
-    if Pinv is None:
+    _, elements = _unit_basis(quadrics.elements, columns.distinguished,
+                              phi.working_bidegree)
+    if elements is None:
         if k > 0:
             raise ConditionError(
                 "projection onto the distinguished quadric columns is "
                 "singular; the certified conditions cannot all hold")
         return list(quadrics.elements), columns, True
-
-    elements = []
-    for w in range(expected):
-        acc = None
-        for j in range(expected):
-            c = Pinv[j, w]
-            if not c:
-                continue
-            part = quadrics.elements[j].scale(c)
-            acc = part if acc is None else acc.add(part)
-        elements.append(acc)
     return elements, columns, False
 
 
@@ -559,6 +561,9 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
     so the integer value is zero exactly when poly(phi(pt)) is.  `failures`
     lists the original rational points.
     """
+    if samples < 1:
+        raise ValueError("verification needs at least 1 sample, got %d"
+                         % samples)
     rng = random.Random(seed)
     expected = 2 * phi.mn - k
     # one common factor for all four a_i only scales the image

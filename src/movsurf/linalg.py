@@ -1,18 +1,20 @@
 """Dense exact rational linear algebra.
 
-Ranks, kernels and span membership share one fraction-free integer echelon:
-rows are cleared of denominators and gcd-reduced, then eliminated over Z with
-their contents kept reduced.  The rank is its pivot count; kernel_basis
-back-substitutes it to a scaled reduced echelon form; in_row_span reduces a
-vector against it, which is how the B5 saturation search tests membership.
+Ranks, kernels, span membership and changes of basis share one
+fraction-free integer echelon: rows are cleared of denominators and
+gcd-reduced, then eliminated over Z with their contents kept reduced.  The
+rank is its pivot count; reduced_echelon back-substitutes it to a scaled
+reduced echelon form, from which kernel_basis reads the kernel and the
+implicitization reads its unit-pivot bases; in_row_span reduces a vector
+against it, which is how the B5 saturation search tests membership.
 Determinants use fraction-free Bareiss elimination over integers after
 clearing row denominators; a matrix whose entries are already ints (the
 integer evaluation grid of the interpolated determinant) goes through the
 same routine with no Fraction arithmetic until the result.
 
 Fraction Gauss-Jordan with immediate pivot normalization remains only for
-rref, invert and solve_membership, which need the rational transform or
-solution.
+rref and solve_membership, public reference solves that the tests check the
+integer core against.
 
 Pivoting is always "first nonzero in column order": arithmetic is exact, so
 pivot choice is about reproducibility, not stability.
@@ -247,14 +249,14 @@ def in_row_span(ech, v):
         b[c:] = _combine(b[c:], row[c:], row[c], b[c])
 
 
-def kernel_basis(A):
-    """Canonical basis of the right kernel, one vector per free column.
+def reduced_echelon(entries, ncols):
+    """The integer echelon form back-substituted over Z.
 
-    The integer echelon form is back-substituted to a scaled reduced echelon
-    form, whose uniqueness makes each free-column vector canonical after
-    content normalization.
+    Each pivot column is zero outside its own row, so dividing every row by
+    its pivot entry gives the reduced row echelon form, which is unique for
+    the given column order.
     """
-    pivots, rows = echelon(A.entries, A.cols)
+    pivots, rows = echelon(entries, ncols)
     for r in range(len(rows) - 1, 0, -1):
         c = pivots[r]
         prow = rows[r]
@@ -264,6 +266,16 @@ def kernel_basis(A):
             if not f:
                 continue
             rows[i] = _combine(rows[i], prow, p, f)
+    return Echelon(pivots, rows)
+
+
+def kernel_basis(A):
+    """Canonical basis of the right kernel, one vector per free column.
+
+    Read off the scaled reduced echelon form, whose uniqueness makes each
+    free-column vector canonical after content normalization.
+    """
+    pivots, rows = reduced_echelon(A.entries, A.cols)
     pivot_set = set(pivots)
     vectors = []
     for free in range(A.cols):
@@ -292,16 +304,6 @@ def solve_membership(A, b):
     for r, pc in enumerate(pivots):
         x[pc] = R[r, A.cols]
     return x
-
-
-def invert(A):
-    """Inverse of a square matrix, or None if singular."""
-    if A.rows != A.cols:
-        raise ValueError("inverse of non-square matrix")
-    R, pivots, T = rref(A)
-    if len(pivots) != A.rows:
-        return None
-    return T
 
 
 def det_bareiss(A):

@@ -15,7 +15,7 @@ reproducible run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import RatMatrix, kernel_basis, rank
@@ -33,6 +33,12 @@ def x_monomial(i, j=None):
     if j is not None:
         e[j] += 1
     return tuple(e)
+
+
+# the coefficient blocks of a moving surface of x-degree 1 or 2, in the
+# column-block order of the plane and quadric maps
+X_MONOMIALS = {1: tuple(x_monomial(i) for i in range(4)),
+               2: tuple(x_monomial(i, j) for i, j in PROD_ORDER)}
 
 
 @dataclass(frozen=True)
@@ -77,17 +83,6 @@ class MovingSurface:
     xdegree: int
     coeffs: dict  # x-monomial tuple -> BihomPoly, all of one bidegree
 
-    def bidegree(self):
-        for f in self.coeffs.values():
-            return f.bidegree
-        raise ValueError("empty moving surface")
-
-    def coefficient(self, xmono):
-        for f in self.coeffs.values():
-            zero = BihomPoly.zero(f.bidegree)
-            break
-        return self.coeffs.get(tuple(xmono), zero)
-
     def substitute(self, phi):
         """Plug the parametrization into the x-variables.
 
@@ -106,19 +101,6 @@ class MovingSurface:
             raise ValueError("empty moving surface")
         return total
 
-    def follows(self, phi):
-        return self.substitute(phi).is_zero()
-
-    def scale(self, c):
-        return MovingSurface(self.xdegree,
-                             {m: f.scale(c) for m, f in self.coeffs.items()})
-
-    def add(self, other):
-        coeffs = dict(self.coeffs)
-        for m, f in other.coeffs.items():
-            coeffs[m] = coeffs[m] + f if m in coeffs else f
-        return MovingSurface(self.xdegree, coeffs)
-
     def x_multiple(self, i):
         """Multiply by the coordinate x_i, raising the x-degree by one."""
         out = {}
@@ -132,7 +114,6 @@ class MovingSurface:
 @dataclass
 class SyzygyBasis:
     elements: list
-    pivot_set: list = field(default=None)
 
     @property
     def dim(self):
@@ -167,18 +148,18 @@ def mult_matrix(generators, target):
                       for i in range(len(row_basis))], _trusted=True)
 
 
-def _vectors_to_surfaces(vectors, phi, xmonos):
-    """Split flat kernel vectors into per-block coefficient polynomials."""
-    wdeg = phi.working_bidegree
+def _vectors_to_surfaces(vectors, wdeg, xdegree):
+    """Split flat vectors into per-block coefficient polynomials of bidegree
+    wdeg, inverse of surface_to_vector."""
     basis = monomial_basis(wdeg)
     mn = len(basis)
     out = []
     for vec in vectors:
         coeffs = {}
-        for b, xm in enumerate(xmonos):
+        for b, xm in enumerate(X_MONOMIALS[xdegree]):
             block = vec[b * mn:(b + 1) * mn]
             coeffs[xm] = poly_from_vector(block, basis, wdeg)
-        out.append(MovingSurface(xdegree=sum(xmonos[0]), coeffs=coeffs))
+        out.append(MovingSurface(xdegree=xdegree, coeffs=coeffs))
     return out
 
 
@@ -197,15 +178,15 @@ def abc_map_matrix(phi):
 def moving_planes(phi):
     """Basis of the moving planes of bidegree (m-1, n-1) following phi."""
     kb = kernel_basis(plane_map_matrix(phi))
-    xmonos = [x_monomial(i) for i in range(4)]
-    return SyzygyBasis(_vectors_to_surfaces(kb.vectors, phi, xmonos))
+    return SyzygyBasis(_vectors_to_surfaces(kb.vectors,
+                                            phi.working_bidegree, 1))
 
 
 def moving_quadrics(phi):
     """Basis of the moving quadrics of bidegree (m-1, n-1) following phi."""
     kb = kernel_basis(quadric_map_matrix(phi))
-    xmonos = [x_monomial(i, j) for i, j in PROD_ORDER]
-    return SyzygyBasis(_vectors_to_surfaces(kb.vectors, phi, xmonos))
+    return SyzygyBasis(_vectors_to_surfaces(kb.vectors,
+                                            phi.working_bidegree, 2))
 
 
 def syz_dim_abc(phi):
@@ -214,16 +195,12 @@ def syz_dim_abc(phi):
     return A.cols - rank(A)
 
 
-def surface_to_vector(surface, phi):
-    """Flat coordinate vector of a moving surface, inverse of the kernel split."""
-    wdeg = phi.working_bidegree
+def surface_to_vector(surface, wdeg):
+    """Flat coordinate vector of a moving surface whose coefficients have
+    bidegree wdeg, inverse of the kernel split."""
     basis = monomial_basis(wdeg)
-    if surface.xdegree == 1:
-        xmonos = [x_monomial(i) for i in range(4)]
-    else:
-        xmonos = [x_monomial(i, j) for i, j in PROD_ORDER]
     zero = BihomPoly.zero(wdeg)
     vec = []
-    for xm in xmonos:
+    for xm in X_MONOMIALS[surface.xdegree]:
         vec.extend(coeff_vector(surface.coeffs.get(xm, zero), basis))
     return vec

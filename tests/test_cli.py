@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from movsurf import parse_xpoly
 from movsurf.cli import main
 
@@ -152,6 +154,36 @@ def test_bad_window_exits_2(tmp_path, capsys):
     inp = write_job(tmp_path, SEGRE_JOB)
     assert main(["check", "--input", inp, "--window", "1"]) == 2
     assert "window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--samples", "0", "samples"), ("--samples", "-4", "samples"),
+    ("--sat-bound", "-1", "sat-bound")])
+def test_out_of_range_option_exits_2(tmp_path, capsys, flag, value, name):
+    inp = write_job(tmp_path, QUARTIC_JOB)
+    assert main(["verify", "--input", inp, flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and name in err
+
+
+@pytest.mark.parametrize("var, value", [("MOVSURF_SAMPLES", "0"),
+                                        ("MOVSURF_DET_BACKEND", "lu")])
+def test_out_of_range_environment_default_exits_2(tmp_path, capsys,
+                                                  monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    inp = write_job(tmp_path, QUARTIC_JOB)
+    assert main(["verify", "--input", inp]) == 2
+    assert var in capsys.readouterr().err
+
+
+def test_internal_value_error_is_not_an_input_error(tmp_path, monkeypatch):
+    def broken(phi, config, report=None):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("movsurf.cli.pipeline", broken)
+    inp = write_job(tmp_path, SEGRE_JOB)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["implicitize", "--input", inp])
 
 
 def test_condition_failure_implicitize_exits_1(tmp_path, capsys):

@@ -4,17 +4,30 @@ from fractions import Fraction
 import pytest
 
 from movsurf import (BihomPoly, ConditionError, MMatrix, Parametrization,
-                     PipelineConfig, SyzygyBasis, XPoly,
-                     assemble_M, compose_linear, det_poly,
+                     PipelineConfig, RatMatrix, SyzygyBasis, XPoly,
+                     assemble_M, coeff_vector, compose_linear, det_poly,
                      echelon_plane_basis, generic_change, monomial_basis,
                      moving_planes, moving_quadrics, normalize, parse,
                      parse_xpoly, pipeline, quadric_basis_via_projection,
-                     VerificationError, verify_polynomial)
+                     rref, VerificationError, verify_polynomial)
 from movsurf.implicitize import (_sample_point, det_cofactor, det_interpolation,
                                  resolve_backend, select_quadric_rows)
 from movsurf.syzygy import MovingSurface, x_monomial
 
 from conftest import load_golden, random_parametrization
+
+# bidegree (2,2) vanishing at (0:1;0:1) and (1:0;1:0): two simple base points
+TWO_BASE_POINT_STRINGS = [
+    "2*s^2*v^2 - 3*s*u*t^2 + 3*s*u*t*v + 3*s*u*v^2 + 3*u^2*t^2 - u^2*t*v",
+    "3*s^2*t*v - s^2*v^2 - 2*s*u*t^2 - s*u*t*v + s*u*v^2 - 2*u^2*t*v",
+    "-s^2*t*v - 3*s^2*v^2 + 3*s*u*t^2 - s*u*v^2 + u^2*t^2 + 2*u^2*t*v",
+    "-2*s^2*t*v + s^2*v^2 + s*u*t^2 - 2*s*u*t*v - s*u*v^2 + 2*u^2*t^2 + 2*u^2*t*v",
+]
+
+
+def two_base_points():
+    return Parametrization(2, 2, tuple(parse(s, bidegree=(2, 2))
+                                       for s in TWO_BASE_POINT_STRINGS))
 
 
 # --- plane echelonization -----------------------------------------------------
@@ -90,11 +103,14 @@ def test_projection_quartic_pivot_multiples_are_plane_multiples(quartic_bp):
     pos = columns.distinguished.index((pivot_mono, x_monomial(3, 3)))
     assert elements[pos].substitute(quartic_bp).is_zero()
     ut_pos = columns.distinguished.index(((0, 1, 1, 0), x_monomial(3, 3)))
-    combo = (elements[pos]
-             .add(p1.x_multiple(3).scale(-1))
-             .add(p1.x_multiple(0).scale(-1))
-             .add(elements[ut_pos]))
-    assert all(f.is_zero() for f in combo.coeffs.values())
+    terms = [(elements[pos], 1), (p1.x_multiple(3), -1),
+             (p1.x_multiple(0), -1), (elements[ut_pos], 1)]
+    zero = BihomPoly.zero((1, 1))
+    for xm in set().union(*(surface.coeffs for surface, _ in terms)):
+        combo = zero
+        for surface, sign in terms:
+            combo = combo + surface.coeffs.get(xm, zero).scale(sign)
+        assert combo.is_zero()
 
 
 def test_projection_quartic_quadric_rows_follow(quartic_bp):
@@ -135,6 +151,62 @@ def test_projection_dimension_mismatch_raises(quartic_bp):
     bogus = SyzygyBasis(list(moving_quadrics(quartic_bp).elements[:5]))
     with pytest.raises(ConditionError):
         quadric_basis_via_projection(quartic_bp, [(1, 1)], quadrics=bogus)
+
+
+def test_projection_singular_raises_with_base_points_and_falls_back_without(
+        quartic_bp):
+    # a duplicated quadric keeps the dimension count but makes the
+    # distinguished columns singular
+    def duplicated(phi):
+        elements = list(moving_quadrics(phi).elements)
+        return SyzygyBasis(elements[:-1] + [elements[0]])
+
+    with pytest.raises(ConditionError, match="singular"):
+        quadric_basis_via_projection(quartic_bp, [(1, 1)],
+                                     quadrics=duplicated(quartic_bp))
+    phi = random_parametrization(random.Random(100), 2, 2)
+    quadrics = duplicated(phi)
+    elements, columns, fallback = quadric_basis_via_projection(
+        phi, [], quadrics=quadrics)
+    assert fallback
+    assert elements == quadrics.elements
+    assert len(columns.distinguished) == phi.mn
+
+
+@pytest.mark.parametrize("which", ["quartic", "two_base_points",
+                                   "changed_quartic"])
+def test_bases_match_fraction_rref_reference(quartic_bp, which):
+    phi = {"quartic": lambda: quartic_bp,
+           "two_base_points": two_base_points,
+           "changed_quartic": lambda: generic_change(quartic_bp, 1)[0]}[which]()
+    wdeg = phi.working_bidegree
+    basis = monomial_basis(wdeg)
+    planes = moving_planes(phi)
+    ech, pivots = echelon_plane_basis(planes, wdeg)
+    # reference: the transform T of the Fraction RREF of the x3 rows
+    x3rows = RatMatrix([coeff_vector(p.coeffs[x_monomial(3)], basis)
+                        for p in planes.elements])
+    _, pivot_cols, T = rref(x3rows)
+    assert pivots == [(basis[c][0], basis[c][2]) for c in pivot_cols]
+    assert ech.dim == planes.dim == len(pivots)
+    zero = BihomPoly.zero(wdeg)
+    for i, plane in enumerate(ech.elements):
+        expected = {}
+        for xm in planes.elements[0].coeffs:
+            acc = zero
+            for j, p in enumerate(planes.elements):
+                acc = acc + p.coeffs[xm].scale(T[i, j])
+            expected[xm] = acc
+        assert plane.coeffs == expected
+
+    elements, columns, fallback = quadric_basis_via_projection(phi, pivots)
+    assert not fallback
+    assert len(elements) == len(columns.distinguished) == phi.mn + 3 * len(pivots)
+    for i, q in enumerate(elements):
+        assert q.substitute(phi).is_zero()
+        assert [q.coeffs[xm].coeff(mono)
+                for mono, xm in columns.distinguished] == [
+                    int(i == j) for j in range(len(elements))]
 
 
 # --- assembly -------------------------------------------------------------------
@@ -362,6 +434,13 @@ def test_verify_raises_verification_error_when_sampling_fails():
     assert not isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("samples", [0, -4])
+def test_verify_rejects_fewer_than_one_sample(quartic_bp, samples):
+    golden = parse_xpoly(load_golden("quartic_base_point_implicit.txt"))
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        verify_polynomial(golden, quartic_bp, k=1, samples=samples)
+
+
 def test_verify_wrapper_reruns_certificates(quartic_bp):
     from movsurf import verify
     res = pipeline(quartic_bp)
@@ -443,16 +522,8 @@ def test_pipeline_pullback_through_coordinate_change(quartic_bp):
 
 
 def test_pipeline_two_base_points_mixed_rows():
-    # bidegree (2,2) vanishing at (0:1;0:1) and (1:0;1:0): two simple base
-    # points, so M mixes 2 linear rows with 2 quadric rows
-    strings = [
-        "2*s^2*v^2 - 3*s*u*t^2 + 3*s*u*t*v + 3*s*u*v^2 + 3*u^2*t^2 - u^2*t*v",
-        "3*s^2*t*v - s^2*v^2 - 2*s*u*t^2 - s*u*t*v + s*u*v^2 - 2*u^2*t*v",
-        "-s^2*t*v - 3*s^2*v^2 + 3*s*u*t^2 - s*u*v^2 + u^2*t^2 + 2*u^2*t*v",
-        "-2*s^2*t*v + s^2*v^2 + s*u*t^2 - 2*s*u*t*v - s*u*v^2 + 2*u^2*t^2 + 2*u^2*t*v",
-    ]
-    phi = Parametrization(2, 2, tuple(parse(s, bidegree=(2, 2))
-                                      for s in strings))
+    # two simple base points, so M mixes 2 linear rows with 2 quadric rows
+    phi = two_base_points()
     for f in phi.a:
         assert f.evaluate((0, 1, 0, 1)) == 0
         assert f.evaluate((1, 0, 1, 0)) == 0
@@ -479,3 +550,14 @@ def test_pipeline_degenerate_k_equals_mn():
     if res.coordinate_change is not None:
         p = normalize(compose_linear(p, res.coordinate_change))
     assert p == parse_xpoly("x0*x3 - x1*x2")
+
+
+def test_pipeline_runs_without_fraction_gauss_jordan(quartic_bp, monkeypatch):
+    # rref and solve_membership are reference solves; the pipeline itself
+    # runs on the integer echelon and det_bareiss only
+    def refuse(*args, **kwargs):
+        raise AssertionError("Fraction Gauss-Jordan reached from the pipeline")
+
+    monkeypatch.setattr("movsurf.linalg._eliminate", refuse)
+    for phi in (quartic_bp, two_base_points()):
+        assert pipeline(phi, PipelineConfig(samples=30)).verification.ok

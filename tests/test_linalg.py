@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from movsurf import (RatMatrix, det_bareiss, generic_change, kernel_basis,
                      rank, rref, solve_membership)
-from movsurf.linalg import echelon, in_row_span
+from movsurf.linalg import echelon, in_row_span, reduced_echelon
 from movsurf.ring import content_normalize
 from movsurf.syzygy import plane_map_matrix, quadric_map_matrix
 
@@ -265,6 +265,15 @@ def test_kernel_basis_and_rank_match_rref_oracle():
     for A in oracle_cases():
         assert kernel_basis(A).vectors == kernel_oracle(A)
         assert rank(A) == len(rref(A).pivots)
+
+
+def test_reduced_echelon_over_its_pivots_is_rref():
+    for A in oracle_cases():
+        pivots, rows = reduced_echelon(A.entries, A.cols)
+        R, rref_pivots, _ = rref(A)
+        assert pivots == rref_pivots
+        assert [[Fraction(x, row[p]) for x in row]
+                for p, row in zip(pivots, rows)] == R.entries[:len(pivots)]
 
 
 def test_kernel_basis_matches_oracle_on_changed_quartic_maps(quartic_bp):
