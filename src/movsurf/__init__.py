@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .basepoints import (BasePointSummary, CheckConfig, ConditionReport,
                          SaturationResult, base_point_summary, check_all,
                          check_independence, check_regularity, generic_change,
-                         hilbert_dim, saturation_member)
+                         hilbert_dim, hilbert_values, saturation_member)
 from .implicitize import (ColumnIndexSet, ConditionError, ImplicitResult,
                           MMatrix, PipelineConfig, VerificationError,
                           VerificationRecord, assemble_M, compose_linear,

@@ -20,7 +20,11 @@ being computed once per check.
 
 Degrees of zero-dimensional schemes are read off as stabilized values of the
 Hilbert function dim (R/I)_{d,d'} sampled along a diagonal window, never via
-primary decomposition.
+primary decomposition.  Each value is the number of monomials minus the
+certified rank (linalg.integer_rank) of the generator multiples, built as
+integer rows.  A window stops computing ranks at its first zero: I_d = R_d
+puts R_{d'} = R_{d'-d} R_d inside I_{d'} for every d' >= d, so the later
+values are zero too.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import (RatMatrix, det_bareiss, echelon, in_row_span,
-                     kernel_basis, rank)
+                     integer_rank, kernel_basis, rank)
 from .ring import bidegree_leq, coeff_vector, monomial_basis
-from .syzygy import (Parametrization, moving_planes, mult_matrix, syz_dim_abc)
+from .syzygy import (Parametrization, moving_planes, multiple_rows,
+                     syz_dim_abc)
 
 CONDITION_NAMES = {
     "B1": "linear independence",
@@ -100,7 +105,28 @@ def hilbert_dim(generators, d):
     use = [g for g in generators if bidegree_leq(g.bidegree, d)]
     if not use:
         return full
-    return full - rank(mult_matrix(use, d))
+    return full - integer_rank(multiple_rows(use, d), full)
+
+
+def hilbert_values(generators, degrees):
+    """hilbert_dim of the generators at each of the degrees.
+
+    A zero is propagated without computing a rank: if the quotient is 0 at
+    d, then I_d = R_d, so at every d' >= d (componentwise)
+    R_{d'} = R_{d'-d} R_d = R_{d'-d} I_d lies in I_{d'}, and the quotient
+    is 0 there too.
+    """
+    zeros = []
+    values = []
+    for d in degrees:
+        if any(bidegree_leq(z, d) for z in zeros):
+            values.append(0)
+            continue
+        value = hilbert_dim(generators, d)
+        if value == 0:
+            zeros.append(d)
+        values.append(value)
+    return values
 
 
 def check_independence(phi):
@@ -142,13 +168,13 @@ def base_point_summary(phi, window=3):
         raise ValueError("window must be at least 2")
     m, n = phi.m, phi.n
     degrees = [(2 * m - 1 + i, 2 * n - 1 + i) for i in range(window + 1)]
-    values = [hilbert_dim(phi.a, d) for d in degrees]
+    values = hilbert_values(phi.a, degrees)
     finite, reason = _classify(values)
     k = values[0] if finite else None
 
     sq_degrees = [(3 * m - 1 + i, 3 * n - 1 + i) for i in range(window + 1)]
     products = phi.products()
-    sq_values = [hilbert_dim(products, d) for d in sq_degrees]
+    sq_values = hilbert_values(products, sq_degrees)
     lci = finite and all(v == 3 * k for v in sq_values)
 
     return BasePointSummary(finite=finite, k=k, lci_proxy=lci,
@@ -176,10 +202,8 @@ def saturation_member(f, generators, max_power):
         if not usable:
             continue
         row_basis = monomial_basis(target)
-        # the generator multiples are the columns of the multiplication
-        # matrix; echelonized as rows once, they answer every mu*f below
-        multiples = mult_matrix(usable, target)
-        span = echelon(zip(*multiples.entries), len(row_basis))
+        # the generator multiples, echelonized once, answer every mu*f below
+        span = echelon(multiple_rows(usable, target), len(row_basis))
         if all(in_row_span(span, coeff_vector(f * f.__class__.monomial(mu),
                                               row_basis))
                for mu in monomial_basis((N, N))):
@@ -192,7 +216,7 @@ def _abc_scheme_matches(phi, summary):
     full ideal, certified by a matching stabilized Hilbert value over the
     same window (the triple stabilizes later than the full ideal, so only
     the window tail is required to be constant)."""
-    values = [hilbert_dim(phi.a[:3], d) for d in summary.stabilization_window]
+    values = hilbert_values(phi.a[:3], summary.stabilization_window)
     stabilized = len(values) >= 2 and values[-1] == values[-2]
     return stabilized and values[-1] == summary.k, values
 

@@ -12,10 +12,11 @@ optional "seed": int, optional "assert_one_to_one": bool}.
 
 Every flag can be preset through an environment variable with prefix
 MOVSURF_ (e.g. MOVSURF_SEED=7, MOVSURF_DET_BACKEND=interp); explicit flags
-win over the environment.  Exit codes: 0 success, 1 condition or
-verification failure, 2 input error (an unreadable job file or an option
-value out of range).  Any other exception is an internal error and
-propagates with its traceback.
+win over the environment, and a preset is read only when its flag is
+absent.  Exit codes: 0 success, 1 condition or verification failure, 2
+input error (an unreadable job file, or an option value that is not a
+number or out of range, from a flag or from the environment).  Any other
+exception is an internal error and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -59,14 +60,14 @@ class JobSpec:
     assert_one_to_one: bool
 
 
-def _env(name, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise SystemExit("bad value for %s%s: %r" % (ENV_PREFIX, name, raw))
+def _env(name, fallback):
+    """The raw environment preset of a flag, or fallback.
+
+    A preset string goes to argparse as the default, which converts it with
+    the flag's type only when the flag is absent; a bad value then exits 2
+    with a usage error, and an explicit flag still wins over it.
+    """
+    return os.environ.get(ENV_PREFIX + name, fallback)
 
 
 def _env_flag(name):
@@ -93,24 +94,24 @@ def build_parser():
                        default=_env_flag("JSON"),
                        help="emit a machine-readable JSON report")
         p.add_argument("--seed", type=int,
-                       default=_env("SEED", int, None),
+                       default=_env("SEED", None),
                        help="seed for coordinate changes and sampling")
         p.add_argument("--det-backend",
                        choices=DET_BACKENDS,
-                       default=_env("DET_BACKEND", str, "auto"))
+                       default=_env("DET_BACKEND", "auto"))
         p.add_argument("--sat-bound", type=int,
-                       default=_env("SAT_BOUND", int, None),
+                       default=_env("SAT_BOUND", None),
                        help="saturation search bound (default 2*max(m,n)+2)")
         p.add_argument("--window", type=int,
-                       default=_env("WINDOW", int, 3),
+                       default=_env("WINDOW", 3),
                        help="diagonal sampling window for stabilization")
         p.add_argument("--samples", type=int,
-                       default=_env("SAMPLES", int, 100),
+                       default=_env("SAMPLES", 100),
                        help="number of exact vanishing samples")
         p.add_argument("--force", action="store_true",
                        default=_env_flag("FORCE"),
                        help="emit results even when checks fail")
-        p.add_argument("--output", default=_env("OUTPUT", str, None),
+        p.add_argument("--output", default=_env("OUTPUT", None),
                        help="write the report to a file instead of stdout")
         if name == "hilbert":
             p.add_argument("--d1", default=None,

@@ -1,12 +1,22 @@
 """Dense exact rational linear algebra.
 
-Ranks, kernels, span membership and changes of basis share one
-fraction-free integer echelon: rows are cleared of denominators and
-gcd-reduced, then eliminated over Z with their contents kept reduced.  The
-rank is its pivot count; reduced_echelon back-substitutes it to a scaled
-reduced echelon form, from which kernel_basis reads the kernel and the
-implicitization reads its unit-pivot bases; in_row_span reduces a vector
-against it, which is how the B5 saturation search tests membership.
+Kernels, span membership and changes of basis share one fraction-free
+integer echelon: rows are cleared of denominators and gcd-reduced, then
+eliminated over Z with their contents kept reduced.  reduced_echelon
+back-substitutes it to a scaled reduced echelon form, from which
+kernel_basis reads the kernel and the implicitization reads its unit-pivot
+bases; in_row_span reduces a vector against it, which is how the B5
+saturation search tests membership.
+
+Ranks (integer_rank, and rank for a RatMatrix) are computed modulo primes
+and certified over Z.  Modulo the first prime, r pivots give a nonzero
+r x r minor, so the rank is at least r.  Below full rank, one kernel vector
+per free column is lifted through further primes by CRT and rational
+reconstruction, and checked against every row over Z; independent kernel
+vectors in that number bound the rank by r from above.  No answer rests on
+chance: whatever cannot be certified so (an unlucky prime, a kernel too
+large for the primes, a failed check) is the pivot count of the integer
+echelon instead.
 Determinants use fraction-free Bareiss elimination over integers after
 clearing row denominators; a matrix whose entries are already ints (the
 integer evaluation grid of the interpolated determinant) goes through the
@@ -24,7 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import NamedTuple
 
 from .ring import content_normalize
@@ -220,9 +231,148 @@ def echelon(entries, ncols):
     return Echelon(pivots, rows[:r])
 
 
+# Primes just below 2**30, written out so that importing the module does no
+# work.  The certified rank takes them in this order; together they
+# reconstruct kernel vectors with entries up to about 59 bits, and a larger
+# kernel falls back to the integer echelon form.
+_PRIMES = (1073741789, 1073741783, 1073741741, 1073741723)
+
+
+def _modular_basis(rows, ncols, p):
+    """Reduced row echelon form modulo p, built one row at a time.
+
+    Returns (basis, free, used).  free lists the columns that are not
+    pivots; basis maps each pivot column, in the order the pivots were
+    found, to its row at the free columns (it is 1 at its own pivot and 0
+    at the other pivots), as integers congruent to it mod p: the updates
+    skip the reduction, which only the residues read from it need; used
+    lists the indices of the rows that gave the pivots.  Stops once every
+    column is a pivot.
+    """
+    free = list(range(ncols))
+    basis = {}
+    used = []
+    for i, row in enumerate(rows):
+        # every basis row is 0 at the other pivots, so each pivot entry of
+        # the row is its coefficient in the reduction
+        hits = [(c, f) for c in basis if (f := row[c] % p)]
+        x = [row[j] for j in free]
+        if hits:
+            fs = [f for _, f in hits]
+            cols = zip(*[basis[c] for c, _ in hits])
+            y = [(a - sum(map(mul, fs, col))) % p for a, col in zip(x, cols)]
+        else:
+            y = [a % p for a in x]
+        k = next((k for k, a in enumerate(y) if a), None)
+        if k is None:
+            continue
+        c = free.pop(k)
+        inv = pow(y.pop(k), -1, p)
+        y = [a * inv % p for a in y]
+        for d, prow in basis.items():
+            f = prow.pop(k) % p
+            if f:
+                basis[d] = [a - f * b for a, b in zip(prow, y)]
+        basis[c] = y
+        used.append(i)
+        if not free:
+            break
+    return basis, free, used
+
+
+def _reconstruct(residues, modulus):
+    """Integers w and D > 0 with w_i = D * x_i for the rationals x_i that the
+    residues mod modulus stand for, or None.
+
+    Rational reconstruction with a common denominator: D and each
+    numerator found on the way stay below sqrt(modulus / 2).
+    """
+    bound = isqrt(modulus // 2)
+    den = 1
+    parts = []
+    for x in residues:
+        y = x * den % modulus
+        if y > modulus - bound:
+            num, b = y - modulus, 1
+        else:
+            r0, r1, s0, s1 = modulus, y, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+            num, b = (r1, s1) if s1 > 0 else (-r1, -s1)
+            den *= b
+            if den > bound or gcd(num, b) != 1:
+                return None
+        parts.append((num, den))
+    return [num * (den // d) for num, d in parts], den
+
+
+def _lift_kernel(free, pivots, residues, modulus, ncols):
+    """The integer kernel vectors that the residues stand for, or None.
+
+    residues[k][i] is the entry of the reduced basis row of pivots[i] at
+    free[k], mod modulus: minus the kernel vector of free[k] there.
+    """
+    vectors = []
+    for f, column in zip(free, residues):
+        found = _reconstruct(column, modulus)
+        if found is None:
+            return None
+        w, den = found
+        v = [0] * ncols
+        v[f] = den
+        for c, x in zip(pivots, w):
+            v[c] = -x
+        vectors.append(v)
+    return vectors
+
+
+def integer_rank(rows, ncols):
+    """Exact rank of a list of integer rows of length ncols.
+
+    The rows are eliminated in the orientation with at least as many rows
+    as columns.  Modulo the first prime they give r pivots; a nonzero r x r
+    minor mod p is nonzero over Z, so the rank is at least r, and r = ncols
+    settles it.  Otherwise the reduced basis rows give one kernel vector per
+    free column, the identity there, so the ncols - r vectors are
+    independent.  They are lifted through further primes (the same pivot
+    rows, required to give the same pivot columns), combined by CRT and
+    rationally reconstructed; once every row times every vector is 0 over Z,
+    the rank is at most r.  Any failure on the way returns the rank of the
+    integer echelon form instead.
+    """
+    if len(rows) < ncols:
+        rows, ncols = [list(col) for col in zip(*rows)], len(rows)
+    modulus = _PRIMES[0]
+    basis, free, used = _modular_basis(rows, ncols, modulus)
+    r = len(basis)
+    if r == ncols:
+        return r
+    pivots = list(basis)
+    pivot_rows = [rows[i] for i in used]
+    residues = [[row[k] % modulus for row in basis.values()]
+                for k in range(len(free))]
+    for q in _PRIMES[1:] + (None,):
+        vectors = _lift_kernel(free, pivots, residues, modulus, ncols)
+        if vectors is not None and all(not sum(map(mul, row, v))
+                                       for v in vectors for row in rows):
+            return r
+        if q is None:
+            break
+        qbasis, _, _ = _modular_basis(pivot_rows, ncols, q)
+        if list(qbasis) != pivots:
+            break
+        shift = pow(modulus, -1, q)
+        residues = [[x + modulus * ((row[k] - x) * shift % q)
+                     for x, row in zip(column, qbasis.values())]
+                    for k, column in enumerate(residues)]
+        modulus *= q
+    return len(echelon(rows, ncols).pivots)
+
+
 def rank(A):
-    """Rank: the number of pivots of the integer echelon form."""
-    return len(echelon(A.entries, A.cols).pivots)
+    """Exact rank of a RatMatrix: integer_rank of its cleared rows."""
+    return integer_rank(_int_rows(A.entries), A.cols)
 
 
 def in_row_span(ech, v):

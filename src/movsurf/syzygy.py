@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import RatMatrix, kernel_basis, rank
 from .ring import (BihomPoly, coeff_vector, monomial_basis,
@@ -146,6 +147,35 @@ def mult_matrix(generators, target):
     # the entries are Fractions already, so the matrix skips conversion
     return RatMatrix([[col[i] for col in columns]
                       for i in range(len(row_basis))], _trusted=True)
+
+
+def multiple_rows(generators, target):
+    """The multiples mu*g into bidegree `target`, as rows of integers.
+
+    One row per column of mult_matrix(generators, target), in the same
+    order, over the canonical monomial basis of the target.  Each generator
+    is scaled once to coprime integer coefficients, which leaves the span of
+    its multiples unchanged.
+    """
+    target = (int(target[0]), int(target[1]))
+    row_index = {m: i for i, m in enumerate(monomial_basis(target))}
+    rows = []
+    for g in generators:
+        d = (target[0] - g.bidegree[0], target[1] - g.bidegree[1])
+        if d[0] < 0 or d[1] < 0:
+            raise ValueError("bidegree underflow: generator %s into target %s"
+                             % (g.bidegree, target))
+        den = lcm(*(c.denominator for c in g.terms.values()))
+        ints = [c.numerator * (den // c.denominator) for c in g.terms.values()]
+        content = gcd(*ints)
+        ints = [(mono, c // content) for mono, c in zip(g.terms, ints)]
+        for mu in monomial_basis(d):
+            row = [0] * len(row_index)
+            for mono, c in ints:
+                row[row_index[(mono[0] + mu[0], mono[1] + mu[1],
+                               mono[2] + mu[2], mono[3] + mu[3])]] = c
+            rows.append(row)
+    return rows
 
 
 def _vectors_to_surfaces(vectors, wdeg, xdegree):

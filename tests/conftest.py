@@ -37,6 +37,20 @@ def segre():
         1, 1, (parse("s*t"), parse("s*v"), parse("u*t"), parse("u*v")))
 
 
+# bidegree (2,2) vanishing at (0:1;0:1) and (1:0;1:0): two simple base points
+TWO_BASE_POINT_STRINGS = [
+    "2*s^2*v^2 - 3*s*u*t^2 + 3*s*u*t*v + 3*s*u*v^2 + 3*u^2*t^2 - u^2*t*v",
+    "3*s^2*t*v - s^2*v^2 - 2*s*u*t^2 - s*u*t*v + s*u*v^2 - 2*u^2*t*v",
+    "-s^2*t*v - 3*s^2*v^2 + 3*s*u*t^2 - s*u*v^2 + u^2*t^2 + 2*u^2*t*v",
+    "-2*s^2*t*v + s^2*v^2 + s*u*t^2 - 2*s*u*t*v - s*u*v^2 + 2*u^2*t^2 + 2*u^2*t*v",
+]
+
+
+def two_base_points():
+    return Parametrization(2, 2, tuple(parse(s, bidegree=(2, 2))
+                                       for s in TWO_BASE_POINT_STRINGS))
+
+
 REGULARITY_IDEAL_STRINGS = ["u^2*t^2*v", "u^2*t^3 + s*u*v^3",
                             "s^2*t*v^2", "s^2*v^3 + s^2*t^3"]
 

@@ -11,7 +11,7 @@ from movsurf.basepoints import independence_witness
 from movsurf.ring import bidegree_leq, coeff_vector, monomial_basis
 from movsurf.syzygy import mult_matrix
 
-from conftest import random_parametrization
+from conftest import base_point_free_parametrizations, random_parametrization
 
 
 # --- quotient dimensions -----------------------------------------------------
@@ -37,6 +37,49 @@ def test_hilbert_nonincreasing_along_diagonal(quartic_bp):
     vals = [hilbert_dim(quartic_bp.a, (3 + i, 3 + i)) for i in range(4)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
     assert vals == [1, 1, 1, 1]
+
+
+def recorded_hilbert_dim(monkeypatch):
+    degrees = []
+    original = basepoints.hilbert_dim
+
+    def recorded(generators, d):
+        degrees.append(tuple(d))
+        return original(generators, d)
+    monkeypatch.setattr(basepoints, "hilbert_dim", recorded)
+    return degrees
+
+
+def test_hilbert_values_stop_ranking_at_the_first_zero(monkeypatch):
+    _, phi = base_point_free_parametrizations(1, 2, 2)[0]
+    window = [(3 + i, 3 + i) for i in range(4)]
+    expected = [hilbert_dim(phi.a[:3], d) for d in window]
+    assert expected == [4, 1, 0, 0]
+    calls = recorded_hilbert_dim(monkeypatch)
+    assert basepoints.hilbert_values(phi.a[:3], window) == expected
+    assert calls == window[:3]
+
+
+def test_hilbert_values_propagate_a_zero_only_upwards(monkeypatch):
+    _, phi = base_point_free_parametrizations(1, 2, 2)[0]
+    degrees = [(3, 3), (2, 5), (4, 4), (5, 2), (3, 4)]
+    expected = [hilbert_dim(phi.a, d) for d in degrees]
+    assert expected == [0, 2, 0, 2, 0]
+    calls = recorded_hilbert_dim(monkeypatch)
+    assert basepoints.hilbert_values(phi.a, degrees) == expected
+    assert calls == [(3, 3), (2, 5), (5, 2)]
+
+
+def test_summary_and_abc_window_rank_no_degree_past_a_zero(monkeypatch):
+    _, phi = base_point_free_parametrizations(1, 2, 2)[0]
+    calls = recorded_hilbert_dim(monkeypatch)
+    summary = base_point_summary(phi)
+    assert summary.hilbert_values == [0, 0, 0, 0]
+    assert summary.hilbert_sq_values == [0, 0, 0, 0]
+    assert calls == [(3, 3), (5, 5)]
+    assert basepoints._abc_scheme_matches(phi, summary) == (True,
+                                                            [4, 1, 0, 0])
+    assert calls[2:] == [(3, 3), (4, 4), (5, 5)]
 
 
 # --- B1 ------------------------------------------------------------------------

@@ -26,7 +26,8 @@ def write_job(tmp_path, payload, name="job.json"):
 def run_json(tmp_path, command, payload, *extra):
     inp = write_job(tmp_path, payload)
     out = tmp_path / "out.json"
-    code = main([command, "--input", inp, "--json", "--output", str(out)])
+    code = main([command, "--input", inp, "--json", "--output", str(out),
+                 *extra])
     return code, json.loads(out.read_text())
 
 
@@ -174,6 +175,34 @@ def test_out_of_range_environment_default_exits_2(tmp_path, capsys,
     inp = write_job(tmp_path, QUARTIC_JOB)
     assert main(["verify", "--input", inp]) == 2
     assert var in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("var", ["MOVSURF_SEED", "MOVSURF_SAMPLES",
+                                 "MOVSURF_WINDOW", "MOVSURF_SAT_BOUND"])
+def test_non_integer_environment_value_exits_2(tmp_path, capsys, monkeypatch,
+                                               var):
+    monkeypatch.setenv(var, "x")
+    inp = write_job(tmp_path, SEGRE_JOB)
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--input", inp])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
+def test_help_ignores_a_bad_environment_value(monkeypatch, capsys):
+    monkeypatch.setenv("MOVSURF_SEED", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--seed" in capsys.readouterr().out
+
+
+def test_explicit_flag_overrides_a_bad_environment_value(tmp_path,
+                                                         monkeypatch):
+    monkeypatch.setenv("MOVSURF_SEED", "x")
+    code, report = run_json(tmp_path, "check", SEGRE_JOB, "--seed", "3")
+    assert code == 0
+    assert report["seed"] == 3
 
 
 def test_internal_value_error_is_not_an_input_error(tmp_path, monkeypatch):

@@ -14,20 +14,7 @@ from movsurf.implicitize import (_sample_point, det_cofactor, det_interpolation,
                                  resolve_backend, select_quadric_rows)
 from movsurf.syzygy import MovingSurface, x_monomial
 
-from conftest import load_golden, random_parametrization
-
-# bidegree (2,2) vanishing at (0:1;0:1) and (1:0;1:0): two simple base points
-TWO_BASE_POINT_STRINGS = [
-    "2*s^2*v^2 - 3*s*u*t^2 + 3*s*u*t*v + 3*s*u*v^2 + 3*u^2*t^2 - u^2*t*v",
-    "3*s^2*t*v - s^2*v^2 - 2*s*u*t^2 - s*u*t*v + s*u*v^2 - 2*u^2*t*v",
-    "-s^2*t*v - 3*s^2*v^2 + 3*s*u*t^2 - s*u*v^2 + u^2*t^2 + 2*u^2*t*v",
-    "-2*s^2*t*v + s^2*v^2 + s*u*t^2 - 2*s*u*t*v - s*u*v^2 + 2*u^2*t^2 + 2*u^2*t*v",
-]
-
-
-def two_base_points():
-    return Parametrization(2, 2, tuple(parse(s, bidegree=(2, 2))
-                                       for s in TWO_BASE_POINT_STRINGS))
+from conftest import load_golden, random_parametrization, two_base_points
 
 
 # --- plane echelonization -----------------------------------------------------

@@ -1,15 +1,19 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 import pytest
 from hypothesis import given, strategies as st
 
 from movsurf import (RatMatrix, det_bareiss, generic_change, kernel_basis,
-                     rank, rref, solve_membership)
-from movsurf.linalg import echelon, in_row_span, reduced_echelon
+                     linalg, rank, rref, solve_membership)
+from movsurf.linalg import echelon, in_row_span, integer_rank, reduced_echelon
 from movsurf.ring import content_normalize
-from movsurf.syzygy import plane_map_matrix, quadric_map_matrix
+from movsurf.syzygy import (mult_matrix, multiple_rows, plane_map_matrix,
+                            quadric_map_matrix)
+
+from conftest import two_base_points
 
 
 # --- independent oracles (textbook, no shared code with the package) --------
@@ -295,3 +299,106 @@ def test_in_row_span_agrees_with_membership_solve():
         for b in (inside, outside):
             assert in_row_span(ech, b) == (solve_membership(A, b) is not None)
         assert in_row_span(ech, inside)
+
+
+# --- the certified modular rank ------------------------------------------------
+
+def exact_rank(rows, ncols):
+    return len(echelon(rows, ncols).pivots)
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def no_echelon(rows, ncols):
+    raise AssertionError("the integer echelon was not expected here")
+
+
+def test_rank_primes_are_distinct_primes_below_2_to_30():
+    primes = linalg._PRIMES
+    assert len(set(primes)) == len(primes) >= 2
+    for p in primes:
+        assert 2 < p < 2 ** 30
+        assert all(p % d for d in range(2, isqrt(p) + 1))
+
+
+def window_matrices(phi):
+    """The integer multiples of the B2, B3 and B5 windows of phi."""
+    m, n = phi.m, phi.n
+    for gens, start in ((phi.a, (2 * m - 1, 2 * n - 1)),
+                        (phi.products(), (3 * m - 1, 3 * n - 1)),
+                        (phi.a[:3], (2 * m - 1, 2 * n - 1))):
+        for i in range(4):
+            d = (start[0] + i, start[1] + i)
+            yield gens, d, multiple_rows(gens, d), (d[0] + 1) * (d[1] + 1)
+
+
+def test_window_ranks_are_certified_without_the_echelon(quartic_bp,
+                                                        monkeypatch):
+    inputs = (quartic_bp, two_base_points(), generic_change(quartic_bp, 1)[0])
+    expected = [[exact_rank(rows, ncols)
+                 for _, _, rows, ncols in window_matrices(phi)]
+                for phi in inputs]
+    monkeypatch.setattr(linalg, "echelon", no_echelon)
+    for phi, want in zip(inputs, expected):
+        got = [integer_rank(rows, ncols)
+               for _, _, rows, ncols in window_matrices(phi)]
+        assert got == want
+        # the same ranks through RatMatrix, which is wide: transposed
+        assert [rank(mult_matrix(gens, d))
+                for gens, d, _, _ in window_matrices(phi)] == want
+
+
+def tall_rank_two(a, b):
+    """Four rows of rank 2 whose kernel is spanned by (-7a, -3b, 21)."""
+    r1, r2 = [3, 0, a], [0, 7, b]
+    return [r1, r2, [x + y for x, y in zip(r1, r2)],
+            [2 * x - y for x, y in zip(r1, r2)]]
+
+
+def test_rank_lifts_a_large_kernel_through_further_primes(monkeypatch):
+    primes = count_calls(monkeypatch, linalg, "_modular_basis")
+    monkeypatch.setattr(linalg, "echelon", no_echelon)
+    # the kernel needs about 43 bits: three primes, not two
+    assert integer_rank(tall_rank_two(2 ** 40 + 1, -(2 ** 39) - 7), 3) == 2
+    assert [args[2] for args in primes] == list(linalg._PRIMES[:3])
+
+
+def test_rank_falls_back_when_the_kernel_outgrows_the_primes(monkeypatch):
+    fallbacks = count_calls(monkeypatch, linalg, "echelon")
+    assert integer_rank(tall_rank_two(2 ** 90 + 1, 5), 3) == 2
+    assert len(fallbacks) == 1
+
+
+def test_rank_falls_back_when_the_prime_drops_the_rank(monkeypatch):
+    monkeypatch.setattr(linalg, "_PRIMES", (3,))
+    fallbacks = count_calls(monkeypatch, linalg, "echelon")
+    # determinant 3: rank 1 modulo 3, rank 2 over Q
+    assert integer_rank([[1, 1], [1, 4]], 2) == 2
+    assert len(fallbacks) == 1
+    # every row is 0 modulo the prime
+    assert integer_rank([[3, 6], [3, 3]], 2) == 2
+    for A in oracle_cases():
+        assert rank(A) == len(rref(A).pivots)
+
+
+def test_rank_of_rows_that_vanish_modulo_the_first_prime():
+    p = linalg._PRIMES[0]
+    assert integer_rank([[p, 2 * p], [p, p], [0, 0]], 2) == 2
+    assert integer_rank([[p, 2 * p], [2 * p, 4 * p], [0, 0]], 2) == 1
+
+
+def test_rank_falls_back_when_reconstruction_fails(monkeypatch):
+    fallbacks = count_calls(monkeypatch, linalg, "echelon")
+    monkeypatch.setattr(linalg, "_reconstruct", lambda residues, modulus: None)
+    for A in oracle_cases():
+        assert rank(A) == len(rref(A).pivots)
+    assert fallbacks
