@@ -20,10 +20,8 @@ from .implicitize import (ColumnIndexSet, ConditionError, ImplicitResult,
                           det_poly, echelon_plane_basis, normalize, pipeline,
                           quadric_basis_via_projection, verify,
                           verify_polynomial)
-from .linalg import (KernelBasis, RatMatrix, det_bareiss, kernel_basis, rank,
-                     rref, solve_membership)
+from .linalg import KernelBasis, RatMatrix, det_bareiss, kernel_basis, rank
 from .ring import (BihomPoly, MixedBidegreeError, ParseError, XPoly,
-                   coeff_vector, evaluate, monomial_basis, mul, parse,
-                   parse_xpoly)
-from .syzygy import (MovingSurface, Parametrization, SyzygyBasis,
-                     moving_planes, moving_quadrics, mult_matrix, syz_dim_abc)
+                   coeff_vector, monomial_basis, parse, parse_xpoly)
+from .syzygy import (Parametrization, SyzygyBasis, moving_planes,
+                     moving_quadrics, mult_matrix, syz_dim_abc)

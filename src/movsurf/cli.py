@@ -8,15 +8,19 @@ Four subcommands operate on a JSON job file:
     movsurf hilbert      --input job.json     quotient-dimension table
 
 Job file schema: {"m": int, "n": int, "a": [4 polynomial strings],
-optional "seed": int, optional "assert_one_to_one": bool}.
+optional "seed": int, optional "assert_one_to_one": bool}.  The integer
+fields must be JSON integers (not true or false, not 1.7 or "2"),
+assert_one_to_one must be JSON true or false, and a must be a JSON list of
+strings.
 
 Every flag can be preset through an environment variable with prefix
 MOVSURF_ (e.g. MOVSURF_SEED=7, MOVSURF_DET_BACKEND=interp); explicit flags
 win over the environment, and a preset is read only when its flag is
 absent.  Exit codes: 0 success, 1 condition or verification failure, 2
-input error (an unreadable job file, or an option value that is not a
-number or out of range, from a flag or from the environment).  Any other
-exception is an internal error and propagates with its traceback.
+input error (an unreadable or malformed job file, or an option value that
+is not a number or out of range, from a flag or from the environment; a
+bad preset is named by its variable).  Any other exception is an internal
+error and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -60,14 +64,39 @@ class JobSpec:
     assert_one_to_one: bool
 
 
+class _Preset(str):
+    """A flag's raw preset string, which remembers its variable's name."""
+
+    def __new__(cls, value, variable):
+        preset = super().__new__(cls, value)
+        preset.variable = variable
+        return preset
+
+
 def _env(name, fallback):
     """The raw environment preset of a flag, or fallback.
 
     A preset string goes to argparse as the default, which converts it with
     the flag's type only when the flag is absent; a bad value then exits 2
-    with a usage error, and an explicit flag still wins over it.
+    with a usage error that names the variable, and an explicit flag still
+    wins over it.
     """
-    return os.environ.get(ENV_PREFIX + name, fallback)
+    variable = ENV_PREFIX + name
+    if variable in os.environ:
+        return _Preset(os.environ[variable], variable)
+    return fallback
+
+
+def _int(text):
+    """argparse type of the integer flags, naming the variable of a bad
+    preset."""
+    try:
+        return int(text)
+    except ValueError:
+        source = (" (from %s)" % text.variable
+                  if isinstance(text, _Preset) else "")
+        raise argparse.ArgumentTypeError(
+            "invalid int value: %r%s" % (str(text), source))
 
 
 def _env_flag(name):
@@ -93,19 +122,19 @@ def build_parser():
         p.add_argument("--json", action="store_true",
                        default=_env_flag("JSON"),
                        help="emit a machine-readable JSON report")
-        p.add_argument("--seed", type=int,
+        p.add_argument("--seed", type=_int,
                        default=_env("SEED", None),
                        help="seed for coordinate changes and sampling")
         p.add_argument("--det-backend",
                        choices=DET_BACKENDS,
                        default=_env("DET_BACKEND", "auto"))
-        p.add_argument("--sat-bound", type=int,
+        p.add_argument("--sat-bound", type=_int,
                        default=_env("SAT_BOUND", None),
                        help="saturation search bound (default 2*max(m,n)+2)")
-        p.add_argument("--window", type=int,
+        p.add_argument("--window", type=_int,
                        default=_env("WINDOW", 3),
                        help="diagonal sampling window for stabilization")
-        p.add_argument("--samples", type=int,
+        p.add_argument("--samples", type=_int,
                        default=_env("SAMPLES", 100),
                        help="number of exact vanishing samples")
         p.add_argument("--force", action="store_true",
@@ -144,6 +173,25 @@ def _check_args(args):
                          % (ENV_PREFIX, args.samples))
 
 
+_JSON_KINDS = {int: "integer", bool: "boolean", list: "list"}
+
+
+def _field(data, name, kind, fallback=None):
+    """The job-file field `name`, which must hold a JSON value of `kind`
+    (a key of _JSON_KINDS), or fallback when the field is absent and
+    fallback is not None.  JSON true and false are not integers here."""
+    if name not in data and fallback is not None:
+        return fallback
+    try:
+        value = data[name]
+    except KeyError as exc:
+        raise InputError("job file misses key %s" % exc)
+    if type(value) is not kind:
+        raise InputError("%s must be a JSON %s, got %s"
+                         % (name, _JSON_KINDS[kind], json.dumps(value)))
+    return value
+
+
 def load_jobspec(path, seed_override=None):
     try:
         with open(path) as fh:
@@ -154,16 +202,16 @@ def load_jobspec(path, seed_override=None):
         raise InputError("invalid JSON in %s: %s" % (path, exc))
     if not isinstance(data, dict):
         raise InputError("job file must hold a JSON object")
-    try:
-        m = int(data["m"])
-        n = int(data["n"])
-        strings = list(data["a"])
-    except KeyError as exc:
-        raise InputError("job file misses key %s" % exc)
-    except (TypeError, ValueError):
-        raise InputError("m and n must be integers, a must be a list")
+    m = _field(data, "m", int)
+    n = _field(data, "n", int)
+    seed = _field(data, "seed", int, 0)
+    one_to_one = _field(data, "assert_one_to_one", bool, True)
+    strings = _field(data, "a", list)
     if len(strings) != 4:
         raise InputError("expected exactly 4 polynomials, got %d" % len(strings))
+    if not all(type(s) is str for s in strings):
+        raise InputError("a must be a JSON list of polynomial strings, got %s"
+                         % json.dumps(strings))
     if m < 1 or n < 1:
         raise InputError("m and n must be positive")
     polys = []
@@ -176,11 +224,10 @@ def load_jobspec(path, seed_override=None):
         phi = Parametrization(m, n, tuple(polys))
     except ValueError as exc:
         raise InputError(str(exc))
-    seed = data.get("seed", 0)
     if seed_override is not None:
         seed = seed_override
-    return JobSpec(m=m, n=n, a=strings, phi=phi, seed=int(seed),
-                   assert_one_to_one=bool(data.get("assert_one_to_one", True)))
+    return JobSpec(m=m, n=n, a=strings, phi=phi, seed=seed,
+                   assert_one_to_one=one_to_one)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,16 @@ matrix M of linear and quadratic forms, and expands det M.  The normalized
 determinant is the implicit equation of the parametrized surface, of total
 degree 2mn - k.
 
-Both changes of basis put the identity on a chosen set of coordinates, so
-each is the reduced row echelon form of the basis vectors with those
-coordinates ordered first, computed by the integer echelon of linalg.  A
-chosen set of rank below the basis dimension shows up as a pivot outside it.
+The bases stay coefficient rows from the kernel to M, in the layout of
+the syzygy module: position b*mn + i of a row is the coefficient of the i-th
+parameter monomial of bidegree (m-1, n-1) in front of the b-th x-monomial
+(4mn positions for a plane, 10mn for a quadric).  Both changes of basis put
+the identity on a chosen set of those positions, so each is the reduced row
+echelon form of the rows with those positions ordered first, computed by
+the integer echelon of linalg.  A chosen set of rank below the basis
+dimension shows up as a pivot outside it.  Entry (r, c) of M is the linear
+or quadratic form read from position i of every block of row r, where the
+c-th column of M stands for the i-th parameter monomial.
 
 When there are no base points (k = 0) the projection can be singular -- the
 Segre quadric x0*x3 - x1*x2 has no pure-square component at all -- and the
@@ -36,8 +42,7 @@ from .basepoints import CheckConfig, ConditionReport, check_all
 from .linalg import RatMatrix, det_bareiss, reduced_echelon
 from .ring import XPoly, monomial_basis, content_normalize
 from .syzygy import (Parametrization, PROD_ORDER, SyzygyBasis, X_MONOMIALS,
-                     _vectors_to_surfaces, moving_planes, moving_quadrics,
-                     surface_to_vector, x_monomial)
+                     moving_planes, moving_quadrics, x_monomial)
 
 X3 = x_monomial(3)
 X3SQ = x_monomial(3, 3)
@@ -131,37 +136,42 @@ class ImplicitResult:
 # changes of basis
 
 
-def _unit_basis(surfaces, chosen, wdeg):
-    """The reduced row echelon basis of the span of `surfaces`, with the
-    coordinates `chosen`, (parameter monomial, x monomial) pairs, ordered
-    first.
+def _x_blocks(row, mn):
+    """The x-monomials of the mn-column blocks of a plane row (4mn entries)
+    or a quadric row (10mn entries)."""
+    return X_MONOMIALS[1 if len(row) == 4 * mn else 2]
+
+
+def _unit_basis(rows, chosen, wdeg):
+    """The reduced row echelon basis of the span of the coefficient `rows`,
+    with the coordinates `chosen`, (parameter monomial, x monomial) pairs,
+    ordered first.
 
     Returns (pivots, basis): pivots are the positions in `chosen` of the
-    unit columns, one per basis element.  basis is None when the chosen
-    coordinates have rank below len(surfaces), so that some pivot would lie
-    outside them.
+    unit columns, one per basis element, and basis holds the unit rows in
+    the column order of `rows`.  basis is None when the chosen coordinates
+    have rank below len(rows), so that some pivot would lie outside them.
     """
-    xdegree = surfaces[0].xdegree
     mono_basis = monomial_basis(wdeg)
-    flat = {(mono, xm): b * len(mono_basis) + i
-            for b, xm in enumerate(X_MONOMIALS[xdegree])
+    mn = len(mono_basis)
+    flat = {(mono, xm): b * mn + i
+            for b, xm in enumerate(_x_blocks(rows[0], mn))
             for i, mono in enumerate(mono_basis)}
     first = [flat[c] for c in chosen]
     taken = set(first)
     order = first + [j for j in range(len(flat)) if j not in taken]
-    vectors = [surface_to_vector(s, wdeg) for s in surfaces]
-    pivots, rows = reduced_echelon([[v[j] for j in order] for v in vectors],
-                                   len(order))
+    pivots, echelon = reduced_echelon([[v[j] for j in order] for v in rows],
+                                      len(order))
     pivots = [p for p in pivots if p < len(first)]
-    if len(pivots) < len(surfaces):
+    if len(pivots) < len(rows):
         return pivots, None
     units = []
-    for p, row in zip(pivots, rows):
+    for p, row in zip(pivots, echelon):
         vec = [None] * len(order)
         for j, x in zip(order, row):
             vec[j] = Fraction(x, row[p])
         units.append(vec)
-    return pivots, _vectors_to_surfaces(units, wdeg, xdegree)
+    return pivots, units
 
 
 def echelon_plane_basis(planes, working_bidegree):
@@ -242,15 +252,6 @@ def quadric_basis_via_projection(phi, pivots, quadrics=None):
 # matrix assembly
 
 
-def _entry(surface, mono):
-    coeff = {}
-    for xm, f in surface.coeffs.items():
-        c = f.terms.get(mono)
-        if c:
-            coeff[xm] = c
-    return XPoly(coeff)
-
-
 def assemble_M(planes, quadric_rows, pivots, working_bidegree):
     """Stack k echelon plane rows over mn-k quadric rows.
 
@@ -272,15 +273,17 @@ def assemble_M(planes, quadric_rows, pivots, working_bidegree):
     col_order = pivot_idx + rest_idx
     col_monomials = [basis[i] for i in col_order]
 
-    entries = []
-    labels = []
-    for i, p in enumerate(planes.elements):
-        entries.append([_entry(p, mono) for mono in col_monomials])
-        labels.append("plane %d" % (i + 1))
-    for q, mono in zip(quadric_rows, [basis[i] for i in rest_idx]):
-        entries.append([_entry(q, m) for m in col_monomials])
-        labels.append("quadric %s" % (mono,))
-    return MMatrix(size=mn, entries=entries, linear_rows=k,
+    def entries(row):
+        # the entry at parameter monomial i: position i of each x block
+        blocks = list(enumerate(_x_blocks(row, mn)))
+        return [XPoly({xm: row[b * mn + i] for b, xm in blocks})
+                for i in col_order]
+
+    rows = [entries(p) for p in planes.elements]
+    rows += [entries(q) for q in quadric_rows]
+    labels = ["plane %d" % (i + 1) for i in range(k)]
+    labels += ["quadric %s" % (basis[i],) for i in rest_idx]
+    return MMatrix(size=mn, entries=rows, linear_rows=k,
                    col_monomials=col_monomials, row_labels=labels)
 
 

@@ -207,12 +207,6 @@ class XPoly:
     def monomial(cls, mono, coeff=1):
         return cls({tuple(mono): Fraction(coeff)})
 
-    @classmethod
-    def variable(cls, i):
-        e = [0, 0, 0, 0]
-        e[i] = 1
-        return cls({tuple(e): Fraction(1)})
-
     def is_zero(self):
         return not self.terms
 
@@ -277,11 +271,6 @@ class XPoly:
         for (e0, e1, e2, e3), co in self.terms.items():
             total += co * a**e0 * b**e1 * c**e2 * d**e3
         return total
-
-    def leading_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=_x_key)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _x_key(kv[0]),
@@ -479,14 +468,6 @@ def parse_xpoly(text):
 # vector interface
 
 
-def mul(f, g):
-    return f * g
-
-
-def evaluate(f, point):
-    return f.evaluate(point)
-
-
 def coeff_vector(f, basis):
     """Coefficients of f on an explicit monomial basis, as a list.
 
@@ -497,10 +478,6 @@ def coeff_vector(f, basis):
         raise ValueError("bidegree mismatch: basis %s vs polynomial %s"
                          % (monomial_bidegree(basis[0]), f.bidegree))
     return [f.terms.get(m, Fraction(0)) for m in basis]
-
-
-def poly_from_vector(vec, basis, bidegree):
-    return BihomPoly(bidegree, {m: c for m, c in zip(basis, vec) if c})
 
 
 def content_normalize(coeffs):

@@ -11,6 +11,12 @@ Their kernels are the moving planes, the syzygies on (a0,a1,a2), and the
 moving quadrics that follow phi.  Kernel vectors are canonicalized to coprime
 integer coordinates with positive leading coordinate, so bases are
 reproducible run to run.
+
+A moving plane or quadric is kept as its kernel vector, a row of
+coefficients in the column order of its map: with mn = m*n, position
+b*mn + i holds the coefficient of the parameter monomial
+monomial_basis((m-1, n-1))[i] in front of the x-monomial X_MONOMIALS[d][b],
+d = 1 for a plane (4mn entries) and d = 2 for a quadric (10mn entries).
 """
 
 from __future__ import annotations
@@ -20,8 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .linalg import RatMatrix, kernel_basis, rank
-from .ring import (BihomPoly, coeff_vector, monomial_basis,
-                   poly_from_vector)
+from .ring import monomial_basis
 
 # x_i x_j blocks of the quadric map, in this fixed order
 PROD_ORDER = tuple((i, j) for i in range(4) for j in range(i, 4))
@@ -36,8 +41,8 @@ def x_monomial(i, j=None):
     return tuple(e)
 
 
-# the coefficient blocks of a moving surface of x-degree 1 or 2, in the
-# column-block order of the plane and quadric maps
+# the x-monomials of x-degree 1 or 2, in the column-block order of the plane
+# and quadric maps
 X_MONOMIALS = {1: tuple(x_monomial(i) for i in range(4)),
                2: tuple(x_monomial(i, j) for i, j in PROD_ORDER)}
 
@@ -77,44 +82,9 @@ class Parametrization:
         return tuple(f.evaluate(point) for f in self.a)
 
 
-@dataclass(frozen=True)
-class MovingSurface:
-    """A form of x-degree 1 or 2 whose x-coefficients vary with (s,u;t,v)."""
-
-    xdegree: int
-    coeffs: dict  # x-monomial tuple -> BihomPoly, all of one bidegree
-
-    def substitute(self, phi):
-        """Plug the parametrization into the x-variables.
-
-        For an x-degree-1 surface each x_i becomes a_i; for x-degree 2 each
-        x_i x_j becomes a_i a_j.  A surface follows phi exactly when the
-        result is the zero polynomial.
-        """
-        total = None
-        for xmono, coeff in self.coeffs.items():
-            prod = coeff
-            for i, e in enumerate(xmono):
-                for _ in range(e):
-                    prod = prod * phi.a[i]
-            total = prod if total is None else total + prod
-        if total is None:
-            raise ValueError("empty moving surface")
-        return total
-
-    def x_multiple(self, i):
-        """Multiply by the coordinate x_i, raising the x-degree by one."""
-        out = {}
-        for xmono, f in self.coeffs.items():
-            e = list(xmono)
-            e[i] += 1
-            out[tuple(e)] = f
-        return MovingSurface(self.xdegree + 1, out)
-
-
 @dataclass
 class SyzygyBasis:
-    elements: list
+    elements: list  # coefficient rows, laid out as in the module docstring
 
     @property
     def dim(self):
@@ -178,21 +148,6 @@ def multiple_rows(generators, target):
     return rows
 
 
-def _vectors_to_surfaces(vectors, wdeg, xdegree):
-    """Split flat vectors into per-block coefficient polynomials of bidegree
-    wdeg, inverse of surface_to_vector."""
-    basis = monomial_basis(wdeg)
-    mn = len(basis)
-    out = []
-    for vec in vectors:
-        coeffs = {}
-        for b, xm in enumerate(X_MONOMIALS[xdegree]):
-            block = vec[b * mn:(b + 1) * mn]
-            coeffs[xm] = poly_from_vector(block, basis, wdeg)
-        out.append(MovingSurface(xdegree=xdegree, coeffs=coeffs))
-    return out
-
-
 def plane_map_matrix(phi):
     return mult_matrix(phi.a, (2 * phi.m - 1, 2 * phi.n - 1))
 
@@ -207,30 +162,15 @@ def abc_map_matrix(phi):
 
 def moving_planes(phi):
     """Basis of the moving planes of bidegree (m-1, n-1) following phi."""
-    kb = kernel_basis(plane_map_matrix(phi))
-    return SyzygyBasis(_vectors_to_surfaces(kb.vectors,
-                                            phi.working_bidegree, 1))
+    return SyzygyBasis(kernel_basis(plane_map_matrix(phi)).vectors)
 
 
 def moving_quadrics(phi):
     """Basis of the moving quadrics of bidegree (m-1, n-1) following phi."""
-    kb = kernel_basis(quadric_map_matrix(phi))
-    return SyzygyBasis(_vectors_to_surfaces(kb.vectors,
-                                            phi.working_bidegree, 2))
+    return SyzygyBasis(kernel_basis(quadric_map_matrix(phi)).vectors)
 
 
 def syz_dim_abc(phi):
     """Dimension of the bidegree-(m-1,n-1) syzygies on a0, a1, a2 alone."""
     A = abc_map_matrix(phi)
     return A.cols - rank(A)
-
-
-def surface_to_vector(surface, wdeg):
-    """Flat coordinate vector of a moving surface whose coefficients have
-    bidegree wdeg, inverse of the kernel split."""
-    basis = monomial_basis(wdeg)
-    zero = BihomPoly.zero(wdeg)
-    vec = []
-    for xm in X_MONOMIALS[surface.xdegree]:
-        vec.extend(coeff_vector(surface.coeffs.get(xm, zero), basis))
-    return vec

@@ -62,6 +62,80 @@ def regularity_phi():
         2, 3, tuple(parse(s, bidegree=(2, 3)) for s in REGULARITY_IDEAL_STRINGS))
 
 
+def x_mono(*indices):
+    """Exponent tuple of the product of the x_i with the given indices."""
+    e = [0, 0, 0, 0]
+    for i in indices:
+        e[i] += 1
+    return tuple(e)
+
+
+# the x-monomial of each block of a moving-plane row (x-degree 1) and of a
+# moving-quadric row (x-degree 2), written out independently of the package
+ROW_BLOCKS = {1: [x_mono(i) for i in range(4)],
+              2: [x_mono(i, j) for i in range(4) for j in range(i, 4)]}
+
+
+def row_surface(row, wdeg):
+    """The moving surface a plane or quadric coefficient row stands for, as
+    {x monomial: BihomPoly of bidegree wdeg}, zero blocks included.
+
+    Block b of the row holds the coefficients of its b-th x-monomial over
+    monomial_basis(wdeg), in that order.
+    """
+    basis = monomial_basis(wdeg)
+    mn = len(basis)
+    blocks = ROW_BLOCKS[1 if len(row) == 4 * mn else 2]
+    assert len(row) == len(blocks) * mn
+    return {xm: BihomPoly(wdeg, {mono: c for mono, c in
+                                 zip(basis, row[b * mn:(b + 1) * mn]) if c})
+            for b, xm in enumerate(blocks)}
+
+
+def substitute(row, phi):
+    """Plug phi into the x-variables of a plane or quadric row by polynomial
+    arithmetic: each x_i becomes a_i.  The row follows phi exactly when the
+    result is the zero polynomial."""
+    total = None
+    for xm, coeff in row_surface(row, phi.working_bidegree).items():
+        prod = coeff
+        for i, e in enumerate(xm):
+            for _ in range(e):
+                prod = prod * phi.a[i]
+        total = prod if total is None else total + prod
+    return total
+
+
+def x_multiple(row, i, wdeg):
+    """The nonzero blocks of x_i times the surface of a plane row."""
+    out = {}
+    for xm, f in row_surface(row, wdeg).items():
+        if not f.is_zero():
+            e = list(xm)
+            e[i] += 1
+            out[tuple(e)] = f
+    return out
+
+
+def nonzero_blocks(row, wdeg):
+    """row_surface without its zero blocks."""
+    return {xm: f for xm, f in row_surface(row, wdeg).items()
+            if not f.is_zero()}
+
+
+def surface_row(surface, wdeg):
+    """The coefficient row of {x monomial: BihomPoly of bidegree wdeg}, with
+    absent x-monomials zero; the x-degree is read from the keys."""
+    basis = monomial_basis(wdeg)
+    xdegree = sum(next(iter(surface)))
+    row = []
+    for xm in ROW_BLOCKS[xdegree]:
+        f = surface.get(xm)
+        row.extend(f.coeff(mono) if f is not None else Fraction(0)
+                   for mono in basis)
+    return row
+
+
 def random_bihom(rng, bidegree, coeff_bound=5, density=0.85):
     """Random polynomial of the given bidegree (never the zero polynomial)."""
     terms = {}

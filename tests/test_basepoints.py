@@ -5,13 +5,14 @@ import pytest
 from movsurf import (CheckConfig, Parametrization, RatMatrix,
                      base_point_summary, check_all, check_independence,
                      check_regularity, generic_change, hilbert_dim, parse,
-                     saturation_member, solve_membership)
+                     saturation_member)
 from movsurf import basepoints
 from movsurf.basepoints import independence_witness
 from movsurf.ring import bidegree_leq, coeff_vector, monomial_basis
 from movsurf.syzygy import mult_matrix
 
 from conftest import base_point_free_parametrizations, random_parametrization
+from oracle import solve_membership
 
 
 # --- quotient dimensions -----------------------------------------------------

@@ -147,6 +147,17 @@ def test_wrong_count_exits_2(tmp_path, capsys):
     assert main(["check", "--input", inp]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("m", 1.7), ("m", True), ("n", "2"), ("seed", "abc"), ("seed", False),
+    ("assert_one_to_one", "no"), ("assert_one_to_one", 0), ("a", "s*t"),
+    ("a", ["s*t", "s*v", "u*t", 5])])
+def test_malformed_job_field_exits_2(tmp_path, capsys, field, value):
+    bad = dict(SEGRE_JOB, **{field: value})
+    inp = write_job(tmp_path, bad)
+    assert main(["implicitize", "--input", inp]) == 2
+    assert "input error: %s must be" % field in capsys.readouterr().err
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["check", "--input", str(tmp_path / "nope.json")]) == 2
 
@@ -186,7 +197,10 @@ def test_non_integer_environment_value_exits_2(tmp_path, capsys, monkeypatch,
     with pytest.raises(SystemExit) as exc:
         main(["check", "--input", inp])
     assert exc.value.code == 2
-    assert "invalid int value: 'x'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid int value: 'x'" in err
+    # the message names the variable the value came from
+    assert "(from %s)" % var in err
 
 
 def test_help_ignores_a_bad_environment_value(monkeypatch, capsys):

@@ -9,12 +9,16 @@ from movsurf import (BihomPoly, ConditionError, MMatrix, Parametrization,
                      echelon_plane_basis, generic_change, monomial_basis,
                      moving_planes, moving_quadrics, normalize, parse,
                      parse_xpoly, pipeline, quadric_basis_via_projection,
-                     rref, VerificationError, verify_polynomial)
+                     VerificationError, verify_polynomial)
 from movsurf.implicitize import (_sample_point, det_cofactor, det_interpolation,
                                  resolve_backend, select_quadric_rows)
-from movsurf.syzygy import MovingSurface, x_monomial
+from movsurf.syzygy import x_monomial
 
-from conftest import load_golden, random_parametrization, two_base_points
+import oracle
+from conftest import (load_golden, nonzero_blocks, random_parametrization,
+                      row_surface, substitute, surface_row, two_base_points,
+                      x_multiple)
+from oracle import rref
 
 
 # --- plane echelonization -----------------------------------------------------
@@ -23,11 +27,11 @@ def test_echelon_quartic(quartic_bp):
     planes = moving_planes(quartic_bp)
     basis, pivots = echelon_plane_basis(planes, (1, 1))
     assert pivots == [(1, 1)]  # the s*t monomial
-    plane = basis.elements[0]
-    assert plane.coeffs[x_monomial(3)] == parse("s*t + u*t")
-    assert plane.coeffs[x_monomial(0)] == parse("-s*t")
-    assert plane.coeffs[x_monomial(1)] == parse("s*v")
-    assert plane.coeffs[x_monomial(2)] == parse("-u*v")
+    plane = row_surface(basis.elements[0], (1, 1))
+    assert plane[x_monomial(3)] == parse("s*t + u*t")
+    assert plane[x_monomial(0)] == parse("-s*t")
+    assert plane[x_monomial(1)] == parse("s*v")
+    assert plane[x_monomial(2)] == parse("-u*v")
 
 
 def test_echelon_empty_basis():
@@ -39,22 +43,24 @@ def test_echelon_idempotent_on_synthetic_pair():
     # two fake planes already in echelon position on the x3 block
     b = monomial_basis((1, 1))
     def surf(x3_poly, x0_poly):
-        return MovingSurface(1, {x_monomial(0): x0_poly,
-                                 x_monomial(1): BihomPoly.zero((1, 1)),
-                                 x_monomial(2): BihomPoly.zero((1, 1)),
-                                 x_monomial(3): x3_poly})
+        return surface_row({x_monomial(0): x0_poly,
+                            x_monomial(1): BihomPoly.zero((1, 1)),
+                            x_monomial(2): BihomPoly.zero((1, 1)),
+                            x_monomial(3): x3_poly}, (1, 1))
     p1 = surf(parse("s*t + u*v"), parse("s*v"))
     p2 = surf(parse("s*v - u*v"), parse("u*t"))
     basis, pivots = echelon_plane_basis(SyzygyBasis([p1, p2]), (1, 1))
     assert pivots == [(1, 1), (1, 0)]
-    assert basis.elements[0].coeffs[x_monomial(3)] == parse("s*t + u*v")
-    assert basis.elements[1].coeffs[x_monomial(3)] == parse("s*v - u*v")
+    assert (row_surface(basis.elements[0], (1, 1))[x_monomial(3)]
+            == parse("s*t + u*v"))
+    assert (row_surface(basis.elements[1], (1, 1))[x_monomial(3)]
+            == parse("s*v - u*v"))
 
 
 def test_echelon_fails_when_x3_block_degenerate():
     zero = BihomPoly.zero((1, 1))
-    p = MovingSurface(1, {x_monomial(0): parse("s*t"), x_monomial(1): zero,
-                          x_monomial(2): zero, x_monomial(3): zero})
+    p = surface_row({x_monomial(0): parse("s*t"), x_monomial(1): zero,
+                     x_monomial(2): zero, x_monomial(3): zero}, (1, 1))
     with pytest.raises(ConditionError):
         echelon_plane_basis(SyzygyBasis([p]), (1, 1))
 
@@ -71,16 +77,12 @@ def test_projection_quartic_pivot_multiples_are_plane_multiples(quartic_bp):
     assert len(columns.rest) == 33
     p1 = ech.elements[0]
 
-    def same_surface(a, b):
-        za = {m: f for m, f in a.coeffs.items() if not f.is_zero()}
-        zb = {m: f for m, f in b.coeffs.items() if not f.is_zero()}
-        return za == zb
-
     # the first three distinguished columns are (pivot, x_j*x3), j = 0..2;
     # their preimages are exactly the x_j multiples of the echelon plane
     for j in range(3):
         assert columns.distinguished[j][1] == x_monomial(j, 3)
-        assert same_surface(elements[j], p1.x_multiple(j))
+        assert (nonzero_blocks(elements[j], (1, 1))
+                == x_multiple(p1, j, (1, 1)))
     # the preimage of the pivot square column is a plane multiple only up to
     # contributions from other distinguished columns: here the projection of
     # x3*P1 hits (s*t, x0*x3) with -1 and (u*t, x3^2) with +1 besides the
@@ -88,15 +90,17 @@ def test_projection_quartic_pivot_multiples_are_plane_multiples(quartic_bp):
     #     Q_pivot_sq = x3*P1 + x0*P1 - Q_ut_sq
     pivot_mono = (1, 0, 1, 0)
     pos = columns.distinguished.index((pivot_mono, x_monomial(3, 3)))
-    assert elements[pos].substitute(quartic_bp).is_zero()
+    assert substitute(elements[pos], quartic_bp).is_zero()
     ut_pos = columns.distinguished.index(((0, 1, 1, 0), x_monomial(3, 3)))
-    terms = [(elements[pos], 1), (p1.x_multiple(3), -1),
-             (p1.x_multiple(0), -1), (elements[ut_pos], 1)]
+    terms = [(row_surface(elements[pos], (1, 1)), 1),
+             (x_multiple(p1, 3, (1, 1)), -1),
+             (x_multiple(p1, 0, (1, 1)), -1),
+             (row_surface(elements[ut_pos], (1, 1)), 1)]
     zero = BihomPoly.zero((1, 1))
-    for xm in set().union(*(surface.coeffs for surface, _ in terms)):
+    for xm in set().union(*(surface for surface, _ in terms)):
         combo = zero
         for surface, sign in terms:
-            combo = combo + surface.coeffs.get(xm, zero).scale(sign)
+            combo = combo + surface.get(xm, zero).scale(sign)
         assert combo.is_zero()
 
 
@@ -106,9 +110,9 @@ def test_projection_quartic_quadric_rows_follow(quartic_bp):
     rows = select_quadric_rows(elements, columns, pivots, (1, 1), fallback)
     assert len(rows) == 3
     for q in rows:
-        assert q.substitute(quartic_bp).is_zero()
+        assert substitute(q, quartic_bp).is_zero()
         # unit coefficient on its own x3^2 column, zero on the others
-        x3sq = q.coeffs[x_monomial(3, 3)]
+        x3sq = row_surface(q, (1, 1))[x_monomial(3, 3)]
         assert sum(1 for c in x3sq.terms.values() if c) == 1
         assert list(x3sq.terms.values())[0] == 1
 
@@ -130,7 +134,7 @@ def test_projection_generic_k0_keeps_square_pattern():
     assert len(elements) == phi.mn
     for q, (mono, xm) in zip(elements, columns.distinguished):
         assert xm == x_monomial(3, 3)
-        x3sq = q.coeffs[x_monomial(3, 3)]
+        x3sq = row_surface(q, phi.working_bidegree)[x_monomial(3, 3)]
         assert x3sq.terms == {mono: 1}
 
 
@@ -170,28 +174,30 @@ def test_bases_match_fraction_rref_reference(quartic_bp, which):
     basis = monomial_basis(wdeg)
     planes = moving_planes(phi)
     ech, pivots = echelon_plane_basis(planes, wdeg)
+    surfaces = [row_surface(p, wdeg) for p in planes.elements]
     # reference: the transform T of the Fraction RREF of the x3 rows
-    x3rows = RatMatrix([coeff_vector(p.coeffs[x_monomial(3)], basis)
-                        for p in planes.elements])
+    x3rows = RatMatrix([coeff_vector(p[x_monomial(3)], basis)
+                        for p in surfaces])
     _, pivot_cols, T = rref(x3rows)
     assert pivots == [(basis[c][0], basis[c][2]) for c in pivot_cols]
     assert ech.dim == planes.dim == len(pivots)
     zero = BihomPoly.zero(wdeg)
     for i, plane in enumerate(ech.elements):
         expected = {}
-        for xm in planes.elements[0].coeffs:
+        for xm in surfaces[0]:
             acc = zero
-            for j, p in enumerate(planes.elements):
-                acc = acc + p.coeffs[xm].scale(T[i, j])
+            for j, p in enumerate(surfaces):
+                acc = acc + p[xm].scale(T[i, j])
             expected[xm] = acc
-        assert plane.coeffs == expected
+        assert row_surface(plane, wdeg) == expected
 
     elements, columns, fallback = quadric_basis_via_projection(phi, pivots)
     assert not fallback
     assert len(elements) == len(columns.distinguished) == phi.mn + 3 * len(pivots)
     for i, q in enumerate(elements):
-        assert q.substitute(phi).is_zero()
-        assert [q.coeffs[xm].coeff(mono)
+        assert substitute(q, phi).is_zero()
+        surface = row_surface(q, wdeg)
+        assert [surface[xm].coeff(mono)
                 for mono, xm in columns.distinguished] == [
                     int(i == j) for j in range(len(elements))]
 
@@ -231,9 +237,9 @@ def test_quadric_rows_never_duplicate_plane_multiples(quartic_bp):
     ech, pivots = echelon_plane_basis(planes, (1, 1))
     elements, columns, fallback = quadric_basis_via_projection(quartic_bp, pivots)
     rows = select_quadric_rows(elements, columns, pivots, (1, 1), fallback)
-    multiples = [ech.elements[0].x_multiple(j).coeffs for j in range(4)]
+    multiples = [x_multiple(ech.elements[0], j, (1, 1)) for j in range(4)]
     for q in rows:
-        assert q.coeffs not in multiples
+        assert nonzero_blocks(q, (1, 1)) not in multiples
 
 
 # --- determinants ----------------------------------------------------------------
@@ -545,6 +551,6 @@ def test_pipeline_runs_without_fraction_gauss_jordan(quartic_bp, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Fraction Gauss-Jordan reached from the pipeline")
 
-    monkeypatch.setattr("movsurf.linalg._eliminate", refuse)
+    monkeypatch.setattr(oracle, "_eliminate", refuse)
     for phi in (quartic_bp, two_base_points()):
         assert pipeline(phi, PipelineConfig(samples=30)).verification.ok

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from movsurf import (RatMatrix, det_bareiss, generic_change, kernel_basis,
-                     linalg, rank, rref, solve_membership)
+                     linalg, rank)
 from movsurf.linalg import echelon, in_row_span, integer_rank, reduced_echelon
 from movsurf.ring import content_normalize
 from movsurf.syzygy import (mult_matrix, multiple_rows, plane_map_matrix,
                             quadric_map_matrix)
 
 from conftest import two_base_points
+from oracle import rref, solve_membership
 
 
 # --- independent oracles (textbook, no shared code with the package) --------

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from movsurf import (BihomPoly, MixedBidegreeError, ParseError,
                      coeff_vector, monomial_basis, parse, parse_xpoly)
-from movsurf.ring import poly_from_vector
 
 from conftest import random_bihom
 
@@ -116,13 +115,6 @@ def test_mul_simple_monomials():
     assert parse("s*t") * parse("u*v") == parse("s*u*t*v")
 
 
-def test_function_forms_match_operators():
-    from movsurf import evaluate, mul
-    f, g = parse("s*t + u*v"), parse("2*s*v")
-    assert mul(f, g) == f * g
-    assert evaluate(f, (1, 2, 3, 4)) == f.evaluate((1, 2, 3, 4))
-
-
 @given(bihom_strategy(), bihom_strategy(),
        st.tuples(*[st.fractions(min_value=-9, max_value=9, max_denominator=4)] * 4))
 def test_evaluate_is_multiplicative(f, g, point):
@@ -162,7 +154,7 @@ def test_coeff_vector_round_trip(seed):
     d = (rng.randint(0, 3), rng.randint(0, 3))
     f = random_bihom(rng, d, coeff_bound=9)
     basis = monomial_basis(d)
-    back = poly_from_vector(coeff_vector(f, basis), basis, d)
+    back = BihomPoly(d, dict(zip(basis, coeff_vector(f, basis))))
     assert back == f
 
 

@@ -9,7 +9,7 @@ from movsurf import (BihomPoly, Parametrization, RatMatrix, moving_planes,
 from movsurf.linalg import kernel_basis
 from movsurf.syzygy import plane_map_matrix, quadric_map_matrix, x_monomial
 
-from conftest import random_parametrization
+from conftest import random_parametrization, row_surface, substitute
 
 
 def test_parametrization_validates_inputs():
@@ -49,7 +49,7 @@ def test_mult_matrix_bidegree_underflow():
 def test_quartic_moving_plane_matches_known_element(quartic_bp):
     basis = moving_planes(quartic_bp)
     assert basis.dim == 1
-    plane = basis.elements[0]
+    plane = row_surface(basis.elements[0], (1, 1))
     # the unique plane, up to scale: -st*x0 + sv*x1 - uv*x2 + (st+ut)*x3
     expected = {
         x_monomial(0): parse("-s*t"),
@@ -59,7 +59,7 @@ def test_quartic_moving_plane_matches_known_element(quartic_bp):
     }
     scale = None
     for xm, f in expected.items():
-        got = plane.coeffs[xm]
+        got = plane[xm]
         for mono, c in f.terms.items():
             r = got.terms.get(mono, Fraction(0)) / c
             if scale is None:
@@ -80,7 +80,7 @@ def test_planes_follow_parametrization(seed):
     m, n = rng.choice([(1, 1), (1, 2), (2, 1), (2, 2)])
     phi = random_parametrization(rng, m, n, density=0.5)
     for plane in moving_planes(phi).elements:
-        assert plane.substitute(phi).is_zero()
+        assert substitute(plane, phi).is_zero()
 
 
 # --- moving quadrics ----------------------------------------------------------
@@ -98,7 +98,7 @@ def test_base_point_free_quadric_dimension():
 
 def test_quadrics_follow_parametrization(quartic_bp):
     for q in moving_quadrics(quartic_bp).elements:
-        assert q.substitute(quartic_bp).is_zero()
+        assert substitute(q, quartic_bp).is_zero()
 
 
 # --- syzygies on a0, a1, a2 ---------------------------------------------------
@@ -148,6 +148,18 @@ def test_generic_recombination_preserves_plane_dim(quartic_bp):
     for seed in range(5):
         changed, T = generic_change(quartic_bp, seed)
         assert moving_planes(changed).dim == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_bases_are_the_kernel_vectors(quartic_bp, seed):
+    # moving planes and quadrics are the canonical kernel vectors of their
+    # maps, unchanged, in the column order of the maps
+    rng = random.Random(seed)
+    for phi in (quartic_bp, random_parametrization(rng, 2, 3, density=0.6)):
+        assert (moving_planes(phi).elements
+                == kernel_basis(plane_map_matrix(phi)).vectors)
+        assert (moving_quadrics(phi).elements
+                == kernel_basis(quadric_map_matrix(phi)).vectors)
 
 
 def test_kernel_vectors_canonical(quartic_bp):
