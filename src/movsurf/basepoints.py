@@ -201,12 +201,10 @@ def saturation_member(f, generators, max_power):
         usable = [g for g in generators if bidegree_leq(g.bidegree, target)]
         if not usable:
             continue
-        row_basis = monomial_basis(target)
+        ncols = (target[0] + 1) * (target[1] + 1)
         # the generator multiples, echelonized once, answer every mu*f below
-        span = echelon(multiple_rows(usable, target), len(row_basis))
-        if all(in_row_span(span, coeff_vector(f * f.__class__.monomial(mu),
-                                              row_basis))
-               for mu in monomial_basis((N, N))):
+        span = echelon(multiple_rows(usable, target), ncols)
+        if all(in_row_span(span, row) for row in multiple_rows([f], target)):
             return SaturationResult(member=True, power=N)
     return SaturationResult(member=False, bound_reached=True)
 

@@ -234,16 +234,11 @@ def load_jobspec(path, seed_override=None):
 # serialization helpers
 
 
-def _frac_str(x):
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
-
-
 def _jsonable(obj):
     if isinstance(obj, Fraction):
-        return _frac_str(obj)
+        return str(obj)
     if isinstance(obj, RatMatrix):
-        return [[_frac_str(x) for x in row] for row in obj.entries]
+        return [[str(x) for x in row] for row in obj.entries]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

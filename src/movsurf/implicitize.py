@@ -36,11 +36,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 from .basepoints import CheckConfig, ConditionReport, check_all
 from .linalg import RatMatrix, det_bareiss, reduced_echelon
-from .ring import XPoly, monomial_basis, content_normalize
+from .ring import XPoly, clear, content_normalize, monomial_basis
 from .syzygy import (Parametrization, PROD_ORDER, SyzygyBasis, X_MONOMIALS,
                      moving_planes, moving_quadrics, x_monomial)
 
@@ -349,20 +349,11 @@ def det_cofactor(M):
     return minor(0, tuple(range(n)))
 
 
-def _clear(values):
-    """Integer multiples of `values` (ints or Fractions) by the lcm of their
-    denominators; returns (ints, lcm)."""
-    den = 1
-    for x in values:
-        den = lcm(den, x.denominator)
-    return [x.numerator * (den // x.denominator) for x in values], den
-
-
 def _int_polys(polys):
     """The polynomials scaled by one common integer that clears all their
     denominators, as lists of (int coefficient, exponents) pairs; returns
     (lists, scale)."""
-    ints, den = _clear([c for f in polys for c in f.terms.values()])
+    ints, den = clear([c for f in polys for c in f.terms.values()])
     it = iter(ints)
     return [[(next(it), mono) for mono in f.terms] for f in polys], den
 
@@ -499,7 +490,7 @@ def det_interpolation(M):
     # to integers; both sides are homogeneous of degree D in the point
     rng = random.Random(1)
     for _ in range(3):
-        pt, _ = _clear([Fraction(rng.randint(-50, 50), rng.randint(1, 7))
+        pt, _ = clear([Fraction(rng.randint(-50, 50), rng.randint(1, 7))
                         for _ in range(4)])
         if _int_eval(terms, pt) != cube * rows.det(pt):
             raise ArithmeticError(
@@ -534,10 +525,9 @@ def normalize(p):
     """
     if p.is_zero():
         raise ValueError("cannot normalize the zero polynomial")
-    monos = sorted(p.terms, key=lambda m: (sum(m), m[0], m[1], m[2]),
-                   reverse=True)
-    coeffs = content_normalize([p.terms[m] for m in monos])
-    return XPoly({m: c for m, c in zip(monos, coeffs)})
+    terms = p.sorted_terms()
+    coeffs = content_normalize([c for _, c in terms])
+    return XPoly({m: c for (m, _), c in zip(terms, coeffs)})
 
 
 def _sample_point(rng):
@@ -585,8 +575,8 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
             raise VerificationError("could not sample points off the base "
                                     "locus; the map is degenerate")
         pt = _sample_point(rng)
-        (s, u), den_su = _clear(pt[:2])
-        (t, v), den_tv = _clear(pt[2:])
+        (s, u), den_su = clear(pt[:2])
+        (t, v), den_tv = clear(pt[2:])
         image = [_int_eval(f, (s, u, t, v)) for f in forms]
         if not any(image):
             continue  # base point

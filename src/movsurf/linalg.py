@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mul
 from typing import NamedTuple
 
-from .ring import content_normalize
+from .ring import clear, content_normalize
 
 
 class RatMatrix:
@@ -116,8 +116,7 @@ def _int_rows(entries):
     """Denominator-cleared, gcd-reduced integer rows; zero rows dropped."""
     out = []
     for row in entries:
-        den = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
+        ints, _ = clear(row)
         g = gcd(*ints)
         if g == 0:
             continue
@@ -372,13 +371,12 @@ def kernel_basis(A):
     for free in range(A.cols):
         if free in pivot_set:
             continue
-        scale = lcm(*(row[pc] for pc, row in zip(pivots, rows) if row[free]))
         v = [0] * A.cols
-        v[free] = scale
+        v[free] = 1
         for pc, row in zip(pivots, rows):
             if row[free]:
-                v[pc] = -row[free] * (scale // row[pc])
-        vectors.append(content_normalize([Fraction(x) for x in v]))
+                v[pc] = Fraction(-row[free], row[pc])
+        vectors.append(content_normalize(v))
     return KernelBasis(dim=len(vectors), vectors=vectors)
 
 
@@ -397,11 +395,9 @@ def det_bareiss(A):
     scale = 1
     m = []
     for row in A.entries:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
+        ints, den = clear(row)
         scale *= den
-        m.append([x.numerator * (den // x.denominator) for x in row])
+        m.append(ints)
     sign = 1
     prev = 1
     for k in range(n - 1):

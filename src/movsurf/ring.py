@@ -5,16 +5,19 @@ and t,v carry bidegree (0,1).  Image-space polynomials live in Q[x0,x1,x2,x3]
 with the usual total grading.  Monomials are bare exponent tuples:
 (es,eu,et,ev) for the parameter ring, (e0,e1,e2,e3) for the image ring.
 
-The canonical term order is graded lex with s > u > t > v (resp.
-x0 > x1 > x2 > x3).  Everything here is an immutable value; all operations
-are pure and exact.
+Both rings share one implementation: BihomPoly and XPoly differ only in
+their variables and their grading (a declared bidegree, or none), and
+arithmetic never mixes them.  One term order, graded lex on the exponent
+tuples, sorts both (s > u > t > v, x0 > x1 > x2 > x3), and `clear` is the
+one routine that scales ints and Fractions to integers by the lcm of their
+denominators.  Everything here is an immutable value; all operations are
+pure and exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 SUV_VARS = ("s", "u", "t", "v")
 X_VARS = ("x0", "x1", "x2", "x3")
@@ -61,132 +64,23 @@ def monomial_basis(d):
             for i in range(d1, -1, -1) for j in range(d2, -1, -1)]
 
 
-def _suv_key(mono):
-    # at fixed bidegree, graded lex s>u>t>v is decided by (es, et)
-    return (mono[0] + mono[1], mono[2] + mono[3], mono[0], mono[2])
-
-
-def _x_key(mono):
+def _term_key(mono):
+    # graded lex; at a fixed bidegree it orders s > u > t > v
     return (sum(mono), mono[0], mono[1], mono[2])
 
 
-class BihomPoly:
-    """Bihomogeneous polynomial with a declared bidegree.
+class _Poly:
+    """Exact polynomial over Q: a dict from exponent tuples to nonzero
+    Fractions, immutable, with arithmetic, evaluation, rendering, equality
+    and hashing shared by the two rings.
 
-    The zero polynomial keeps its declared bidegree so bidegree bookkeeping
-    never needs a special case.  Coefficients are Fractions in lowest terms
-    (Fraction guarantees that); zero coefficients are never stored.
+    A subclass names its variables and its grading: the values in front of
+    the terms in its constructor, which equality compares and addition
+    requires to agree.  Mixing the two rings raises ValueError.
     """
 
-    __slots__ = ("bidegree", "terms")
-
-    def __init__(self, bidegree, terms):
-        d = (int(bidegree[0]), int(bidegree[1]))
-        if d[0] < 0 or d[1] < 0:
-            raise ValueError("negative bidegree %s" % (d,))
-        clean = {}
-        for mono, c in terms.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            md = monomial_bidegree(mono)
-            if md != d:
-                raise ValueError("monomial %s has bidegree %s, declared %s"
-                                 % (render_monomial(mono, SUV_VARS), md, d))
-            clean[mono] = c
-        object.__setattr__(self, "bidegree", d)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("BihomPoly is immutable")
-
-    @classmethod
-    def zero(cls, bidegree):
-        return cls(bidegree, {})
-
-    @classmethod
-    def monomial(cls, mono, coeff=1):
-        return cls(monomial_bidegree(mono), {mono: Fraction(coeff)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def coeff(self, mono):
-        return self.terms.get(mono, Fraction(0))
-
-    def __eq__(self, other):
-        return (isinstance(other, BihomPoly)
-                and self.bidegree == other.bidegree
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.bidegree, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if self.bidegree != other.bidegree:
-            raise ValueError("cannot add bidegrees %s and %s"
-                             % (self.bidegree, other.bidegree))
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            c2 = terms.get(mono, 0) + c
-            if c2:
-                terms[mono] = c2
-            else:
-                terms.pop(mono, None)
-        return BihomPoly(self.bidegree, terms)
-
-    def __neg__(self):
-        return BihomPoly(self.bidegree, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        d = (self.bidegree[0] + other.bidegree[0],
-             self.bidegree[1] + other.bidegree[1])
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                c = terms.get(m, 0) + c1 * c2
-                if c:
-                    terms[m] = c
-                else:
-                    del terms[m]
-        return BihomPoly(d, terms)
-
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        c = Fraction(c)
-        if c == 0:
-            return BihomPoly.zero(self.bidegree)
-        return BihomPoly(self.bidegree, {m: v * c for m, v in self.terms.items()})
-
-    def evaluate(self, point):
-        s, u, t, v = (Fraction(p) for p in point)
-        total = Fraction(0)
-        for (es, eu, et, ev), c in self.terms.items():
-            total += c * s**es * u**eu * t**et * v**ev
-        return total
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _suv_key(kv[0]),
-                      reverse=True)
-
-    def render(self):
-        return _render_terms(self.sorted_terms(), SUV_VARS)
-
-    def __repr__(self):
-        return "BihomPoly(%s, %r)" % (self.render(), self.bidegree)
-
-
-class XPoly:
-    """Polynomial in the image coordinates x0..x3 over exact rationals."""
-
     __slots__ = ("terms",)
+    variables = ()
 
     def __init__(self, terms):
         clean = {}
@@ -197,15 +91,22 @@ class XPoly:
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, *a):
-        raise AttributeError("XPoly is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _grading(self):
+        return ()
+
+    def _product_grading(self, other):
+        return ()
+
+    def _same_ring(self, other, op):
+        if type(other) is not type(self):
+            raise ValueError("cannot %s %s and %s" % (
+                op, type(self).__name__, type(other).__name__))
 
     @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def monomial(cls, mono, coeff=1):
-        return cls({tuple(mono): Fraction(coeff)})
+    def zero(cls, *grading):
+        return cls(*grading, {})
 
     def is_zero(self):
         return not self.terms
@@ -213,32 +114,31 @@ class XPoly:
     def coeff(self, mono):
         return self.terms.get(tuple(mono), Fraction(0))
 
-    def total_degree(self):
-        """Largest term degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
-
-    def is_homogeneous(self):
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
-
     def __eq__(self, other):
-        return isinstance(other, XPoly) and self.terms == other.terms
+        return (type(other) is type(self)
+                and self._grading() == other._grading()
+                and self.terms == other.terms)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self._grading(), frozenset(self.terms.items())))
 
     def __add__(self, other):
+        self._same_ring(other, "add")
+        if self._grading() != other._grading():
+            raise ValueError("cannot add bidegrees %s and %s"
+                             % (self._grading() + other._grading()))
         terms = dict(self.terms)
-        for m, c in other.terms.items():
-            c2 = terms.get(m, 0) + c
+        for mono, c in other.terms.items():
+            c2 = terms.get(mono, 0) + c
             if c2:
-                terms[m] = c2
+                terms[mono] = c2
             else:
-                del terms[m]
-        return XPoly(terms)
+                del terms[mono]
+        return type(self)(*self._grading(), terms)
 
     def __neg__(self):
-        return XPoly({m: -c for m, c in self.terms.items()})
+        return type(self)(*self._grading(),
+                          {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -246,6 +146,7 @@ class XPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        self._same_ring(other, "multiply")
         terms = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -255,32 +156,86 @@ class XPoly:
                     terms[m] = c
                 else:
                     del terms[m]
-        return XPoly(terms)
+        return type(self)(*self._product_grading(other), terms)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = Fraction(c)
-        if c == 0:
-            return XPoly.zero()
-        return XPoly({m: v * c for m, v in self.terms.items()})
+        return type(self)(*self._grading(),
+                          {m: v * c for m, v in self.terms.items()})
 
-    def evaluate(self, values):
-        a, b, c, d = (Fraction(v) for v in values)
+    def evaluate(self, point):
+        a, b, c, d = (Fraction(x) for x in point)
         total = Fraction(0)
         for (e0, e1, e2, e3), co in self.terms.items():
             total += co * a**e0 * b**e1 * c**e2 * d**e3
         return total
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: _x_key(kv[0]),
+        return sorted(self.terms.items(), key=lambda kv: _term_key(kv[0]),
                       reverse=True)
 
     def render(self):
-        return _render_terms(self.sorted_terms(), X_VARS)
+        return _render_terms(self.sorted_terms(), self.variables)
 
     def __repr__(self):
-        return "XPoly(%s)" % self.render()
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            [self.render()] + [repr(g) for g in self._grading()]))
+
+
+class BihomPoly(_Poly):
+    """Bihomogeneous polynomial in s,u,t,v with a declared bidegree.
+
+    The zero polynomial keeps its declared bidegree so bidegree bookkeeping
+    never needs a special case.  Coefficients are Fractions in lowest terms
+    (Fraction guarantees that); zero coefficients are never stored.
+    """
+
+    __slots__ = ("bidegree",)
+    variables = SUV_VARS
+
+    def __init__(self, bidegree, terms):
+        d = (int(bidegree[0]), int(bidegree[1]))
+        if d[0] < 0 or d[1] < 0:
+            raise ValueError("negative bidegree %s" % (d,))
+        object.__setattr__(self, "bidegree", d)
+        super().__init__(terms)
+        for mono in self.terms:
+            md = monomial_bidegree(mono)
+            if md != d:
+                raise ValueError("monomial %s has bidegree %s, declared %s"
+                                 % (render_monomial(mono, SUV_VARS), md, d))
+
+    @classmethod
+    def monomial(cls, mono, coeff=1):
+        return cls(monomial_bidegree(mono), {mono: Fraction(coeff)})
+
+    def _grading(self):
+        return (self.bidegree,)
+
+    def _product_grading(self, other):
+        return ((self.bidegree[0] + other.bidegree[0],
+                 self.bidegree[1] + other.bidegree[1]),)
+
+
+class XPoly(_Poly):
+    """Polynomial in the image coordinates x0..x3 over exact rationals."""
+
+    __slots__ = ()
+    variables = X_VARS
+
+    @classmethod
+    def monomial(cls, mono, coeff=1):
+        return cls({tuple(mono): Fraction(coeff)})
+
+    def total_degree(self):
+        """Largest term degree; -1 for the zero polynomial."""
+        return max((sum(m) for m in self.terms), default=-1)
+
+    def is_homogeneous(self):
+        degs = {sum(m) for m in self.terms}
+        return len(degs) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +251,6 @@ def render_monomial(mono, variables):
     return "*".join(parts)
 
 
-def _render_coeff(c):
-    return str(c.numerator) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
-
-
 def _render_terms(sorted_terms, variables):
     if not sorted_terms:
         return "0"
@@ -308,9 +259,9 @@ def _render_terms(sorted_terms, variables):
         body = render_monomial(mono, variables)
         mag = abs(c)
         if not body:
-            body = _render_coeff(mag)
+            body = str(mag)
         elif mag != 1:
-            body = "%s*%s" % (_render_coeff(mag), body)
+            body = "%s*%s" % (mag, body)
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:
@@ -447,7 +398,9 @@ def parse(text, bidegree=None):
     terms = _parse_terms(text, SUV_VARS)
     if not terms:
         return BihomPoly.zero(bidegree if bidegree is not None else (0, 0))
-    monos = sorted(terms, key=_suv_key, reverse=True)
+    # highest bidegree first: the reported pair ignores the written order
+    monos = sorted(terms, key=lambda m: (monomial_bidegree(m), _term_key(m)),
+                   reverse=True)
     d = monomial_bidegree(monos[0])
     for mono in monos[1:]:
         md = monomial_bidegree(mono)
@@ -480,15 +433,20 @@ def coeff_vector(f, basis):
     return [f.terms.get(m, Fraction(0)) for m in basis]
 
 
+def clear(values):
+    """Integer multiples of `values` (ints or Fractions) by the lcm of their
+    denominators; returns (ints, lcm)."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def content_normalize(coeffs):
-    """Rescale a list of Fractions to coprime integers, first nonzero > 0."""
-    nz = [c for c in coeffs if c]
-    if not nz:
-        return [Fraction(0)] * len(coeffs)
-    den = reduce(lambda a, b: a * b // gcd(a, b), (c.denominator for c in nz), 1)
-    ints = [c * den for c in coeffs]
-    g = reduce(gcd, (abs(int(c)) for c in ints if c))
-    ints = [c / g for c in ints]
-    if next(c for c in ints if c) < 0:
-        ints = [-c for c in ints]
-    return ints
+    """Rescale a list of ints or Fractions to coprime integers, as Fractions,
+    with the first nonzero one positive."""
+    ints, _ = clear(coeffs)
+    g = gcd(*ints)
+    if not g:
+        return [Fraction(0)] * len(ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return [Fraction(x // g) for x in ints]

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .linalg import RatMatrix, kernel_basis, rank
-from .ring import monomial_basis
+from .ring import clear, monomial_basis
 
 # x_i x_j blocks of the quadric map, in this fixed order
 PROD_ORDER = tuple((i, j) for i in range(4) for j in range(i, 4))
@@ -135,8 +135,7 @@ def multiple_rows(generators, target):
         if d[0] < 0 or d[1] < 0:
             raise ValueError("bidegree underflow: generator %s into target %s"
                              % (g.bidegree, target))
-        den = lcm(*(c.denominator for c in g.terms.values()))
-        ints = [c.numerator * (den // c.denominator) for c in g.terms.values()]
+        ints, _ = clear(list(g.terms.values()))
         content = gcd(*ints)
         ints = [(mono, c // content) for mono, c in zip(g.terms, ints)]
         for mu in monomial_basis(d):

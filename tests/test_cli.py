@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import movsurf
 from movsurf import parse_xpoly
 from movsurf.cli import main
 
@@ -272,8 +275,12 @@ def test_json_determinism_excluding_timings(tmp_path):
 
 def test_console_entry_point(tmp_path):
     inp = write_job(tmp_path, SEGRE_JOB)
+    # the child finds the package where this process imported it from, also
+    # when pytest put src on sys.path rather than PYTHONPATH
+    path = [str(Path(movsurf.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, "-m", "movsurf", "implicitize", "--input", inp],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "x0*x3 - x1*x2" in proc.stdout

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from movsurf import (BihomPoly, MixedBidegreeError, ParseError,
+from movsurf import (BihomPoly, MixedBidegreeError, ParseError, XPoly,
                      coeff_vector, monomial_basis, parse, parse_xpoly)
+from movsurf.ring import SUV_VARS, X_VARS, clear, content_normalize
 
 from conftest import random_bihom
 
@@ -30,6 +31,8 @@ def test_parse_mixed_bidegree_error():
     with pytest.raises(MixedBidegreeError) as err:
         parse("s*t + u*u")
     assert set(err.value.bidegrees) == {(1, 1), (2, 0)}
+    # the higher bidegree is reported first, whatever the written order
+    assert err.value.monomials == ((0, 2, 0, 0), (1, 0, 1, 0))
 
 
 def test_parse_syntax_error_has_position():
@@ -195,3 +198,105 @@ def test_xpoly_arithmetic_and_evaluation():
 
 def test_xpoly_inhomogeneous_flag():
     assert not parse_xpoly("x0 + x1*x2").is_homogeneous()
+
+
+# --- both rings ------------------------------------------------------------
+
+# the same templates in either ring: {i} is the i-th variable, and exponent
+# tuples, term order and rendering correspond position by position
+RINGS = [
+    pytest.param(lambda text: parse(text.format(*SUV_VARS)),
+                 BihomPoly.zero((1, 1)), SUV_VARS, id="BihomPoly"),
+    pytest.param(lambda text: parse_xpoly(text.format(*X_VARS)),
+                 XPoly.zero(), X_VARS, id="XPoly"),
+]
+F = "{0}*{2} - 2*{1}*{3}"
+G = "1/2*{0}*{2} + {1}*{2}"
+FG = "1/2*{0}^2*{2}^2 + {0}*{1}*{2}^2 - {0}*{1}*{2}*{3} - 2*{1}^2*{2}*{3}"
+
+
+@pytest.mark.parametrize("ring, zero, names", RINGS)
+def test_arithmetic_in_both_rings(ring, zero, names):
+    f, g = ring(F), ring(G)
+    assert f + g == ring("3/2*{0}*{2} + {1}*{2} - 2*{1}*{3}")
+    assert f - g == ring("1/2*{0}*{2} - {1}*{2} - 2*{1}*{3}")
+    assert -f == ring("-{0}*{2} + 2*{1}*{3}")
+    assert f - f == zero
+    assert f.scale(Fraction(-3, 2)) == ring("-3/2*{0}*{2} + 3*{1}*{3}")
+    assert f.scale(0) == zero and f.scale(0).render() == "0"
+    assert f * 2 == 2 * f == f.scale(2) == f + f
+    assert f * g == ring(FG)
+    assert (f * g).render() == FG.format(*names)
+    assert f.evaluate((1, 2, 3, 4)) == 3 - 16
+
+
+@pytest.mark.parametrize("ring, zero, names", RINGS)
+def test_equality_hash_immutability_and_round_trip(ring, zero, names):
+    f, g = ring(F), ring(G)
+    text = F.format(*names)
+    assert f.render() == text and ring(f.render()) == f
+    reordered = ring("-2*{1}*{3} + {0}*{2}")
+    assert reordered == f and hash(reordered) == hash(f)
+    assert f != g and f != text and zero != 0
+    assert len({f, reordered, g}) == 2
+    with pytest.raises(AttributeError):
+        f.terms = {}
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    assert f.render() == text
+
+
+def test_rings_never_mix():
+    x, b = parse_xpoly("x0 + x1"), parse("s*t + u*v")
+    for p, q in ((x, b), (b, x)):
+        with pytest.raises(ValueError):
+            p + q
+        with pytest.raises(ValueError):
+            p - q
+        with pytest.raises(ValueError):
+            p * q
+    # equal exponent tuples in the two rings are still different polynomials
+    assert parse("s*t") != parse_xpoly("x0*x2")
+    assert BihomPoly.zero((0, 0)) != XPoly.zero()
+
+
+# --- clearing denominators -------------------------------------------------
+
+CLEAR_CASES = [
+    pytest.param([3, -6, 9], id="ints"),
+    pytest.param([Fraction(1, 2), Fraction(-1, 3), Fraction(5, 6)],
+                 id="fractions"),
+    pytest.param([2, Fraction(3, 4), 0, -1], id="mixed"),
+    pytest.param([], id="empty"),
+    pytest.param([0, Fraction(0), 0], id="zeros"),
+    pytest.param([0, Fraction(-2, 3), 4, Fraction(1, 6)],
+                 id="negative-first"),
+]
+
+
+@pytest.mark.parametrize("values", CLEAR_CASES)
+def test_clear_matches_fraction_reference(values):
+    ints, den = clear(values)
+    # the reference: the least positive D with every D*x an integer
+    ref = next(d for d in range(1, 1000)
+               if all((Fraction(x) * d).denominator == 1 for x in values))
+    assert den == ref
+    assert ints == [Fraction(x) * ref for x in values]
+    assert all(type(x) is int for x in ints)
+
+
+@pytest.mark.parametrize("values", CLEAR_CASES)
+def test_content_normalize_matches_fraction_reference(values):
+    got = content_normalize(values)
+    assert all(type(x) is Fraction for x in got)
+    assert len(got) == len(values)
+    nonzero = [Fraction(x) for x in values if x]
+    if not nonzero:
+        assert got == [0] * len(values)
+        return
+    # the reference: divide by the first nonzero entry, then scale by the
+    # least D that makes every entry an integer
+    ratios = [Fraction(x) / nonzero[0] for x in values]
+    d = next(d for d in range(1, 1000)
+             if all((r * d).denominator == 1 for r in ratios))
+    assert got == [r * d for r in ratios]
