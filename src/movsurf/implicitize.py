@@ -24,11 +24,16 @@ construction falls back to an arbitrary canonical basis of the mn moving
 quadrics, which is all that case needs.
 
 The determinant and the verification run on Python ints.  Each row of M is
-scaled once to integer coefficients; det M is evaluated on an integer grid by
-fraction-free Bareiss elimination, interpolated with integer differences and
-integer Newton weights, and divided once at the end, so det_interpolation
-returns det M exactly.  Verification clears the denominators of each sample
-point and of the polynomial and tests vanishing over Z.
+scaled once to integer coefficients.  Before the grid, the plane rows and the
+quadric rows, each group on its own, are replaced by an LLL-reduced basis of
+the saturation of their integer lattice (the integer vectors in their
+rational span), which makes the coefficients small; this multiplies det M by
+a known rational factor.  det of the reduced rows is evaluated on an integer
+grid by fraction-free Bareiss elimination, interpolated with integer
+differences and integer Newton weights, and scaled once at the end, so
+det_interpolation returns det M exactly.  Verification clears the
+denominators of each sample point and of the polynomial and tests vanishing
+over Z.
 """
 
 from __future__ import annotations
@@ -39,7 +44,10 @@ from fractions import Fraction
 from math import factorial
 
 from .basepoints import CheckConfig, ConditionReport, check_all
-from .linalg import RatMatrix, det_bareiss, reduced_echelon
+# det_bareiss is not called here: perfbench/spans.py reads it from this module
+# to install its grid-point counter, while the grid itself calls det_integer
+from .linalg import (RatMatrix, det_bareiss, det_integer, lll, reduced_echelon,
+                     saturation)
 from .ring import XPoly, clear, content_normalize, monomial_basis
 from .syzygy import (Parametrization, PROD_ORDER, SyzygyBasis, X_MONOMIALS,
                      moving_planes, moving_quadrics, x_monomial)
@@ -375,33 +383,58 @@ def _int_eval(terms, point):
 
 
 class _IntegerRows:
-    """M with each row scaled once to integer coefficients.
+    """The rows of M as integer vectors, reduced, for the grid.
 
-    det of the scaled matrix is `scale` times det M, where `scale` is the
-    product of the row lcms.  Entries are compiled to (coefficient, monomial
-    index) pairs over the distinct monomials of M, so that evaluating at an
-    integer point costs one power product per monomial and int dot products.
+    Each row is scaled to integer coefficients and read as a vector over
+    the (column, monomial) pairs of its group, the linear rows or the
+    quadratic rows.  Within each group the vectors are replaced by an
+    LLL-reduced basis of the saturation of their lattice, the integer
+    vectors in their rational span, which makes the coefficients small.
+    The old rows are C times the new ones for an integer matrix C, so by
+    multilinearity det M is `ratio` times the determinant of the new rows
+    at any point; det C is the quotient of the two groups' minors at the
+    saturation's pivot columns.  A group of dependent rows makes det M
+    zero and is kept as it is.  Entries are compiled to (coefficient,
+    monomial index) pairs over the distinct monomials of M, so that
+    evaluating at an integer point costs one power product per monomial
+    and int dot products.
     """
 
     def __init__(self, M):
         index = {}
         self.rows = []
-        self.scale = 1
-        for row in M.entries:
-            entries, den = _int_polys(row)
-            self.scale *= den
-            self.rows.append([[(c, index.setdefault(m, len(index)))
-                               for c, m in e] for e in entries])
+        self.ratio = Fraction(1)
+        for group in (M.entries[:M.linear_rows], M.entries[M.linear_rows:]):
+            monos = sorted({m for row in group for e in row for m in e.terms})
+            coords = [(c, m) for c in range(M.size) for m in monos]
+            vecs = []
+            for row in group:
+                ints, den = clear([row[c].coeff(m) for c, m in coords])
+                self.ratio /= den
+                vecs.append(ints)
+            sat = saturation(vecs, len(coords))
+            if sat is not None:
+                reduced = lll(sat.rows)
+                self.ratio *= Fraction(
+                    det_integer([[v[p] for p in sat.pivots] for v in vecs]),
+                    det_integer([[v[p] for p in sat.pivots]
+                                 for v in reduced]))
+                vecs = reduced
+            for v in vecs:
+                row = [[] for _ in range(M.size)]
+                for (c, m), x in zip(coords, v):
+                    if x:
+                        row[c].append((x, index.setdefault(m, len(index))))
+                self.rows.append(row)
         self.monomials = list(index)
 
     def det(self, point):
-        """scale * det M at an integer x-point, by Bareiss over Z."""
+        """det M / ratio at an integer x-point, by Bareiss over Z."""
         x0, x1, x2, x3 = point
         mv = [x0 ** a * x1 ** b * x2 ** c * x3 ** d
               for a, b, c, d in self.monomials]
-        A = RatMatrix([[sum(c * mv[i] for c, i in entry) for entry in row]
-                       for row in self.rows], _trusted=True)
-        return det_bareiss(A).numerator
+        return det_integer([[sum(c * mv[i] for c, i in entry)
+                             for entry in row] for row in self.rows])
 
 
 def _forward_diffs(line):
@@ -452,14 +485,15 @@ def det_interpolation(M):
     in (x0, x1, x2) and is pinned down by its values on the principal lattice
     {(i, j, l) : i + j + l <= D}.
 
-    Each row of M is scaled once to integer coefficients, and every grid
-    value is an integer Bareiss determinant of that scaled matrix.  Forward
+    The grid runs on the reduced integer rows of _IntegerRows, and every
+    grid value is an integer Bareiss determinant of them.  Forward
     differences along each axis in turn give a! b! c! times the coefficients
     in the tensor Newton basis; coefficients of combined order above D vanish
     for a polynomial of total degree <= D, which is exactly why the
     triangular data suffices.  Expanding with the integer weights
-    D!/a! * prod_{p<a}(y - p) keeps everything in Z, and a single division
-    by (D!)^3 times the row scale at the end returns det M exactly.
+    D!/a! * prod_{p<a}(y - p) keeps everything in Z, and a single
+    multiplication by the rows' ratio over (D!)^3 at the end returns det M
+    exactly.  The off-grid guard evaluates the same reduced rows.
     """
     D = sum(M.row_degrees())
     if M.size == 0:
@@ -482,7 +516,7 @@ def det_interpolation(M):
         return out
 
     _sweep(values, D, expand)
-    # values now holds (D!)^3 * scale times the coefficients of det M
+    # values now holds (D!)^3 / ratio times the coefficients of det M
     terms = [(v, (a, b, c, D - a - b - c))
              for (a, b, c), v in values.items() if v]
     cube = factorial(D) ** 3
@@ -496,8 +530,8 @@ def det_interpolation(M):
             raise ArithmeticError(
                 "interpolated determinant disagrees with a direct evaluation;"
                 " the determinant degree exceeds %d" % D)
-    den = cube * rows.scale
-    return XPoly({mono: Fraction(v, den) for v, mono in terms})
+    ratio = rows.ratio / cube
+    return XPoly({mono: v * ratio for v, mono in terms})
 
 
 def det_poly(M, backend="auto"):

@@ -18,10 +18,17 @@ chance: whatever cannot be certified so (an unlucky prime, a kernel too
 large for the primes, a failed check) is the pivot count of the integer
 echelon instead.
 
-Determinants use fraction-free Bareiss elimination over integers after
-clearing row denominators; a matrix whose entries are already ints (the
-integer evaluation grid of the interpolated determinant) goes through the
-same routine with no Fraction arithmetic until the result.
+Determinants use one fraction-free Bareiss loop over the integers,
+det_integer: the interpolated determinant hands it the int rows of each grid
+point, and det_bareiss hands it the rows of a RatMatrix cleared of
+denominators.
+
+Two lattice routines shrink the integer rows of M before the determinant
+grid, exactly.  saturation returns a basis of the integer vectors in the
+rational span of independent integer rows, built as a Hermite basis modulo
+the common denominator of their reduced echelon form.  lll reduces a
+lattice basis with the integral LLL algorithm (Cohen, Alg. 2.6.7), whose
+Gram-Schmidt data are integers.
 
 The tests check this integer core against Fraction Gauss-Jordan reference
 solves in tests/oracle.py, which the package does not use.
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -380,40 +387,210 @@ def kernel_basis(A):
     return KernelBasis(dim=len(vectors), vectors=vectors)
 
 
-def det_bareiss(A):
-    """Exact determinant by fraction-free Bareiss elimination.
-
-    Entries may be ints or Fractions; each row is cleared to integers by the
-    lcm of its denominators, and the result divided by their product.
-    """
-    if A.rows != A.cols:
-        raise ValueError("determinant of a non-square %d x %d matrix"
-                         % (A.rows, A.cols))
-    n = A.rows
-    if n == 0:
-        return Fraction(1)
-    scale = 1
-    m = []
-    for row in A.entries:
-        ints, den = clear(row)
-        scale *= den
-        m.append(ints)
+def det_integer(rows):
+    """Exact determinant of a square matrix of ints, given as rows, by
+    fraction-free Bareiss elimination; the rows are left unchanged."""
+    n = len(rows)
+    m = [list(row) for row in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             pr = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pr is None:
-                return Fraction(0)
+                return 0
             m[k], m[pr] = m[pr], m[k]
             sign = -sign
         pkk = m[k][k]
+        mk = m[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
             mi = m[i]
-            mk = m[k]
+            mik = mi[k]
             for j in range(k + 1, n):
                 mi[j] = (mi[j] * pkk - mik * mk[j]) // prev
             mi[k] = 0
         prev = pkk
-    return Fraction(sign * m[n - 1][n - 1], scale)
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def det_bareiss(A):
+    """Exact determinant of a RatMatrix as a Fraction.
+
+    Each row is cleared to integers by the lcm of its denominators, the
+    integer determinant is taken by det_integer, and the result divided by
+    the product of the lcms.
+    """
+    if A.rows != A.cols:
+        raise ValueError("determinant of a non-square %d x %d matrix"
+                         % (A.rows, A.cols))
+    scale = 1
+    m = []
+    for row in A.entries:
+        ints, den = clear(row)
+        scale *= den
+        m.append(ints)
+    return Fraction(det_integer(m), scale)
+
+
+# ---------------------------------------------------------------------------
+# lattices
+
+
+def _xgcd(a, b):
+    """(g, u, v) with u*a + v*b = g = gcd(a, b) >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return (a, u0, v0) if a >= 0 else (-a, -u0, -v0)
+
+
+def _fold_mod(rows, values, modulus):
+    """Fold one column into a pivot, modulo a lattice that contains
+    modulus * Z^n.
+
+    rows are the generators of such a lattice, besides the vectors
+    modulus * e_i, and values their entries in the column, in
+    [0, modulus).  The pivot starts as the generator of value modulus in
+    the column; each row with a nonzero value is combined with it by a
+    unimodular 2 x 2 step of extended gcds, which leaves the row with value
+    0.  Entries are reduced modulo modulus, which adds multiples of the
+    vectors modulus * e_i.  The rows are replaced in place; returns the
+    pivot (its entries, without the column) and its value, which is
+    gcd(values, modulus).
+    """
+    pivot = [0] * len(rows[0])
+    value = modulus
+    for i, w in enumerate(values):
+        if not w:
+            continue
+        d, u, v = _xgcd(w, value)
+        a, b = value // d, w // d
+        z = rows[i]
+        rows[i] = [(a * x - b * y) % modulus for x, y in zip(z, pivot)]
+        pivot = [(u * x + v * y) % modulus for x, y in zip(z, pivot)]
+        value = d
+    return pivot, value
+
+
+def saturation(rows, ncols):
+    """Basis of the saturation of the row lattice of integer rows: the
+    integer vectors in their rational span.  None when the rows are
+    linearly dependent.
+
+    With E the reduced row echelon form of the rows, pivot columns P, and
+    L the lcm of its denominators, A = L*E is integral, and a vector of the
+    span is z*E for z its entries at P.  So the saturation is
+    {z*E : z in Lambda}, Lambda = {z in Z^r : z*A = 0 mod L}.  Lambda
+    contains L*Z^r, and its Hermite basis H is built modulo L: the
+    generators start as the identity and each column of A outside P folds
+    into a discarded pivot (its congruence), then each coordinate folds
+    into a kept pivot.  The result H*E is an Echelon with the pivot columns
+    P, and H, upper triangular, is its restriction to P.
+    """
+    pivots, ech = reduced_echelon(rows, ncols)
+    r = len(rows)
+    if len(pivots) < r:
+        return None
+    L = lcm(*(row[p] for p, row in zip(pivots, ech)))
+    A = [[x * (L // row[p]) for x in row] for p, row in zip(pivots, ech)]
+    gens = [[int(i == j) for j in range(r)] for i in range(r)]
+    taken = set(pivots)
+    for c in range(ncols):
+        col = [a[c] % L for a in A]
+        if c in taken or not any(col):
+            continue
+        _fold_mod(gens, [sum(map(mul, z, col)) % L for z in gens], L)
+    H = []
+    for k in range(r):
+        pivot, value = _fold_mod(gens, [z[k] for z in gens], L)
+        pivot[k] = value
+        H.append(pivot)
+    for k in range(1, r):
+        for i in range(k):
+            f = H[i][k] // H[k][k]
+            if f:
+                H[i] = [x - f * y for x, y in zip(H[i], H[k])]
+    basis = [[sum(map(mul, h, col)) // L for col in zip(*A)] for h in H]
+    return Echelon(pivots, basis)
+
+
+# Lovasz constant of the LLL reduction
+_DELTA = Fraction(3, 4)
+
+
+def lll(rows):
+    """LLL-reduced basis of the lattice with basis rows (independent
+    integer rows), with size reduction |mu_ij| <= 1/2 and Lovasz constant
+    _DELTA.
+
+    Integral LLL with incremental Gram-Schmidt (Cohen, A Course in
+    Computational Algebraic Number Theory, 1993, Alg. 2.6.7): it keeps
+    d_i, the Gram determinant of the first i vectors, and
+    lam[k][j] = d_{j+1} * mu_kj, both integers, so no fraction is formed.
+    The steps act on the Gram matrix of the rows and on the change of
+    basis U, which is short next to the rows; the result is U times the
+    rows.  A vector enters the Gram-Schmidt data only once, while it is
+    still its input row, so its inner products are U times a Gram row.
+    """
+    n = len(rows)
+    G = [[sum(map(mul, x, y)) for y in rows] for x in rows]
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] * (n + 1)       # d[i]: Gram determinant of the first i vectors
+    lam = [[0] * n for _ in range(n)]
+    p, q = _DELTA.numerator, _DELTA.denominator
+
+    def gram_schmidt(k):
+        for j in range(k + 1):
+            u = sum(map(mul, U[j], G[k]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            elif u:
+                d[k + 1] = u
+            else:
+                raise ValueError("LLL needs linearly independent rows")
+
+    def reduce(k, l):
+        t = lam[k][l]
+        D = d[l + 1]
+        if 2 * abs(t) <= D:
+            return
+        f = (2 * t + D) // (2 * D)
+        U[k] = [x - f * y for x, y in zip(U[k], U[l])]
+        lam[k][l] = t - f * D
+        for i in range(l):
+            lam[k][i] -= f * lam[l][i]
+
+    def swap(k, kmax):
+        U[k], U[k - 1] = U[k - 1], U[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        t0 = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + t0 * t0) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t0 * t) // d[k]
+            lam[i][k - 1] = (B * t + t0 * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    if n:
+        gram_schmidt(0)
+    k, kmax = 1, 0
+    while k < n:
+        if k > kmax:
+            kmax = k
+            gram_schmidt(k)
+        reduce(k, k - 1)
+        t = lam[k][k - 1]
+        if q * d[k + 1] * d[k - 1] < p * d[k] * d[k] - q * t * t:
+            swap(k, kmax)
+            k = max(1, k - 1)
+            continue
+        for l in range(k - 2, -1, -1):
+            reduce(k, l)
+        k += 1
+    return [[sum(map(mul, u, col)) for col in zip(*rows)] for u in U]

@@ -91,32 +91,52 @@ class SyzygyBasis:
         return len(self.elements)
 
 
-def mult_matrix(generators, target):
-    """Matrix of (A_g) -> sum A_g * g into bidegree `target`.
+def _multiples(generators, target, coefficients, zero):
+    """The multiples mu*g into bidegree `target`, as rows over the canonical
+    monomial basis of the target, and that basis's length.
 
-    Column blocks follow the generator order; inside a block, multiplier
-    monomials run in canonical order.  Rows run over the canonical monomial
-    basis of the target bidegree.
+    One row per generator g and monomial mu of the complementary bidegree,
+    generators in order and mu in canonical order.  coefficients(g) lists
+    the coefficients g contributes, in the order of g.terms; zero fills the
+    other entries.
     """
     target = (int(target[0]), int(target[1]))
-    row_basis = monomial_basis(target)
-    row_index = {m: i for i, m in enumerate(row_basis)}
-    columns = []
+    row_index = {m: i for i, m in enumerate(monomial_basis(target))}
+    rows = []
     for g in generators:
         d = (target[0] - g.bidegree[0], target[1] - g.bidegree[1])
         if d[0] < 0 or d[1] < 0:
             raise ValueError("bidegree underflow: generator %s into target %s"
                              % (g.bidegree, target))
+        terms = list(zip(g.terms, coefficients(g)))
         for mu in monomial_basis(d):
-            col = [Fraction(0)] * len(row_basis)
-            for mono, c in g.terms.items():
-                m = (mono[0] + mu[0], mono[1] + mu[1],
-                     mono[2] + mu[2], mono[3] + mu[3])
-                col[row_index[m]] += c
-            columns.append(col)
-    # the entries are Fractions already, so the matrix skips conversion
-    return RatMatrix([[col[i] for col in columns]
-                      for i in range(len(row_basis))], _trusted=True)
+            row = [zero] * len(row_index)
+            for mono, c in terms:
+                row[row_index[(mono[0] + mu[0], mono[1] + mu[1],
+                               mono[2] + mu[2], mono[3] + mu[3])]] = c
+            rows.append(row)
+    return rows, len(row_index)
+
+
+def mult_matrix(generators, target):
+    """Matrix of (A_g) -> sum A_g * g into bidegree `target`.
+
+    Column blocks follow the generator order; inside a block, multiplier
+    monomials run in canonical order.  Rows run over the canonical monomial
+    basis of the target bidegree.  Entries are the generators' own Fraction
+    coefficients.
+    """
+    columns, height = _multiples(generators, target,
+                                 lambda g: list(g.terms.values()), Fraction(0))
+    return RatMatrix([[col[i] for col in columns] for i in range(height)],
+                     _trusted=True)
+
+
+def _primitive(g):
+    """The coefficients of g scaled to coprime integers."""
+    ints, _ = clear(list(g.terms.values()))
+    content = gcd(*ints)
+    return [c // content for c in ints]
 
 
 def multiple_rows(generators, target):
@@ -127,24 +147,7 @@ def multiple_rows(generators, target):
     is scaled once to coprime integer coefficients, which leaves the span of
     its multiples unchanged.
     """
-    target = (int(target[0]), int(target[1]))
-    row_index = {m: i for i, m in enumerate(monomial_basis(target))}
-    rows = []
-    for g in generators:
-        d = (target[0] - g.bidegree[0], target[1] - g.bidegree[1])
-        if d[0] < 0 or d[1] < 0:
-            raise ValueError("bidegree underflow: generator %s into target %s"
-                             % (g.bidegree, target))
-        ints, _ = clear(list(g.terms.values()))
-        content = gcd(*ints)
-        ints = [(mono, c // content) for mono, c in zip(g.terms, ints)]
-        for mu in monomial_basis(d):
-            row = [0] * len(row_index)
-            for mono, c in ints:
-                row[row_index[(mono[0] + mu[0], mono[1] + mu[1],
-                               mono[2] + mu[2], mono[3] + mu[3])]] = c
-            rows.append(row)
-    return rows
+    return _multiples(generators, target, _primitive, 0)[0]
 
 
 def plane_map_matrix(phi):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,13 +6,15 @@ import pytest
 
 from movsurf import (BihomPoly, ConditionError, MMatrix, Parametrization,
                      PipelineConfig, RatMatrix, SyzygyBasis, XPoly,
-                     assemble_M, coeff_vector, compose_linear, det_poly,
+                     assemble_M, coeff_vector, compose_linear, det_bareiss,
+                     det_poly, implicitize,
                      echelon_plane_basis, generic_change, monomial_basis,
                      moving_planes, moving_quadrics, normalize, parse,
                      parse_xpoly, pipeline, quadric_basis_via_projection,
                      VerificationError, verify_polynomial)
-from movsurf.implicitize import (_sample_point, det_cofactor, det_interpolation,
-                                 resolve_backend, select_quadric_rows)
+from movsurf.implicitize import (_IntegerRows, _sample_point, det_cofactor,
+                                 det_interpolation, resolve_backend,
+                                 select_quadric_rows)
 from movsurf.syzygy import x_monomial
 
 import oracle
@@ -311,6 +314,70 @@ def test_det_interpolation_guard_catches_underdeclared_degrees():
     honest = MMatrix(size=2, entries=entries, linear_rows=0,
                      col_monomials=[0, 1], row_labels=["r"] * 2)
     assert det_interpolation(honest) == det_cofactor(honest)
+
+
+def assembled_M(phi):
+    """M of phi from the public steps of the pipeline, without the battery."""
+    wdeg = phi.working_bidegree
+    ech, pivots = echelon_plane_basis(moving_planes(phi), wdeg)
+    elements, columns, fallback = quadric_basis_via_projection(phi, pivots)
+    rows = select_quadric_rows(elements, columns, pivots, wdeg, fallback)
+    return assemble_M(ech, rows, pivots, wdeg)
+
+
+@pytest.fixture(scope="module")
+def generic_33():
+    """M of a seeded generic (3,3) input, and its interpolated determinant."""
+    M = assembled_M(random_parametrization(random.Random(0), 3, 3))
+    return M, det_interpolation(M)
+
+
+def test_det_interpolation_is_exact_at_3_3(generic_33):
+    M, det = generic_33
+    assert M.size == 9 and M.linear_rows == 0
+    rng = random.Random(8)
+    for _ in range(5):
+        # x3 >= 2 keeps the points off the grid (i, j, l, 1)
+        point = tuple(rng.randint(-30, 30) for _ in range(3)) + (
+            rng.randint(2, 30),)
+        value = det_bareiss(M.evaluate(point))
+        assert value and det.evaluate(point) == value
+
+
+def test_det_3_3_grid_rows_are_reduced(generic_33):
+    # the rows of M itself have coefficients of about 230 bits here
+    M, _ = generic_33
+    rows = _IntegerRows(M).rows
+    assert max(abs(c).bit_length()
+               for row in rows for entry in row for c, _ in entry) <= 64
+
+
+def test_det_3_3_normalized_digest(generic_33):
+    # sha256 of the rendered normalized determinant, as written by the code
+    # that took the determinant of the unreduced rows
+    _, det = generic_33
+    digest = hashlib.sha256(normalize(det).render().encode()).hexdigest()
+    assert digest[:16] == "f21d1a26addcd63e"
+
+
+def test_dependent_quadric_rows_give_a_zero_determinant(quartic_bp,
+                                                        monkeypatch):
+    M = assembled_M(quartic_bp)
+    entries = [list(row) for row in M.entries]
+    entries[3] = [e.scale(Fraction(3, 2)) for e in entries[2]]
+    dependent = MMatrix(size=4, entries=entries, linear_rows=1,
+                        col_monomials=M.col_monomials,
+                        row_labels=M.row_labels)
+    assert det_interpolation(dependent).is_zero()
+    assert det_cofactor(dependent).is_zero()
+
+    def dependent_rows(*args):
+        rows = select_quadric_rows(*args)
+        return rows[:-1] + [[2 * x for x in rows[-2]]]
+
+    monkeypatch.setattr(implicitize, "select_quadric_rows", dependent_rows)
+    with pytest.raises(ConditionError, match="identically zero"):
+        pipeline(quartic_bp, PipelineConfig(samples=5))
 
 
 def test_auto_backend_is_cofactor_only_up_to_size_two():

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from movsurf import (RatMatrix, det_bareiss, generic_change, kernel_basis,
                      linalg, rank)
-from movsurf.linalg import echelon, in_row_span, integer_rank, reduced_echelon
+from movsurf.linalg import (det_integer, echelon, in_row_span, integer_rank,
+                            lll, reduced_echelon, saturation)
 from movsurf.ring import content_normalize
 from movsurf.syzygy import (mult_matrix, multiple_rows, plane_map_matrix,
                             quadric_map_matrix)
@@ -209,6 +210,19 @@ def test_det_with_rational_entries():
     assert det_bareiss(A) == Fraction(1, 14) - Fraction(1, 15)
 
 
+def test_det_integer_matches_oracle_and_keeps_its_rows():
+    rng = random.Random(11)
+    for n in range(0, 7):
+        for _ in range(10):
+            rows = [[rng.choice([0, 0, rng.randint(-2 ** 70, 2 ** 70)])
+                     for _ in range(n)] for _ in range(n)]
+            copy = [list(row) for row in rows]
+            got = det_integer(rows)
+            assert type(got) is int
+            assert got == det_cofactor_oracle(copy)
+            assert rows == copy
+
+
 # --- the integer echelon against the Fraction oracle ---------------------------
 
 def kernel_oracle(A):
@@ -403,3 +417,137 @@ def test_rank_falls_back_when_reconstruction_fails(monkeypatch):
     for A in oracle_cases():
         assert rank(A) == len(rref(A).pivots)
     assert fallbacks
+
+
+# --- lattices -----------------------------------------------------------------
+
+def dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
+def gram_det(rows):
+    return det_cofactor_oracle([[Fraction(dot(x, y)) for y in rows]
+                                for x in rows])
+
+
+def matmul(U, rows):
+    return [[dot(u, col) for col in zip(*rows)] for u in U]
+
+
+def integer_coordinates(basis, v):
+    """The coordinates of v in the rational span of basis, or None."""
+    A = RatMatrix([list(col) for col in zip(*basis)])
+    return solve_membership(A, list(v))
+
+
+def in_integer_span(basis, v):
+    x = integer_coordinates(basis, v)
+    return x is not None and all(c.denominator == 1 for c in x)
+
+
+def unimodular(rng, r, steps=30, bound=9):
+    U = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(steps):
+        i, j = rng.sample(range(r), 2)
+        f = rng.randint(-bound, bound)
+        U[i] = [a + f * b for a, b in zip(U[i], U[j])]
+    return U
+
+
+def saturated_basis(rng, r, ncols):
+    """Random rows with the identity at r random columns: their maximal
+    minors are coprime, so their lattice is saturated."""
+    rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(r)]
+    for i, c in enumerate(rng.sample(range(ncols), r)):
+        for j in range(r):
+            rows[j][c] = int(i == j)
+    return rows
+
+
+def test_saturation_undoes_a_sublattice_of_index_2_40_times_3():
+    rng = random.Random(5)
+    r, ncols = 4, 9
+    S = saturated_basis(rng, r, ncols)
+    T = [[0] * r for _ in range(r)]
+    for i, diag in enumerate([2 ** 40, 3, 1, 1]):
+        T[i][i] = diag
+        for j in range(i):
+            T[i][j] = rng.randint(-50, 50)
+    U = matmul(unimodular(rng, r), T)
+    assert det_cofactor_oracle(U) == 2 ** 40 * 3
+    B = matmul(U, S)
+    sat = saturation(B, ncols)
+    assert len(sat.rows) == r
+    assert all(type(x) is int for row in sat.rows for x in row)
+    # the same rational span, and the lattice of S itself
+    assert all(integer_coordinates(S, v) is not None for v in sat.rows)
+    assert all(in_integer_span(sat.rows, v) for v in S)
+    assert gram_det(sat.rows) == gram_det(S)
+    assert gram_det(B) == (2 ** 40 * 3) ** 2 * gram_det(S)
+    # an echelon form over its pivots, whose entries there are upper
+    # triangular with the index on the diagonal
+    for i, (p, row) in enumerate(zip(sat.pivots, sat.rows)):
+        assert row[p] > 0 and not any(row[:p])
+        assert not any(other[p] for other in sat.rows[i + 1:])
+    diag = 1
+    for p, row in zip(sat.pivots, sat.rows):
+        diag *= row[p]
+    B_P = [[row[p] for p in sat.pivots] for row in B]
+    assert abs(det_cofactor_oracle(B_P)) == 2 ** 40 * 3 * diag
+
+
+def test_saturation_of_saturated_and_dependent_rows():
+    rng = random.Random(6)
+    for r, ncols in [(1, 1), (1, 5), (3, 3), (3, 8), (5, 7)]:
+        S = saturated_basis(rng, r, ncols)
+        sat = saturation(S, ncols)
+        assert gram_det(sat.rows) == gram_det(S)
+        assert all(in_integer_span(S, v) for v in sat.rows)
+    assert saturation([[2, 4, 6]], 3).rows == [[1, 2, 3]]
+    assert saturation([[1, 2, 3], [2, 4, 6]], 3) is None
+    assert saturation([[1, 2], [0, 0]], 2) is None
+
+
+def gram_schmidt_oracle(rows):
+    """mu and the squared lengths |b*_i|^2, by Fraction Gram-Schmidt."""
+    star, mu = [], []
+    for b in rows:
+        v = [Fraction(x) for x in b]
+        coeffs = []
+        for s in star:
+            c = dot(b, s) / dot(s, s)
+            coeffs.append(c)
+            v = [x - c * y for x, y in zip(v, s)]
+        star.append(v)
+        mu.append(coeffs)
+    return mu, [dot(s, s) for s in star]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lll_output_is_reduced_and_spans_the_same_lattice(seed):
+    rng = random.Random(seed)
+    r = rng.randint(2, 6)
+    ncols = rng.randint(r, 10)
+    # a saturated lattice behind a skewed basis with 30-60 bit entries
+    S = saturated_basis(rng, r, ncols)
+    B = matmul(unimodular(rng, r, steps=60, bound=2 ** 6), S)
+    out = lll(B)
+    assert len(out) == r
+    assert all(type(x) is int for row in out for x in row)
+    mu, norms = gram_schmidt_oracle(out)
+    delta = linalg._DELTA
+    for k in range(1, r):
+        assert all(abs(m) <= Fraction(1, 2) for m in mu[k])
+        assert norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]
+    assert gram_det(out) == gram_det(B)
+    assert all(in_integer_span(B, v) for v in out)
+    assert max(abs(x) for row in out for x in row) < max(
+        abs(x) for row in B for x in row)
+
+
+def test_lll_keeps_a_reduced_basis_and_rejects_dependent_rows():
+    assert lll([]) == []
+    assert lll([[3, 4]]) == [[3, 4]]
+    assert lll([[1, 0, 0], [0, 1, 0]]) == [[1, 0, 0], [0, 1, 0]]
+    with pytest.raises(ValueError):
+        lll([[1, 2], [2, 4]])

@@ -23,3 +23,12 @@ def test_random_surfaces_completes_requested_count():
                       "--count", "2")
     assert proc.returncode == 0, proc.stderr
     assert "completed 2 instances" in proc.stdout
+
+
+def test_random_surfaces_verifies_a_3_3_instance():
+    proc = run_script("random_surfaces.py", "--bidegree", "3", "3",
+                      "--count", "1", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert "completed 1 instances" in proc.stdout
+    rows = [line.split() for line in proc.stdout.splitlines()[1:-1]]
+    assert [row[4] for row in rows if len(row) == 6] == ["ok"]
