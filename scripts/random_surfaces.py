@@ -20,6 +20,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from movsurf import (BihomPoly, Parametrization, PipelineConfig,
                      ConditionError, VerificationError, monomial_basis,
                      pipeline)
+from movsurf.cli import DET_BACKENDS
 
 
 def random_poly(rng, bidegree, bound=5):
@@ -40,8 +41,7 @@ def main():
     ap.add_argument("--count", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--samples", type=int, default=100)
-    ap.add_argument("--backend", default="auto",
-                    choices=("auto", "cofactor", "interp", "both"))
+    ap.add_argument("--backend", default="auto", choices=DET_BACKENDS)
     args = ap.parse_args()
     m, n = args.bidegree
 

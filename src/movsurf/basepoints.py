@@ -25,6 +25,11 @@ certified rank (linalg.integer_rank) of the generator multiples, built as
 integer rows.  A window stops computing ranks at its first zero: I_d = R_d
 puts R_{d'} = R_{d'-d} R_d inside I_{d'} for every d' >= d, so the later
 values are zero too.
+
+The other counts of the battery are the same certified rank.  B5 tests
+mu*a3 in (a0,a1,a2) for all mu of one bidegree at once, by comparing two
+Hilbert values, with and without a3 among the generators; B6 is the number
+of multipliers minus the rank of the multiples of a0, a1, a2.
 """
 
 from __future__ import annotations
@@ -34,8 +39,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (RatMatrix, det_bareiss, echelon, in_row_span,
-                     integer_rank, kernel_basis, rank)
+from .linalg import RatMatrix, det_bareiss, integer_rank, kernel_basis, rank
 from .ring import bidegree_leq, coeff_vector, monomial_basis
 from .syzygy import (Parametrization, moving_planes, multiple_rows,
                      syz_dim_abc)
@@ -193,18 +197,15 @@ def saturation_member(f, generators, max_power):
     """Does some power of the irrelevant ideal multiply f into <generators>?
 
     Search N = 0, 1, ..., max_power; at each N test that mu*f lies in the
-    ideal at its bidegree for every monomial mu of bidegree (N, N).  N = 0 is
-    plain ideal membership.
+    ideal I at t = deg f + (N, N) for every monomial mu of bidegree (N, N).
+    N = 0 is plain ideal membership.  (I + (f))_t = I_t + f*R_{N,N} contains
+    I_t, so it equals I_t, and every mu*f lies in I_t, exactly when the two
+    quotients have the same dimension at t.
     """
+    with_f = [*generators, f]
     for N in range(max_power + 1):
         target = (f.bidegree[0] + N, f.bidegree[1] + N)
-        usable = [g for g in generators if bidegree_leq(g.bidegree, target)]
-        if not usable:
-            continue
-        ncols = (target[0] + 1) * (target[1] + 1)
-        # the generator multiples, echelonized once, answer every mu*f below
-        span = echelon(multiple_rows(usable, target), ncols)
-        if all(in_row_span(span, row) for row in multiple_rows([f], target)):
+        if hilbert_dim(generators, target) == hilbert_dim(with_f, target):
             return SaturationResult(member=True, power=N)
     return SaturationResult(member=False, bound_reached=True)
 
@@ -224,6 +225,8 @@ def generic_change(phi, seed, bound=10, matrix=None):
 
     Deterministic for a fixed seed.  An explicit matrix overrides the draw.
     """
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
     if matrix is None:
         rng = random.Random(seed)
         while True:
@@ -311,6 +314,10 @@ def check_all(phi, config=None):
     space is trivial, so such reports pass regardless of B5/B6.
     """
     config = config or CheckConfig()
+    if config.attempts < 0:
+        raise ValueError("attempts must be at least 0")
+    if config.coord_bound < 1:
+        raise ValueError("coord_bound must be at least 1")
     phi_cur, change, change_seed = phi, None, None
     last_report = None
     invariant = _invariant_conditions(phi, config)

@@ -17,10 +17,11 @@ Every flag can be preset through an environment variable with prefix
 MOVSURF_ (e.g. MOVSURF_SEED=7, MOVSURF_DET_BACKEND=interp); explicit flags
 win over the environment, and a preset is read only when its flag is
 absent.  Exit codes: 0 success, 1 condition or verification failure, 2
-input error (an unreadable or malformed job file, or an option value that
-is not a number or out of range, from a flag or from the environment; a
-bad preset is named by its variable).  Any other exception is an internal
-error and propagates with its traceback.
+input error (an unreadable or malformed job file, an option value that is
+not a number or out of range, from a flag or from the environment, with a
+bad preset named by its variable, or an --output file that cannot be
+written).  Any other exception is an internal error and propagates with
+its traceback.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .basepoints import CONDITION_NAMES, CheckConfig, check_all, hilbert_dim
+from .basepoints import (CONDITION_NAMES, CheckConfig, check_all,
+                         hilbert_values)
 from .implicitize import (BACKENDS, ConditionError, PipelineConfig,
                           VerificationError, pipeline)
 from .linalg import RatMatrix
@@ -266,8 +268,11 @@ def change_block(report):
 
 def emit(args, text):
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError("cannot write %s: %s" % (args.output, exc))
     else:
         print(text)
 
@@ -417,10 +422,9 @@ def cmd_hilbert(spec, args):
     d2 = _parse_range(args.d2, (0, 2 * spec.n))
     gens = list(spec.phi.products()) if args.squared else list(spec.phi.a)
     t0 = time.perf_counter()
-    table = {}
-    for i in range(d1[0], d1[1] + 1):
-        for j in range(d2[0], d2[1] + 1):
-            table[(i, j)] = hilbert_dim(gens, (i, j))
+    degrees = [(i, j) for i in range(d1[0], d1[1] + 1)
+               for j in range(d2[0], d2[1] + 1)]
+    table = dict(zip(degrees, hilbert_values(gens, degrees)))
     elapsed = time.perf_counter() - t0
     payload = {
         "schema": 1,

@@ -49,8 +49,8 @@ from .basepoints import CheckConfig, ConditionReport, check_all
 from .linalg import (RatMatrix, det_bareiss, det_integer, lll, reduced_echelon,
                      saturation)
 from .ring import XPoly, clear, content_normalize, monomial_basis
-from .syzygy import (Parametrization, PROD_ORDER, SyzygyBasis, X_MONOMIALS,
-                     moving_planes, moving_quadrics, x_monomial)
+from .syzygy import (Parametrization, SyzygyBasis, X_MONOMIALS, moving_planes,
+                     moving_quadrics, x_monomial)
 
 X3 = x_monomial(3)
 X3SQ = x_monomial(3, 3)
@@ -82,13 +82,12 @@ class PipelineConfig:
 
 @dataclass
 class ColumnIndexSet:
-    """Partition of the 10mn quadric-map coordinates used by the projection.
+    """The quadric-map coordinates the projection keeps.
 
-    Each entry is a (parameter monomial, x monomial) pair; `distinguished`
-    has mn + 3k of them, `rest` the other 9mn - 3k.
+    `distinguished` lists mn + 3k of the 10mn coordinates, each a
+    (parameter monomial, x monomial) pair.
     """
     distinguished: list
-    rest: list
 
 
 @dataclass
@@ -206,7 +205,7 @@ def echelon_plane_basis(planes, working_bidegree):
 
 
 def distinguished_columns(pivots, working_bidegree):
-    """The mn + 3k projection coordinates and their complement."""
+    """The mn + 3k projection coordinates."""
     basis = monomial_basis(working_bidegree)
     mono_index = {(m[0], m[2]): i for i, m in enumerate(basis)}
     chosen = []
@@ -215,11 +214,7 @@ def distinguished_columns(pivots, working_bidegree):
             chosen.append((basis[mono_index[(alpha, beta)]], x_monomial(j, 3)))
     for mono in basis:
         chosen.append((mono, X3SQ))
-    chosen_set = set(chosen)
-    rest = [(mono, x_monomial(i, j))
-            for (i, j) in PROD_ORDER for mono in basis
-            if (mono, x_monomial(i, j)) not in chosen_set]
-    return ColumnIndexSet(distinguished=chosen, rest=rest)
+    return ColumnIndexSet(distinguished=chosen)
 
 
 def quadric_basis_via_projection(phi, pivots, quadrics=None):

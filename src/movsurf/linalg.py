@@ -1,12 +1,10 @@
 """Dense exact rational linear algebra.
 
-Kernels, span membership and changes of basis share one fraction-free
-integer echelon: rows are cleared of denominators and gcd-reduced, then
-eliminated over Z with their contents kept reduced.  reduced_echelon
-back-substitutes it to a scaled reduced echelon form, from which
-kernel_basis reads the kernel and the implicitization reads its unit-pivot
-bases; in_row_span reduces a vector against it, which is how the B5
-saturation search tests membership.
+Kernels and changes of basis share one fraction-free integer echelon: rows
+are cleared of denominators and gcd-reduced, then eliminated over Z with
+their contents kept reduced.  reduced_echelon back-substitutes it to a
+scaled reduced echelon form, from which kernel_basis reads the kernel and
+the implicitization reads its unit-pivot bases.
 
 Ranks (integer_rank, and rank for a RatMatrix) are computed modulo primes
 and certified over Z.  Modulo the first prime, r pivots give a nonzero
@@ -320,30 +318,6 @@ def integer_rank(rows, ncols):
 def rank(A):
     """Exact rank of a RatMatrix: integer_rank of its cleared rows."""
     return integer_rank(_int_rows(A.entries), A.cols)
-
-
-def in_row_span(ech, v):
-    """Does the vector v (ints or Fractions) lie in the row span of ech?
-
-    v is reduced against the echelon rows in pivot order and the reduction
-    stops at its first nonzero entry outside a pivot column.
-    """
-    by_pivot = dict(zip(ech.pivots, ech.rows))
-    rows = _int_rows([v])
-    if not rows:
-        return True
-    b = rows[0]
-    c = 0
-    n = len(b)
-    while True:
-        while c < n and not b[c]:
-            c += 1
-        if c == n:
-            return True
-        row = by_pivot.get(c)
-        if row is None:
-            return False
-        b[c:] = _combine(b[c:], row[c:], row[c], b[c])
 
 
 def reduced_echelon(entries, ncols):

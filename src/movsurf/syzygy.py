@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .linalg import RatMatrix, kernel_basis, rank
+from .linalg import RatMatrix, integer_rank, kernel_basis
 from .ring import clear, monomial_basis
 
 # x_i x_j blocks of the quadric map, in this fixed order
@@ -158,10 +158,6 @@ def quadric_map_matrix(phi):
     return mult_matrix(phi.products(), (3 * phi.m - 1, 3 * phi.n - 1))
 
 
-def abc_map_matrix(phi):
-    return mult_matrix(phi.a[:3], (2 * phi.m - 1, 2 * phi.n - 1))
-
-
 def moving_planes(phi):
     """Basis of the moving planes of bidegree (m-1, n-1) following phi."""
     return SyzygyBasis(kernel_basis(plane_map_matrix(phi)).vectors)
@@ -173,6 +169,11 @@ def moving_quadrics(phi):
 
 
 def syz_dim_abc(phi):
-    """Dimension of the bidegree-(m-1,n-1) syzygies on a0, a1, a2 alone."""
-    A = abc_map_matrix(phi)
-    return A.cols - rank(A)
+    """Dimension of the bidegree-(m-1,n-1) syzygies on a0, a1, a2 alone.
+
+    The kernel of the abc map, whose 3mn columns are the multiples mu*a_i.
+    multiple_rows gives them as rows, each scaled by a nonzero constant, so
+    its rank is the rank of the map.
+    """
+    rows = multiple_rows(phi.a[:3], (2 * phi.m - 1, 2 * phi.n - 1))
+    return 3 * phi.mn - integer_rank(rows, 4 * phi.mn)

@@ -315,8 +315,12 @@ def test_saturation_member_matches_membership_oracle(quartic_bp, segre):
              (quartic_bp.a[0], quartic_bp.a[:3], 2),
              (segre.a[3], segre.a[:3], 3),
              (parse("t"), [parse("s")], 3)]
-    changed, _ = generic_change(quartic_bp, 1)
-    cases.append((changed.a[3], changed.a[:3], 4))
+    for seed in (1, 2, 3, 4):
+        changed, _ = generic_change(quartic_bp, seed)
+        cases.append((changed.a[3], changed.a[:3], 4))
+    # u^2*v^2 does not vanish at the quartic's base point s = t = 0, where
+    # the changed a0, a1, a2 all vanish: no power certifies it
+    cases.append((parse("u^2*v^2"), changed.a[:3], 1))
     powers = []
     for f, gens, bound in cases:
         res = saturation_member(f, gens, bound)
@@ -325,7 +329,23 @@ def test_saturation_member_matches_membership_oracle(quartic_bp, segre):
         assert res.power == expected
         assert res.bound_reached == (expected is None)
         powers.append(res.power)
-    assert powers[0] == 2 and powers[2] is None
+    assert powers[0] == 2 and powers[2] is None and powers[-1] is None
+
+
+def test_check_all_rejects_negative_attempts(quartic_bp):
+    with pytest.raises(ValueError, match="attempts"):
+        check_all(quartic_bp, CheckConfig(attempts=-1))
+
+
+def test_check_all_rejects_coord_bound_below_1(quartic_bp):
+    with pytest.raises(ValueError, match="coord_bound"):
+        check_all(quartic_bp, CheckConfig(coord_bound=0))
+
+
+def test_generic_change_rejects_bound_below_1(quartic_bp):
+    # before the draw, which would never leave the zero matrix
+    with pytest.raises(ValueError, match="bound"):
+        generic_change(quartic_bp, 0, bound=0)
 
 
 def test_check_all_runs_b1_to_b4_once_across_coordinate_changes(monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import movsurf
-from movsurf import parse_xpoly
+from movsurf import Parametrization, hilbert_dim, parse, parse_xpoly
 from movsurf.cli import main
 
 from conftest import QUARTIC_BP_STRINGS, load_golden
@@ -32,6 +32,16 @@ def run_json(tmp_path, command, payload, *extra):
     code = main([command, "--input", inp, "--json", "--output", str(out),
                  *extra])
     return code, json.loads(out.read_text())
+
+
+def run_module(*args):
+    """`python -m movsurf *args` in a child process.  The child finds the
+    package where this process imported it from, also when pytest put src
+    on sys.path rather than PYTHONPATH."""
+    path = [str(Path(movsurf.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run([sys.executable, "-m", "movsurf", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def test_check_quartic(tmp_path):
@@ -134,6 +144,27 @@ def test_hilbert_zero_ideal_row(tmp_path):
     assert table["0,0"] == 1 and table["1,1"] == 4 and table["0,1"] == 2
 
 
+@pytest.mark.parametrize("job", [QUARTIC_JOB, SEGRE_JOB],
+                         ids=["quartic", "segre"])
+@pytest.mark.parametrize("squared", [False, True], ids=["plain", "squared"])
+def test_hilbert_table_matches_per_cell_hilbert_dim(tmp_path, job, squared):
+    inp = write_job(tmp_path, job)
+    out = tmp_path / "h.json"
+    code = main(["hilbert", "--input", inp, "--json", "--d1", "0:6",
+                 "--d2", "0:5", "--output", str(out)]
+                + (["--squared"] if squared else []))
+    assert code == 0
+    table = json.loads(out.read_text())["table"]
+    phi = Parametrization(job["m"], job["n"],
+                          tuple(parse(a) for a in job["a"]))
+    gens = phi.products() if squared else phi.a
+    assert table == {"%d,%d" % (i, j): hilbert_dim(gens, (i, j))
+                     for i in range(7) for j in range(6)}
+    # the Segre quotients vanish from (1,1) or (2,2) on, so the table runs
+    # past its first zero; the quartic's base point keeps them positive
+    assert (0 in table.values()) == (job is SEGRE_JOB)
+
+
 def test_malformed_polynomial_exits_2(tmp_path, capsys):
     bad = dict(QUARTIC_JOB)
     bad["a"] = ["s*t + + u*v", "s*t", "s*v", "u*v"]
@@ -163,6 +194,15 @@ def test_malformed_job_field_exits_2(tmp_path, capsys, field, value):
 
 def test_missing_file_exits_2(tmp_path):
     assert main(["check", "--input", str(tmp_path / "nope.json")]) == 2
+
+
+def test_unwritable_output_exits_2(tmp_path):
+    inp = write_job(tmp_path, SEGRE_JOB)
+    out = tmp_path / "missing" / "out.json"
+    proc = run_module("check", "--input", inp, "--output", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: cannot write %s" % out)
+    assert "Traceback" not in proc.stderr
 
 
 def test_bad_window_exits_2(tmp_path, capsys):
@@ -275,12 +315,6 @@ def test_json_determinism_excluding_timings(tmp_path):
 
 def test_console_entry_point(tmp_path):
     inp = write_job(tmp_path, SEGRE_JOB)
-    # the child finds the package where this process imported it from, also
-    # when pytest put src on sys.path rather than PYTHONPATH
-    path = [str(Path(movsurf.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "movsurf", "implicitize", "--input", inp],
-        capture_output=True, text=True, env=env)
+    proc = run_module("implicitize", "--input", inp)
     assert proc.returncode == 0
     assert "x0*x3 - x1*x2" in proc.stdout

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from movsurf import (RatMatrix, det_bareiss, generic_change, kernel_basis,
                      linalg, rank)
-from movsurf.linalg import (det_integer, echelon, in_row_span, integer_rank,
+from movsurf.linalg import (det_integer, echelon, integer_rank,
                             lll, reduced_echelon, saturation)
 from movsurf.ring import content_normalize
 from movsurf.syzygy import (mult_matrix, multiple_rows, plane_map_matrix,
@@ -301,19 +301,6 @@ def test_kernel_basis_matches_oracle_on_changed_quartic_maps(quartic_bp):
         kb = kernel_basis(A)
         assert kb.vectors == kernel_oracle(A)
         assert kb.dim + rank(A) == A.cols
-
-
-def test_in_row_span_agrees_with_membership_solve():
-    rng = random.Random(13)
-    for A in oracle_cases()[:120]:
-        # rows of the echelon span the columns of A
-        ech = echelon(zip(*A.entries), A.rows)
-        inside = A.matvec([Fraction(rng.randint(-3, 3)) for _ in range(A.cols)])
-        outside = [Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                   for _ in range(A.rows)]
-        for b in (inside, outside):
-            assert in_row_span(ech, b) == (solve_membership(A, b) is not None)
-        assert in_row_span(ech, inside)
 
 
 # --- the certified modular rank ------------------------------------------------

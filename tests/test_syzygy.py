@@ -9,7 +9,9 @@ from movsurf import (BihomPoly, Parametrization, RatMatrix, moving_planes,
 from movsurf.linalg import kernel_basis
 from movsurf.syzygy import plane_map_matrix, quadric_map_matrix, x_monomial
 
-from conftest import random_parametrization, row_surface, substitute
+from conftest import (random_bihom, random_parametrization, row_surface,
+                      substitute)
+from oracle import rref
 
 
 def test_parametrization_validates_inputs():
@@ -117,6 +119,33 @@ def test_syz_abc_generic_22_is_trivial():
     rng = random.Random(17)
     phi = random_parametrization(rng, 2, 2)
     assert syz_dim_abc(phi) == 0
+
+
+def abc_syzygy_oracle(phi):
+    """3mn minus the rank of the Fraction abc map, by Gauss-Jordan."""
+    A = mult_matrix(phi.a[:3], (2 * phi.m - 1, 2 * phi.n - 1))
+    return 3 * phi.mn - len(rref(A).pivots)
+
+
+def common_factor_phi(seed):
+    """a0 = f*g1, a1 = f*g2 with f, g1, g2 of bidegree (1,1): the pair
+    (g2, -g1) is a syzygy on a0, a1 at bidegree (1,1)."""
+    rng = random.Random(seed)
+    f, g1, g2 = (random_bihom(rng, (1, 1)) for _ in range(3))
+    return Parametrization(2, 2, (f * g1, f * g2, random_bihom(rng, (2, 2)),
+                                  random_bihom(rng, (2, 2))))
+
+
+def test_syz_dim_abc_matches_fraction_oracle(quartic_bp):
+    rng = random.Random(5)
+    generic = [quartic_bp] + [random_parametrization(rng, m, n)
+                              for m, n in ((2, 2), (2, 2), (2, 3), (2, 3))]
+    with_syzygy = [common_factor_phi(seed) for seed in (0, 1)]
+    dims = []
+    for phi in generic + with_syzygy:
+        dims.append(syz_dim_abc(phi))
+        assert dims[-1] == abc_syzygy_oracle(phi)
+    assert [d >= 1 for d in dims] == [False] * 5 + [True] * 2
 
 
 # --- structural invariants ------------------------------------------------------
