@@ -24,7 +24,13 @@ primary decomposition.  Each value is the number of monomials minus the
 certified rank (linalg.integer_rank) of the generator multiples, built as
 integer rows.  A window stops computing ranks at its first zero: I_d = R_d
 puts R_{d'} = R_{d'-d} R_d inside I_{d'} for every d' >= d, so the later
-values are zero too.
+values are zero too.  Before its first rank, a window drops each generator
+that is a Q-linear combination of earlier generators of the same bidegree
+(independent_generators); the ideal is the same, so every value is too.
+On an input with a3 = a0 + a1 that leaves three of the a_i and six of the
+ten products a_i a_j.  The rank matrices lose their redundant rows, and
+a rank taken in the transposed orientation has a smaller kernel to lift
+and check, so fewer ranks fall back to the integer echelon.
 
 The other counts of the battery are the same certified rank.  B5 tests
 mu*a3 in (a0,a1,a2) for all mu of one bidegree at once, by comparing two
@@ -39,7 +45,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import RatMatrix, det_bareiss, integer_rank, kernel_basis, rank
+from .linalg import (RatMatrix, det_bareiss, independent_rows, integer_rank,
+                     kernel_basis, rank)
 from .ring import bidegree_leq, coeff_vector, monomial_basis
 from .syzygy import (Parametrization, moving_planes, multiple_rows,
                      syz_dim_abc)
@@ -112,14 +119,32 @@ def hilbert_dim(generators, d):
     return full - integer_rank(multiple_rows(use, d), full)
 
 
+def independent_generators(generators):
+    """The generators without those that are Q-linear combinations of
+    earlier generators of the same bidegree; they generate the same ideal.
+    """
+    groups = {}
+    for i, g in enumerate(generators):
+        groups.setdefault(g.bidegree, []).append(i)
+    keep = set()
+    for d, indices in groups.items():
+        rows = multiple_rows([generators[i] for i in indices], d)
+        keep.update(indices[j]
+                    for j in independent_rows(rows, len(rows[0])))
+    return [g for i, g in enumerate(generators) if i in keep]
+
+
 def hilbert_values(generators, degrees):
     """hilbert_dim of the generators at each of the degrees.
 
-    A zero is propagated without computing a rank: if the quotient is 0 at
-    d, then I_d = R_d, so at every d' >= d (componentwise)
-    R_{d'} = R_{d'-d} R_d = R_{d'-d} I_d lies in I_{d'}, and the quotient
-    is 0 there too.
+    Dependent generators are dropped first (independent_generators), which
+    leaves the ideal, and so every value, unchanged, and keeps redundant
+    rows out of every rank.  A zero is propagated without computing a rank:
+    if the quotient is 0 at d, then I_d = R_d, so at every d' >= d
+    (componentwise) R_{d'} = R_{d'-d} R_d = R_{d'-d} I_d lies in I_{d'},
+    and the quotient is 0 there too.
     """
+    generators = independent_generators(generators)
     zeros = []
     values = []
     for d in degrees:
@@ -205,7 +230,9 @@ def saturation_member(f, generators, max_power):
     with_f = [*generators, f]
     for N in range(max_power + 1):
         target = (f.bidegree[0] + N, f.bidegree[1] + N)
-        if hilbert_dim(generators, target) == hilbert_dim(with_f, target):
+        # a zero quotient leaves nothing for f to add: I_t = R_t
+        value = hilbert_dim(generators, target)
+        if value == 0 or value == hilbert_dim(with_f, target):
             return SaturationResult(member=True, power=N)
     return SaturationResult(member=False, bound_reached=True)
 

@@ -173,6 +173,28 @@ def _check_args(args):
     if args.samples < 1:
         raise InputError("--samples/%sSAMPLES must be at least 1, got %d"
                          % (ENV_PREFIX, args.samples))
+    _check_output(args.output)
+
+
+def _check_output(path):
+    """Reject an --output that cannot be written, before any work, without
+    creating or truncating it: a directory, a file that is not writable, or
+    a new file whose directory is missing or not writable.  emit still
+    reports an OSError on the write itself."""
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif os.path.exists(path):
+        reason = None if os.access(path, os.W_OK) else "it is not writable"
+    elif not os.path.isdir(parent):
+        reason = "no directory %s" % parent
+    else:
+        reason = (None if os.access(parent, os.W_OK | os.X_OK)
+                  else "directory %s is not writable" % parent)
+    if reason:
+        raise InputError("cannot write %s: %s" % (path, reason))
 
 
 _JSON_KINDS = {int: "integer", bool: "boolean", list: "list"}

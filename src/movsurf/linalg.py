@@ -14,7 +14,17 @@ reconstruction, and checked against every row over Z; independent kernel
 vectors in that number bound the rank by r from above.  No answer rests on
 chance: whatever cannot be certified so (an unlucky prime, a kernel too
 large for the primes, a failed check) is the pivot count of the integer
-echelon instead.
+echelon instead.  independent_rows reads the rows outside the span of the
+earlier ones from the same rank, or from the echelon of the transpose.
+
+Both halves of the certificate work on packed integers, in the manner of
+Dumas, Fousse and Salvy, "Simultaneous modular reduction and Kronecker
+substitution for small finite fields" (J. Symb. Comput. 46, 2011): the
+modular echelon keeps each basis row as one Python int with one slot of a
+fixed bit width per free column, wide enough that unreduced nonnegative
+updates never carry into the next slot, and the check over Z packs all
+kernel vectors into one vector of ints, so each row takes one dot product.
+Both are exact; no floating point is involved.
 
 Determinants use one fraction-free Bareiss loop over the integers,
 det_integer: the interpolated determinant hands it the int rows of each grid
@@ -39,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
@@ -183,46 +194,78 @@ def echelon(entries, ncols):
 _PRIMES = (1073741789, 1073741783, 1073741741, 1073741723)
 
 
+def _pack(values, nbytes):
+    """The nonnegative values, each below 2**(8*nbytes), as one int with
+    values[j] in slot j, slot 0 lowest."""
+    return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(nbytes),
+                                       repeat("little"))), "little")
+
+
+def _unpack(x, nslots, nbytes):
+    """The nslots slot values of a packed int, slot 0 first."""
+    data = x.to_bytes(nslots * nbytes, "little")
+    return list(map(int.from_bytes,
+                    [data[i:i + nbytes] for i in range(0, len(data), nbytes)],
+                    repeat("little")))
+
+
 def _modular_basis(rows, ncols, p):
     """Reduced row echelon form modulo p, built one row at a time.
 
     Returns (basis, free, used).  free lists the columns that are not
     pivots; basis maps each pivot column, in the order the pivots were
     found, to its row at the free columns (it is 1 at its own pivot and 0
-    at the other pivots), as integers congruent to it mod p: the updates
-    skip the reduction, which only the residues read from it need; used
-    lists the indices of the rows that gave the pivots.  Stops once every
-    column is a pivot.
+    at the other pivots), as integers congruent to it mod p; used lists the
+    indices of the rows that gave the pivots.  Stops once every column is a
+    pivot.
+
+    While it runs, each basis row is one int that packs its entries at the
+    free columns, slot j at bits [j*W, (j+1)*W), so one big-int
+    multiply-add updates a whole row.  W is the multiple of 8 at or above
+    3*bits(p) + 2*bits(ncols) + 1.  Slots stay nonnegative: a multiple f
+    of a row is subtracted by adding (p - f) times it, unreduced.  A basis
+    row enters with slots below p and gains less than p**2 per later
+    pivot, so its slots stay below (ncols+1)*p**2; the reduction of an
+    incoming row adds at most ncols such rows, each times less than p, so
+    its slots stay below ncols*(ncols+1)*p**3 < 2**W and never carry into
+    the next slot.
     """
+    nbytes = (3 * p.bit_length() + 2 * ncols.bit_length() + 8) // 8
+    width = 8 * nbytes
+    mask = (1 << width) - 1
     free = list(range(ncols))
     basis = {}
     used = []
     for i, row in enumerate(rows):
         # every basis row is 0 at the other pivots, so each pivot entry of
         # the row is its coefficient in the reduction
-        hits = [(c, f) for c in basis if (f := row[c] % p)]
-        x = [row[j] for j in free]
-        if hits:
-            fs = [f for _, f in hits]
-            cols = zip(*[basis[c] for c, _ in hits])
-            y = [(a - sum(map(mul, fs, col))) % p for a, col in zip(x, cols)]
+        acc = sum([(p - f) * prow for c, prow in basis.items()
+                   if (f := row[c] % p)])
+        if acc:
+            y = [(row[j] + a) % p
+                 for j, a in zip(free, _unpack(acc, len(free), nbytes))]
         else:
-            y = [a % p for a in x]
+            y = [row[j] % p for j in free]
         k = next((k for k, a in enumerate(y) if a), None)
         if k is None:
             continue
         c = free.pop(k)
         inv = pow(y.pop(k), -1, p)
-        y = [a * inv % p for a in y]
+        y = _pack([a * inv % p for a in y], nbytes)
+        # drop slot k of each basis row and clear its entry there
+        shift = k * width
+        low = (1 << shift) - 1
         for d, prow in basis.items():
-            f = prow.pop(k) % p
-            if f:
-                basis[d] = [a - f * b for a, b in zip(prow, y)]
+            f = (prow >> shift & mask) % p
+            prow = (prow & low) | (prow >> (shift + width) << shift)
+            basis[d] = prow + (p - f) * y if f else prow
         basis[c] = y
         used.append(i)
         if not free:
             break
-    return basis, free, used
+    nfree = len(free)
+    return ({c: _unpack(x, nfree, nbytes) for c, x in basis.items()},
+            free, used)
 
 
 def _reconstruct(residues, modulus):
@@ -272,6 +315,25 @@ def _lift_kernel(free, pivots, residues, modulus, ncols):
     return vectors
 
 
+def _annihilates(rows, vectors):
+    """Whether every row times every vector is 0 over Z, with one packed
+    sum per row.
+
+    V_j = sum_t v_t[j] * 2**(S*t) packs the vectors, and row . V is the
+    base-2**S expansion with digits row . v_t.  With
+    S = bits(max|row|) + bits(max|v|) + bits(ncols) + 1, every digit has
+    absolute value below 2**(S-1), and such an expansion is 0 only when
+    every digit is: its lowest nonzero digit d would leave d plus a
+    multiple of 2**S, which is not 0.
+    """
+    row_bits = max(max(max(row), -min(row)) for row in rows).bit_length()
+    vec_bits = max(max(max(v), -min(v)) for v in vectors).bit_length()
+    S = row_bits + vec_bits + len(vectors[0]).bit_length() + 1
+    V = [sum(v[j] << (S * t) for t, v in enumerate(vectors) if v[j])
+         for j in range(len(vectors[0]))]
+    return all(not sum(map(mul, row, V)) for row in rows)
+
+
 def integer_rank(rows, ncols):
     """Exact rank of a list of integer rows of length ncols.
 
@@ -282,9 +344,10 @@ def integer_rank(rows, ncols):
     free column, the identity there, so the ncols - r vectors are
     independent.  They are lifted through further primes (the same pivot
     rows, required to give the same pivot columns), combined by CRT and
-    rationally reconstructed; once every row times every vector is 0 over Z,
-    the rank is at most r.  Any failure on the way returns the rank of the
-    integer echelon form instead.
+    rationally reconstructed; once every row times every vector is 0 over Z
+    (_annihilates, one packed dot product per row), the rank is at most r.
+    Any failure on the way returns the rank of the integer echelon form
+    instead.
     """
     if len(rows) < ncols:
         rows, ncols = [list(col) for col in zip(*rows)], len(rows)
@@ -299,8 +362,7 @@ def integer_rank(rows, ncols):
                 for k in range(len(free))]
     for q in _PRIMES[1:] + (None,):
         vectors = _lift_kernel(free, pivots, residues, modulus, ncols)
-        if vectors is not None and all(not sum(map(mul, row, v))
-                                       for v in vectors for row in rows):
+        if vectors is not None and _annihilates(rows, vectors):
             return r
         if q is None:
             break
@@ -313,6 +375,19 @@ def integer_rank(rows, ncols):
                     for k, column in enumerate(residues)]
         modulus *= q
     return len(echelon(rows, ncols).pivots)
+
+
+def independent_rows(rows, ncols):
+    """Indices of the integer rows that are not rational combinations of
+    earlier rows, in order.
+
+    When the certified rank equals the number of rows, that is all of
+    them; otherwise they are the pivot columns of the integer echelon form
+    of the transposed rows.
+    """
+    if integer_rank(rows, ncols) == len(rows):
+        return list(range(len(rows)))
+    return echelon([list(col) for col in zip(*rows)], len(rows)).pivots
 
 
 def rank(A):

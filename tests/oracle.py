@@ -1,12 +1,15 @@
-"""Fraction Gauss-Jordan reference solves for the tests.
+"""Reference solves for the tests.
 
 rref and solve_membership eliminate over the rationals with immediate pivot
 normalization, the textbook way, independently of the integer echelon and
-the certified rank of movsurf.linalg.  The tests check the integer core
-against them; the package does not use them.
+the certified rank of movsurf.linalg.  modular_basis is the row-by-row
+reduced echelon form modulo a prime on plain lists, the reference for the
+packed linalg._modular_basis.  The tests check the integer core against
+them; the package does not use them.
 """
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from movsurf.linalg import RatMatrix
@@ -84,3 +87,43 @@ def solve_membership(A, b):
     for r, pc in enumerate(pivots):
         x[pc] = R[r, A.cols]
     return x
+
+
+def modular_basis(rows, ncols, p):
+    """Reduced row echelon form modulo p, built one row at a time, on lists.
+
+    Returns (basis, free, used) as linalg._modular_basis does: free lists
+    the non-pivot columns; basis maps each pivot column, in the order the
+    pivots were found, to its row at the free columns, as integers
+    congruent to it mod p; used lists the indices of the rows that gave
+    the pivots.  Stops once every column is a pivot.
+    """
+    free = list(range(ncols))
+    basis = {}
+    used = []
+    for i, row in enumerate(rows):
+        # every basis row is 0 at the other pivots, so each pivot entry of
+        # the row is its coefficient in the reduction
+        hits = [(c, f) for c in basis if (f := row[c] % p)]
+        x = [row[j] for j in free]
+        if hits:
+            fs = [f for _, f in hits]
+            cols = zip(*[basis[c] for c, _ in hits])
+            y = [(a - sum(map(mul, fs, col))) % p for a, col in zip(x, cols)]
+        else:
+            y = [a % p for a in x]
+        k = next((k for k, a in enumerate(y) if a), None)
+        if k is None:
+            continue
+        c = free.pop(k)
+        inv = pow(y.pop(k), -1, p)
+        y = [a * inv % p for a in y]
+        for d, prow in basis.items():
+            f = prow.pop(k) % p
+            if f:
+                basis[d] = [a - f * b for a, b in zip(prow, y)]
+        basis[c] = y
+        used.append(i)
+        if not free:
+            break
+    return basis, free, used

@@ -7,7 +7,7 @@ from movsurf import (CheckConfig, Parametrization, RatMatrix,
                      check_regularity, generic_change, hilbert_dim, parse,
                      saturation_member)
 from movsurf import basepoints
-from movsurf.basepoints import independence_witness
+from movsurf.basepoints import SaturationResult, independence_witness
 from movsurf.ring import bidegree_leq, coeff_vector, monomial_basis
 from movsurf.syzygy import mult_matrix
 
@@ -81,6 +81,50 @@ def test_summary_and_abc_window_rank_no_degree_past_a_zero(monkeypatch):
     assert basepoints._abc_scheme_matches(phi, summary) == (True,
                                                             [4, 1, 0, 0])
     assert calls[2:] == [(3, 3), (4, 4), (5, 5)]
+
+
+def hilbert_cases(phi):
+    """(generators, degrees) of the B2 and B3 windows of phi and of a few
+    degrees below them, the generators' own bidegree among them."""
+    m, n = phi.m, phi.n
+    plain = [(m, n), (m + 1, n), (m, n + 2)] + [
+        (2 * m - 1 + i, 2 * n - 1 + i) for i in range(4)]
+    squared = [(2 * m, 2 * n), (2 * m + 1, 2 * n)] + [
+        (3 * m - 1 + i, 3 * n - 1 + i) for i in range(4)]
+    return [(list(phi.a), plain), (phi.products(), squared)]
+
+
+def test_hilbert_values_ignore_a_dependent_generator(quartic_bp):
+    inputs = [quartic_bp, random_parametrization(random.Random(3), 3, 3)]
+    for phi in inputs:
+        for gens, degrees in hilbert_cases(phi):
+            extra = gens[0] + gens[1].scale(3)
+            values = basepoints.hilbert_values(gens, degrees)
+            assert basepoints.hilbert_values([*gens, extra], degrees) == values
+            assert basepoints.hilbert_values([extra, *gens], degrees) == values
+            # hilbert_dim keeps every generator: the same values
+            assert [hilbert_dim([*gens, extra], d) for d in degrees] == values
+            assert basepoints.independent_generators([*gens, extra]) == gens
+
+
+def test_independent_generators_drop_later_combinations_only(quartic_bp):
+    a0, a1, a2, a3 = quartic_bp.a
+    s2 = parse("s^2")
+    gens = [a0, s2, a1, a0.scale(-2), a2 - a1, a0 + a1 - a2, a3, s2.scale(5),
+            a3 - a3]
+    assert basepoints.independent_generators(gens) == [a0, s2, a1, a2 - a1,
+                                                       a3]
+
+
+def test_dependent_products_keep_six_of_ten():
+    phi = random_parametrization(random.Random(5), 2, 2)
+    a0, a1, a2, _ = phi.a
+    dependent = Parametrization(2, 2, (a0, a1, a2, a0 + a1))
+    kept = basepoints.independent_generators(dependent.products())
+    assert len(kept) == 6
+    degrees = hilbert_cases(dependent)[1][1]
+    assert basepoints.hilbert_values(dependent.products(), degrees) == [
+        hilbert_dim(dependent.products(), d) for d in degrees]
 
 
 # --- B1 ------------------------------------------------------------------------
@@ -330,6 +374,36 @@ def test_saturation_member_matches_membership_oracle(quartic_bp, segre):
         assert res.bound_reached == (expected is None)
         powers.append(res.power)
     assert powers[0] == 2 and powers[2] is None and powers[-1] is None
+
+
+def test_saturation_member_skips_the_rank_with_f_at_a_zero_quotient(
+        monkeypatch):
+    """On a k = 0 input the search ends where the quotient of a0, a1, a2 is
+    0, and there the rank with a3 added is not computed."""
+    inputs = [phi for m, n in ((2, 2), (1, 2), (2, 1))
+              for _, phi in base_point_free_parametrizations(1, m, n)]
+    expected = [[hilbert_dim(phi.a[:3], (phi.m + N, phi.n + N))
+                 for N in range(4)] for phi in inputs]
+    calls = []
+    original = basepoints.hilbert_dim
+
+    def counted(generators, d):
+        calls.append((len(generators), tuple(d)))
+        return original(generators, d)
+    monkeypatch.setattr(basepoints, "hilbert_dim", counted)
+    for phi, values in zip(inputs, expected):
+        calls.clear()
+        res = saturation_member(phi.a[3], phi.a[:3], 6)
+        assert res == SaturationResult(member=True, power=values.index(0))
+        last = (phi.m + res.power, phi.n + res.power)
+        assert calls[-1] == (3, last)
+        assert (4, last) not in calls
+        assert [d for size, d in calls if size == 4] == [
+            (phi.m + N, phi.n + N) for N in range(res.power)]
+    # the membership oracle agrees on the smaller two
+    for phi in inputs[1:]:
+        assert (saturation_member(phi.a[3], phi.a[:3], 6).power
+                == saturation_oracle(phi.a[3], phi.a[:3], 6))
 
 
 def test_check_all_rejects_negative_attempts(quartic_bp):

@@ -205,6 +205,45 @@ def test_unwritable_output_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def refuse_to_run(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran before its output was checked")
+    monkeypatch.setattr("movsurf.cli.pipeline", refuse)
+    monkeypatch.setattr("movsurf.cli.check_all", refuse)
+
+
+@pytest.mark.parametrize("command", ("check", "implicitize", "verify"))
+def test_unwritable_output_fails_before_the_command_runs(tmp_path, capsys,
+                                                         monkeypatch, command):
+    refuse_to_run(monkeypatch)
+    inp = write_job(tmp_path, QUARTIC_JOB)
+    for out in (tmp_path / "missing" / "out.json", tmp_path):
+        assert main([command, "--input", inp, "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "input error: cannot write %s" % out)
+    assert not (tmp_path / "missing").exists()
+
+
+def test_output_file_is_not_touched_before_the_command_writes(tmp_path,
+                                                              monkeypatch):
+    refuse_to_run(monkeypatch)
+    out = tmp_path / "out.json"
+    out.write_text("kept\n")
+    assert main(["check", "--input", str(tmp_path / "nope.json"),
+                 "--output", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+
+
+def test_writable_output_still_gets_the_report(tmp_path):
+    inp = write_job(tmp_path, SEGRE_JOB)
+    out = tmp_path / "fresh.json"
+    assert main(["check", "--input", inp, "--json", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["conditions"]["all_passed"] is True
+    # an existing file is overwritten
+    assert main(["check", "--input", inp, "--output", str(out)]) == 0
+    assert "conditions: PASS" in out.read_text()
+
+
 def test_bad_window_exits_2(tmp_path, capsys):
     inp = write_job(tmp_path, SEGRE_JOB)
     assert main(["check", "--input", inp, "--window", "1"]) == 2

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
+from operator import mul
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,10 +11,11 @@ from movsurf import (RatMatrix, det_bareiss, generic_change, kernel_basis,
                      linalg, rank)
 from movsurf.linalg import (det_integer, echelon, integer_rank,
                             lll, reduced_echelon, saturation)
-from movsurf.ring import content_normalize
+from movsurf.ring import clear, content_normalize
 from movsurf.syzygy import (mult_matrix, multiple_rows, plane_map_matrix,
                             quadric_map_matrix)
 
+import oracle
 from conftest import two_base_points
 from oracle import rref, solve_membership
 
@@ -404,6 +406,135 @@ def test_rank_falls_back_when_reconstruction_fails(monkeypatch):
     for A in oracle_cases():
         assert rank(A) == len(rref(A).pivots)
     assert fallbacks
+
+
+# --- packed rows against the list reference ----------------------------------
+
+def residue_basis(result, p):
+    """(pivots in order, free, used, basis rows reduced mod p)."""
+    basis, free, used = result
+    return (list(basis), free, used,
+            [[x % p for x in row] for row in basis.values()])
+
+
+def assert_packed_matches_reference(rows, ncols, p):
+    assert (residue_basis(linalg._modular_basis(rows, ncols, p), p)
+            == residue_basis(oracle.modular_basis(rows, ncols, p), p))
+
+
+def cleared_rows(A):
+    """The rows of a RatMatrix cleared to integers, zero rows kept."""
+    return [clear(row)[0] for row in A.entries]
+
+
+def test_packed_modular_basis_matches_reference_on_oracle_matrices():
+    p = linalg._PRIMES[0]
+    for A in oracle_cases():
+        rows = cleared_rows(A)
+        assert_packed_matches_reference(rows, A.cols, p)
+        assert_packed_matches_reference([list(c) for c in zip(*rows)],
+                                        A.rows, p)
+
+
+def adversarial_matrix(rng, p, nrows, ncols):
+    """Entries congruent to p - 1, negative and large entries, with zero
+    rows and duplicate rows planted."""
+    def entry():
+        return rng.choice((0, 0, 1, p - 1, -1, 1 - p, 2 * p - 1,
+                           rng.randint(-p, p), rng.randint(-2 ** 70, 2 ** 70)))
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(nrows // 5):
+        rows[rng.randrange(nrows)] = [0] * ncols
+        rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
+    return rows
+
+
+@pytest.mark.parametrize("p", (linalg._PRIMES[0], 3))
+def test_packed_modular_basis_matches_reference_on_tall_and_wide(p):
+    rng = random.Random(p)
+    shapes = [(1, 1), (3, 1), (1, 5), (40, 12), (12, 40), (60, 60),
+              (120, 200), (200, 120), (210, 200), (30, 200)]
+    for nrows, ncols in shapes:
+        rows = adversarial_matrix(rng, p, nrows, ncols)
+        assert_packed_matches_reference(rows, ncols, p)
+    # every entry p - 1: rank 1, and the largest slot values on the way
+    assert_packed_matches_reference([[p - 1] * 50] * 60, 50, p)
+    # a dense low-rank product, whose reduction keeps many pivots hit
+    left = [[rng.randint(-9, 9) for _ in range(30)] for _ in range(150)]
+    right = [[rng.randint(-9, 9) for _ in range(200)] for _ in range(30)]
+    rows = [[sum(map(mul, a, col)) for col in zip(*right)] for a in left]
+    assert_packed_matches_reference(rows, 200, p)
+
+
+def test_packed_modular_basis_matches_reference_modulo_3(monkeypatch):
+    monkeypatch.setattr(linalg, "_PRIMES", (3,))
+    packed = linalg._modular_basis
+    seen = []
+
+    def compared(rows, ncols, p):
+        assert p == 3
+        got = packed(rows, ncols, p)
+        assert residue_basis(got, p) == residue_basis(
+            oracle.modular_basis(rows, ncols, p), p)
+        seen.append(ncols)
+        return got
+    monkeypatch.setattr(linalg, "_modular_basis", compared)
+    for A in oracle_cases():
+        assert rank(A) == len(rref(A).pivots)
+    assert len(seen) > 250
+
+
+def naive_annihilates(rows, vectors):
+    return all(not sum(map(mul, row, v)) for v in vectors for row in rows)
+
+
+def test_packed_kernel_check_at_the_slot_boundary():
+    # entries, vector entries and the column count all have 3 bits, so the
+    # slots are S = 10 bits apart and every dot product is below 2**9 in
+    # absolute value; here row . v0 = 256 = 2**8 and row . v1 = -1, which
+    # would cancel as 256 - 2**8 with slots 8 bits apart
+    row = [7, 7, 7, 7, 7, 3, 5]
+    v0 = [7, 7, 7, 7, 7, 2, 1]
+    v1 = [0, 0, 0, 0, 0, -2, 1]
+    assert sum(map(mul, row, v0)) == 2 ** 8
+    assert sum(map(mul, row, v1)) == -1
+    for vectors in ([v0, v1], [v1, v0], [v0, v1, v1], [v1, [0] * 7, v0]):
+        assert not linalg._annihilates([row], vectors)
+        assert naive_annihilates([row], vectors) is False
+    # the same magnitudes with the signs flipped, and a true kernel
+    neg = [-x for x in row]
+    assert not linalg._annihilates([neg, row], [v0, v1])
+    k = [5, 0, 0, 0, 0, 0, -7]
+    assert linalg._annihilates([row, neg, [0] * 7], [k, [0] * 7, [-x for x in k]])
+
+
+def test_packed_kernel_check_matches_naive_on_random_vectors():
+    rng = random.Random(11)
+    for _ in range(300):
+        ncols = rng.randint(1, 9)
+        bound = rng.choice((1, 7, 2 ** 20))
+        rows = [[rng.randint(-bound, bound) for _ in range(ncols)]
+                for _ in range(rng.randint(1, 5))]
+        vectors = [[rng.randint(-bound, bound) for _ in range(ncols)]
+                   for _ in range(rng.randint(1, 4))]
+        # half of the cases: replace the vectors by kernel vectors, up to
+        # one planted entry
+        if rng.random() < 0.5:
+            A = RatMatrix(rows)
+            kernel = kernel_basis(A).vectors
+            if kernel:
+                vectors = [[int(x) for x in v] for v in kernel]
+                if rng.random() < 0.5:
+                    vectors[-1][rng.randrange(ncols)] += 1
+        assert linalg._annihilates(rows, vectors) == naive_annihilates(
+            rows, vectors)
+
+
+def test_independent_rows_are_the_pivots_of_the_transpose():
+    for A in oracle_cases():
+        transpose = RatMatrix([list(c) for c in zip(*A.entries)])
+        assert (linalg.independent_rows(cleared_rows(A), A.cols)
+                == rref(transpose).pivots)
 
 
 # --- lattices -----------------------------------------------------------------

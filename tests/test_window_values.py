@@ -1,7 +1,7 @@
-"""Regression fixture for the Hilbert-window values of the benchmark jobs.
+"""Regression fixtures for the Hilbert-window values of the benchmark jobs.
 
-``window_values_seed0.json`` holds, for every job of both ``perfbench``
-workloads at seed 0, the B2 window values, the B3 squared-ideal values and
+``window_values_seed<N>.json`` holds, for every job of both ``perfbench``
+workloads at seed N (0 and 1), the B2 window values, the B3 squared-ideal values and
 the B5 abc values, as ``check_all`` reported them with the command-line
 defaults, plus the seed of the coordinate change B5 ran under (None without
 one).  The test recomputes the three windows directly, without the
@@ -9,12 +9,14 @@ saturation search or the retries, and compares.
 
 Regenerate the file only when a change of these values is intended:
 
-    PYTHONPATH=src python tests/test_window_values.py --write
+    PYTHONPATH=src python tests/test_window_values.py --write [--seed N]
+
+The seed defaults to 0.
 """
 
+import argparse
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -24,8 +26,11 @@ from movsurf import (CheckConfig, Parametrization, base_point_summary,
 from movsurf.basepoints import _abc_scheme_matches
 
 ROOT = Path(__file__).resolve().parents[1]
-FIXTURE = Path(__file__).with_name("window_values_seed0.json")
-SEED = 0
+SEEDS = (0, 1)
+
+
+def fixture_path(seed):
+    return Path(__file__).with_name("window_values_seed%d.json" % seed)
 
 
 def _jobs_module():
@@ -53,22 +58,28 @@ def _record(job):
             "coordinate_seed": report.coordinate_seed}
 
 
-def write_fixture():
+def write_fixture(seed):
     jobs = _jobs_module()
     blocks = []
     for workload in jobs.WORKLOADS:
         lines = ["  %s: %s" % (json.dumps(job["name"]),
                                json.dumps(_record(job), sort_keys=True))
-                 for job in jobs.make_jobs(workload, SEED)]
+                 for job in jobs.make_jobs(workload, seed)]
         blocks.append(" %s: {\n%s\n }" % (json.dumps(workload),
                                           ",\n".join(lines)))
-    FIXTURE.write_text("{\n%s\n}\n" % ",\n".join(blocks))
+    fixture_path(seed).write_text("{\n%s\n}\n" % ",\n".join(blocks))
 
 
-@pytest.mark.parametrize("workload", ("generic", "basepoints"))
-def test_window_values_match_fixture(workload):
-    expected = json.loads(FIXTURE.read_text())[workload]
-    jobs = _jobs_module().make_jobs(workload, SEED)
+# seed 0 keeps the bare workload name as its test id
+CASES = [pytest.param(workload, seed,
+                      id=workload if seed == 0 else "%s-seed%d" % (workload, seed))
+         for seed in SEEDS for workload in ("generic", "basepoints")]
+
+
+@pytest.mark.parametrize("workload, seed", CASES)
+def test_window_values_match_fixture(workload, seed):
+    expected = json.loads(fixture_path(seed).read_text())[workload]
+    jobs = _jobs_module().make_jobs(workload, seed)
     assert sorted(job["name"] for job in jobs) == sorted(expected)
     for job in jobs:
         want = expected[job["name"]]
@@ -86,7 +97,8 @@ def test_window_values_match_fixture(workload):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_window_values.py "
-                 "--write")
-    write_fixture()
+    parser = argparse.ArgumentParser(
+        description="Regenerate a window-values fixture.")
+    parser.add_argument("--write", action="store_true", required=True)
+    parser.add_argument("--seed", type=int, default=0)
+    write_fixture(parser.parse_args().seed)
