@@ -18,19 +18,22 @@ B5/B6 hold only in sufficiently general position; when just B5/B6 fail, a
 seeded random recombination is applied and only B5/B6 are rerun, B1-B4
 being computed once per check.
 
+The battery stops at a B1 or B2 refusal.  B3, B4 and B5 read the
+multiplicity k that B2 certifies, and no coordinate change can repair B1 or
+B2, so nothing later can change the outcome: when B1 fails no window is
+sampled, and when B2 fails the squared-ideal window is not.  Every later
+check is then reported False with the witness {"skipped": "B1 failed"} or
+{"skipped": "B2 failed"}.  A refusal at B3 or B4 keeps its B5/B6
+witnesses, and an input with k = 0 passes on the short path whatever
+B3-B6 say.
+
 Degrees of zero-dimensional schemes are read off as stabilized values of the
 Hilbert function dim (R/I)_{d,d'} sampled along a diagonal window, never via
 primary decomposition.  Each value is the number of monomials minus the
 certified rank (linalg.integer_rank) of the generator multiples, built as
 integer rows.  A window stops computing ranks at its first zero: I_d = R_d
 puts R_{d'} = R_{d'-d} R_d inside I_{d'} for every d' >= d, so the later
-values are zero too.  Before its first rank, a window drops each generator
-that is a Q-linear combination of earlier generators of the same bidegree
-(independent_generators); the ideal is the same, so every value is too.
-On an input with a3 = a0 + a1 that leaves three of the a_i and six of the
-ten products a_i a_j.  The rank matrices lose their redundant rows, and
-a rank taken in the transposed orientation has a smaller kernel to lift
-and check, so fewer ranks fall back to the integer echelon.
+values are zero too.
 
 The other counts of the battery are the same certified rank.  B5 tests
 mu*a3 in (a0,a1,a2) for all mu of one bidegree at once, by comparing two
@@ -40,13 +43,11 @@ of multipliers minus the rank of the multiples of a0, a1, a2.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import (RatMatrix, det_bareiss, independent_rows, integer_rank,
-                     kernel_basis, rank)
+from .linalg import RatMatrix, det_bareiss, integer_rank, kernel_basis, rank
 from .ring import bidegree_leq, coeff_vector, monomial_basis
 from .syzygy import (Parametrization, moving_planes, multiple_rows,
                      syz_dim_abc)
@@ -84,7 +85,7 @@ class BasePointSummary:
     lci_proxy: bool
     stabilization_window: list
     hilbert_values: list
-    hilbert_sq_values: list
+    hilbert_sq_values: list  # None when B2 fails: the window is not sampled
     reason: str = None       # "growing" | "not_stabilized" when finite is False
 
 
@@ -99,10 +100,7 @@ class ConditionReport:
     phi: Parametrization            # the parametrization the verdicts describe
     coordinate_change: RatMatrix = None
     coordinate_seed: int = None
-    summary: BasePointSummary = None
-
-    def passed(self, name):
-        return self.verdicts.get(name, False)
+    summary: BasePointSummary = None  # None when B1 fails
 
 
 def hilbert_dim(generators, d):
@@ -119,32 +117,14 @@ def hilbert_dim(generators, d):
     return full - integer_rank(multiple_rows(use, d), full)
 
 
-def independent_generators(generators):
-    """The generators without those that are Q-linear combinations of
-    earlier generators of the same bidegree; they generate the same ideal.
-    """
-    groups = {}
-    for i, g in enumerate(generators):
-        groups.setdefault(g.bidegree, []).append(i)
-    keep = set()
-    for d, indices in groups.items():
-        rows = multiple_rows([generators[i] for i in indices], d)
-        keep.update(indices[j]
-                    for j in independent_rows(rows, len(rows[0])))
-    return [g for i, g in enumerate(generators) if i in keep]
-
-
 def hilbert_values(generators, degrees):
     """hilbert_dim of the generators at each of the degrees.
 
-    Dependent generators are dropped first (independent_generators), which
-    leaves the ideal, and so every value, unchanged, and keeps redundant
-    rows out of every rank.  A zero is propagated without computing a rank:
-    if the quotient is 0 at d, then I_d = R_d, so at every d' >= d
-    (componentwise) R_{d'} = R_{d'-d} R_d = R_{d'-d} I_d lies in I_{d'},
-    and the quotient is 0 there too.
+    A zero is propagated without computing a rank: if the quotient is 0 at
+    d, then I_d = R_d, so at every d' >= d (componentwise)
+    R_{d'} = R_{d'-d} R_d = R_{d'-d} I_d lies in I_{d'}, and the quotient
+    is 0 there too.
     """
-    generators = independent_generators(generators)
     zeros = []
     values = []
     for d in degrees:
@@ -184,14 +164,19 @@ def _classify(values):
     return False, "not_stabilized"
 
 
+def _locus_ok(phi, finite, k):
+    """B2: the base locus is finite, of total degree k <= mn."""
+    return finite and k <= phi.mn
+
+
 def base_point_summary(phi, window=3):
     """Sample the quotient dimensions along the diagonal.
 
-    dim (R/I) is sampled at (2m-1+i, 2n-1+i) and dim (R/I^2) at
-    (3m-1+i, 3n-1+i) for i = 0..window.  The base locus counts as finite
-    when the first sequence is constant; its value is then the total
-    multiplicity k, and the squared-ideal sequence must be constantly 3k for
-    the local-complete-intersection proxy.
+    dim (R/I) is sampled at (2m-1+i, 2n-1+i) for i = 0..window.  The base
+    locus counts as finite when the sequence is constant; its value is then
+    the total multiplicity k.  Only when B2 holds is dim (R/I^2) sampled at
+    (3m-1+i, 3n-1+i); it must be constantly 3k for the
+    local-complete-intersection proxy.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
@@ -201,10 +186,13 @@ def base_point_summary(phi, window=3):
     finite, reason = _classify(values)
     k = values[0] if finite else None
 
-    sq_degrees = [(3 * m - 1 + i, 3 * n - 1 + i) for i in range(window + 1)]
-    products = phi.products()
-    sq_values = hilbert_values(products, sq_degrees)
-    lci = finite and all(v == 3 * k for v in sq_values)
+    sq_values = None
+    lci = False
+    if _locus_ok(phi, finite, k):
+        sq_degrees = [(3 * m - 1 + i, 3 * n - 1 + i)
+                      for i in range(window + 1)]
+        sq_values = hilbert_values(phi.products(), sq_degrees)
+        lci = all(v == 3 * k for v in sq_values)
 
     return BasePointSummary(finite=finite, k=k, lci_proxy=lci,
                             stabilization_window=degrees,
@@ -282,92 +270,109 @@ def _sat_bound(phi, config):
 
 def _invariant_conditions(phi, config):
     """B1-B4, which a coordinate change leaves unchanged: the ideal of the
-    a_i and its square are the same after an invertible recombination."""
-    verdicts = {}
-    witnesses = {}
+    a_i and its square are the same after an invertible recombination.
 
-    verdicts["B1"] = check_independence(phi)
+    Stops at a B1 or B2 refusal, before the windows that refusal leaves
+    unread; the summary is None when B1 fails.
+    """
+    verdicts = {"B1": check_independence(phi)}
+    witnesses = {}
     if not verdicts["B1"]:
         witnesses["B1"] = {"dependency": independence_witness(phi)}
+        return verdicts, witnesses, None
 
     summary = base_point_summary(phi, config.window)
     k = summary.k
-    verdicts["B2"] = summary.finite and k <= phi.mn
+    verdicts["B2"] = _locus_ok(phi, summary.finite, k)
     witnesses["B2"] = {
         "window": summary.stabilization_window,
         "values": summary.hilbert_values,
         "k": k,
         "reason": summary.reason,
     }
+    if not verdicts["B2"]:
+        return verdicts, witnesses, summary
     verdicts["B3"] = summary.lci_proxy
     witnesses["B3"] = {"squared_values": summary.hilbert_sq_values,
-                       "expected": None if k is None else 3 * k}
+                       "expected": 3 * k}
     verdicts["B4"] = check_regularity(phi, summary)
     witnesses["B4"] = {"value_at_start": summary.hilbert_values[0], "k": k}
     return verdicts, witnesses, summary
 
 
-def _evaluate_conditions(phi, config, invariant=None):
-    """B1..B6 on phi; B1-B4 are taken from `invariant` when given, the
-    result of _invariant_conditions on phi or on any recombination of it."""
-    if invariant is None:
-        invariant = _invariant_conditions(phi, config)
-    verdicts, witnesses, summary = copy.deepcopy(invariant)
+def _evaluate_conditions(phi, config, invariant):
+    """B1..B6 on phi, B1-B4 taken from `invariant`: the result of
+    _invariant_conditions, with B1 and B2 passed, on phi or on any
+    recombination of it."""
+    verdicts, witnesses, summary = invariant
+    verdicts, witnesses = dict(verdicts), dict(witnesses)
 
-    if summary.finite:
-        scheme_ok, abc_values = _abc_scheme_matches(phi, summary)
-        sat = saturation_member(phi.a[3], phi.a[:3], _sat_bound(phi, config))
-        verdicts["B5"] = scheme_ok and sat.member
-        witnesses["B5"] = {"abc_values": abc_values, "scheme_match": scheme_ok,
-                           "saturation_power": sat.power,
-                           "bound_reached": sat.bound_reached}
-    else:
-        verdicts["B5"] = False
-        witnesses["B5"] = {"skipped": "base locus not finite"}
+    scheme_ok, abc_values = _abc_scheme_matches(phi, summary)
+    sat = saturation_member(phi.a[3], phi.a[:3], _sat_bound(phi, config))
+    verdicts["B5"] = scheme_ok and sat.member
+    witnesses["B5"] = {"abc_values": abc_values, "scheme_match": scheme_ok,
+                       "saturation_power": sat.power,
+                       "bound_reached": sat.bound_reached}
 
     abc_dim = syz_dim_abc(phi)
     verdicts["B6"] = abc_dim == 0
     witnesses["B6"] = {"dim": abc_dim}
 
-    return verdicts, witnesses, summary
+    return verdicts, witnesses
 
 
 def check_all(phi, config=None):
     """Run B1..B6, retrying with seeded coordinate changes when only the
     position-dependent checks B5/B6 fail.
 
+    A refusal at B1 or B2 ends the battery: the later checks are reported
+    False with a "skipped" witness, and no coordinate change is tried.
+
     A parametrization with no base points at all (k = 0) does not need the
     full battery: the construction goes through as soon as the moving-plane
-    space is trivial, so such reports pass regardless of B5/B6.
+    space is trivial, so such reports pass regardless of B3-B6.
     """
     config = config or CheckConfig()
+    if config.window < 2:
+        raise ValueError("window must be at least 2")
+    if config.sat_bound is not None and config.sat_bound < 0:
+        raise ValueError("sat_bound must be at least 0")
     if config.attempts < 0:
         raise ValueError("attempts must be at least 0")
     if config.coord_bound < 1:
         raise ValueError("coord_bound must be at least 1")
-    phi_cur, change, change_seed = phi, None, None
-    last_report = None
     invariant = _invariant_conditions(phi, config)
+    verdicts, witnesses, summary = invariant
+    if not verdicts.get("B2"):
+        failure = "B2" if verdicts["B1"] else "B1"
+        for name in CONDITION_NAMES:
+            if name not in verdicts:
+                verdicts[name] = False
+                witnesses[name] = {"skipped": "%s failed" % failure}
+        return ConditionReport(
+            verdicts=verdicts, witnesses=witnesses,
+            k=summary.k if summary else None, short_path=False,
+            all_passed=False, failure=failure, phi=phi, summary=summary)
+
+    k = summary.k
+    phi_cur, change, change_seed = phi, None, None
     for attempt in range(config.attempts + 1):
         if attempt:
             change_seed = config.seed + attempt
             phi_cur, change = generic_change(phi, change_seed,
                                              bound=config.coord_bound)
-        verdicts, witnesses, summary = _evaluate_conditions(
-            phi_cur, config, invariant)
-        k = summary.k
+        verdicts, witnesses = _evaluate_conditions(phi_cur, config, invariant)
 
         short_path = False
-        if verdicts["B1"] and summary.finite and k == 0:
+        if k == 0:
             mp_dim = moving_planes(phi_cur).dim
             witnesses["short_path"] = {"moving_plane_dim": mp_dim}
             short_path = mp_dim == 0
 
-        all_b = all(verdicts[name] for name in ("B1", "B2", "B3", "B4", "B5", "B6"))
-        all_passed = all_b or short_path
+        all_passed = all(verdicts.values()) or short_path
         failure = None
         if not all_passed:
-            failure = next(name for name in ("B1", "B2", "B3", "B4", "B5", "B6")
+            failure = next(name for name in CONDITION_NAMES
                            if not verdicts[name])
         report = ConditionReport(verdicts=verdicts, witnesses=witnesses, k=k,
                                  short_path=short_path, all_passed=all_passed,
@@ -375,11 +380,7 @@ def check_all(phi, config=None):
                                  coordinate_change=change,
                                  coordinate_seed=change_seed,
                                  summary=summary)
-        if all_passed:
+        # only B5/B6 depend on the coordinates
+        if all_passed or not (verdicts["B3"] and verdicts["B4"]):
             return report
-        last_report = report
-        recoverable = (all(verdicts[name] for name in ("B1", "B2", "B3", "B4"))
-                       and (not verdicts["B5"] or not verdicts["B6"]))
-        if not recoverable:
-            return report
-    return last_report
+    return report

@@ -14,8 +14,7 @@ reconstruction, and checked against every row over Z; independent kernel
 vectors in that number bound the rank by r from above.  No answer rests on
 chance: whatever cannot be certified so (an unlucky prime, a kernel too
 large for the primes, a failed check) is the pivot count of the integer
-echelon instead.  independent_rows reads the rows outside the span of the
-earlier ones from the same rank, or from the echelon of the transpose.
+echelon instead.
 
 Both halves of the certificate work on packed integers, in the manner of
 Dumas, Fousse and Salvy, "Simultaneous modular reduction and Kronecker
@@ -375,19 +374,6 @@ def integer_rank(rows, ncols):
                     for k, column in enumerate(residues)]
         modulus *= q
     return len(echelon(rows, ncols).pivots)
-
-
-def independent_rows(rows, ncols):
-    """Indices of the integer rows that are not rational combinations of
-    earlier rows, in order.
-
-    When the certified rank equals the number of rows, that is all of
-    them; otherwise they are the pivot columns of the integer echelon form
-    of the transposed rows.
-    """
-    if integer_rank(rows, ncols) == len(rows):
-        return list(range(len(rows)))
-    return echelon([list(col) for col in zip(*rows)], len(rows)).pivots
 
 
 def rank(A):

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from movsurf import (CheckConfig, Parametrization, RatMatrix,
+from movsurf import (BihomPoly, CheckConfig, Parametrization, RatMatrix,
                      base_point_summary, check_all, check_independence,
-                     check_regularity, generic_change, hilbert_dim, parse,
-                     saturation_member)
+                     check_regularity, generic_change, hilbert_dim,
+                     kernel_basis, parse, saturation_member)
 from movsurf import basepoints
 from movsurf.basepoints import SaturationResult, independence_witness
 from movsurf.ring import bidegree_leq, coeff_vector, monomial_basis
@@ -104,24 +104,14 @@ def test_hilbert_values_ignore_a_dependent_generator(quartic_bp):
             assert basepoints.hilbert_values([extra, *gens], degrees) == values
             # hilbert_dim keeps every generator: the same values
             assert [hilbert_dim([*gens, extra], d) for d in degrees] == values
-            assert basepoints.independent_generators([*gens, extra]) == gens
-
-
-def test_independent_generators_drop_later_combinations_only(quartic_bp):
-    a0, a1, a2, a3 = quartic_bp.a
-    s2 = parse("s^2")
-    gens = [a0, s2, a1, a0.scale(-2), a2 - a1, a0 + a1 - a2, a3, s2.scale(5),
-            a3 - a3]
-    assert basepoints.independent_generators(gens) == [a0, s2, a1, a2 - a1,
-                                                       a3]
 
 
 def test_dependent_products_keep_six_of_ten():
     phi = random_parametrization(random.Random(5), 2, 2)
     a0, a1, a2, _ = phi.a
     dependent = Parametrization(2, 2, (a0, a1, a2, a0 + a1))
-    kept = basepoints.independent_generators(dependent.products())
-    assert len(kept) == 6
+    # the ten products span six of the 25 dimensions of bidegree (4, 4)
+    assert hilbert_dim(dependent.products(), (4, 4)) == 25 - 6
     degrees = hilbert_cases(dependent)[1][1]
     assert basepoints.hilbert_values(dependent.products(), degrees) == [
         hilbert_dim(dependent.products(), d) for d in degrees]
@@ -144,7 +134,6 @@ def test_independence_fails_on_linear_combination(quartic_bp):
 
 
 def test_independence_fails_on_zero_polynomial(quartic_bp):
-    from movsurf import BihomPoly
     a0, a1, a2, _ = quartic_bp.a
     phi = Parametrization(2, 2, (a0, a1, a2, BihomPoly.zero((2, 2))))
     assert not check_independence(phi)
@@ -256,12 +245,13 @@ def test_generic_change_rejects_singular_matrix(quartic_bp):
 
 
 def test_generic_change_restores_b5_b6_on_most_seeds(quartic_bp):
-    from movsurf.basepoints import _evaluate_conditions
+    from movsurf.basepoints import _evaluate_conditions, _invariant_conditions
     config = CheckConfig(window=2)
+    invariant = _invariant_conditions(quartic_bp, config)
     good = 0
     for seed in range(10):
         changed, _ = generic_change(quartic_bp, seed)
-        verdicts, _, _ = _evaluate_conditions(changed, config)
+        verdicts, _ = _evaluate_conditions(changed, config, invariant)
         if verdicts["B5"] and verdicts["B6"]:
             good += 1
     assert good >= 9
@@ -334,6 +324,105 @@ def test_check_all_not_recoverable_failure_returns_immediately():
     assert not report.all_passed
     assert report.failure == "B2"
     assert report.coordinate_change is None
+
+
+# --- the stop at a B1 or B2 refusal -------------------------------------------
+
+LATER = ("hilbert_dim", "base_point_summary", "saturation_member",
+         "syz_dim_abc", "moving_planes", "generic_change")
+
+
+def counted_calls(monkeypatch, names):
+    """{name: [args of each call]} of the named basepoints functions."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(basepoints, name),
+                    **kwargs):
+            calls[_name].append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(basepoints, name, counted)
+    return calls
+
+
+def assert_skipped_after(report, failure):
+    assert not report.all_passed and report.failure == failure
+    later = ("B1", "B2", "B3", "B4", "B5", "B6")[int(failure[1]):]
+    for name in later:
+        assert report.verdicts[name] is False
+        assert report.witnesses[name] == {"skipped": failure + " failed"}
+    assert not report.short_path and "short_path" not in report.witnesses
+    assert report.coordinate_change is None
+
+
+def five_point_input():
+    """Four independent (2,2) forms through five points of P1 x P1: a finite
+    base locus of degree k = 5 > mn = 4."""
+    points = [(0, 1, 0, 1), (1, 0, 1, 0), (1, 1, 1, 1), (1, 2, 3, 1),
+              (2, 1, 1, 3)]
+    basis = monomial_basis((2, 2))
+    rows = [[s ** a * u ** b * t ** c * v ** d for a, b, c, d in basis]
+            for s, u, t, v in points]
+    vectors = kernel_basis(RatMatrix(rows)).vectors
+    return Parametrization(2, 2, tuple(BihomPoly((2, 2), dict(zip(basis, v)))
+                                       for v in vectors))
+
+
+def test_check_all_rejects_a_bad_config_before_any_rank(monkeypatch,
+                                                       quartic_bp):
+    a0, a1, a2, _ = quartic_bp.a
+    dependent = Parametrization(2, 2, (a0, a1, a2, a0 + a1))
+    calls = counted_calls(monkeypatch, ("rank", "hilbert_dim"))
+    for config, match in ((CheckConfig(window=1), "window"),
+                          (CheckConfig(sat_bound=-1), "sat_bound")):
+        for phi in (quartic_bp, dependent):
+            with pytest.raises(ValueError, match=match):
+                check_all(phi, config)
+    assert calls == {"rank": [], "hilbert_dim": []}
+
+
+def test_check_all_stops_at_a_b1_refusal(monkeypatch, quartic_bp):
+    a0, a1, a2, _ = quartic_bp.a
+    phi = Parametrization(2, 2, (a0, a1, a2, a0 + a1))
+    calls = counted_calls(monkeypatch, LATER)
+    report = check_all(phi)
+    assert calls == {name: [] for name in LATER}
+    assert_skipped_after(report, "B1")
+    assert "dependency" in report.witnesses["B1"]
+    assert report.k is None and report.summary is None
+
+
+def test_check_all_ranks_only_the_b2_window_on_a_common_factor(monkeypatch):
+    base = random_parametrization(random.Random(99), 2, 2)
+    phi = Parametrization(3, 2, tuple(f * parse("s") for f in base.a))
+    degrees = recorded_hilbert_dim(monkeypatch)
+    calls = counted_calls(monkeypatch, LATER[2:])
+    report = check_all(phi)
+    window = [(5, 3), (6, 4), (7, 5), (8, 6)]
+    assert degrees == window
+    assert calls == {name: [] for name in LATER[2:]}
+    assert_skipped_after(report, "B2")
+    assert report.witnesses["B2"]["window"] == window
+    assert report.witnesses["B2"]["reason"] == "growing"
+    assert report.k is None and report.summary.hilbert_sq_values is None
+
+
+def test_check_all_skips_the_squared_window_when_k_exceeds_mn(monkeypatch):
+    phi = five_point_input()
+    assert check_independence(phi)
+    degrees = recorded_hilbert_dim(monkeypatch)
+    calls = counted_calls(monkeypatch, LATER[2:])
+    report = check_all(phi)
+    window = [(3, 3), (4, 4), (5, 5), (6, 6)]
+    assert degrees == window
+    assert calls == {name: [] for name in LATER[2:]}
+    assert_skipped_after(report, "B2")
+    assert report.witnesses["B2"]["values"] == [5, 5, 5, 5]
+    assert report.k == 5 and report.summary.finite
+    assert report.summary.hilbert_sq_values is None
+    assert not report.summary.lci_proxy
+    # the window it skips
+    assert basepoints.hilbert_values(
+        phi.products(), [(5, 5), (6, 6), (7, 7), (8, 8)]) == [15] * 4
 
 
 # --- saturation and the single B1-B4 pass -------------------------------------

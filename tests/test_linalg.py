@@ -530,13 +530,6 @@ def test_packed_kernel_check_matches_naive_on_random_vectors():
             rows, vectors)
 
 
-def test_independent_rows_are_the_pivots_of_the_transpose():
-    for A in oracle_cases():
-        transpose = RatMatrix([list(c) for c in zip(*A.entries)])
-        assert (linalg.independent_rows(cleared_rows(A), A.cols)
-                == rref(transpose).pivots)
-
-
 # --- lattices -----------------------------------------------------------------
 
 def dot(x, y):

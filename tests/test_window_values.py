@@ -2,10 +2,11 @@
 
 ``window_values_seed<N>.json`` holds, for every job of both ``perfbench``
 workloads at seed N (0 and 1), the B2 window values, the B3 squared-ideal values and
-the B5 abc values, as ``check_all`` reported them with the command-line
-defaults, plus the seed of the coordinate change B5 ran under (None without
-one).  The test recomputes the three windows directly, without the
-saturation search or the retries, and compares.
+the B5 abc values (None when the base locus is not finite), each computed
+directly with ``hilbert_values`` and the command-line window, plus the seed
+of the coordinate change that ``check_all`` runs B5 under with the
+command-line defaults (None without one).  The squared-ideal window is
+sampled even where ``check_all`` stops before it.
 
 Regenerate the file only when a change of these values is intended:
 
@@ -23,7 +24,7 @@ import pytest
 
 from movsurf import (CheckConfig, Parametrization, base_point_summary,
                      check_all, generic_change, parse)
-from movsurf.basepoints import _abc_scheme_matches
+from movsurf.basepoints import _abc_scheme_matches, hilbert_values
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 1)
@@ -48,14 +49,27 @@ def _phi(job):
                                        for s in job["a"]))
 
 
+def _windows(phi, coordinate_seed):
+    """The B2, B3 and B5 window values of phi, the last one on phi changed
+    by the seeded coordinate change when there is one."""
+    summary = base_point_summary(phi)
+    m, n = phi.m, phi.n
+    squared = [(3 * m - 1 + i, 3 * n - 1 + i)
+               for i in range(CheckConfig().window + 1)]
+    windows = {"b2": summary.hilbert_values,
+               "b3": hilbert_values(phi.products(), squared),
+               "b5": None}
+    if summary.finite:
+        if coordinate_seed is not None:
+            phi, _ = generic_change(phi, coordinate_seed)
+        windows["b5"] = _abc_scheme_matches(phi, summary)[1]
+    return windows
+
+
 def _record(job):
-    report = check_all(_phi(job), CheckConfig(seed=job["seed"]))
-    witnesses = report.witnesses
-    return {"a": job["a"],
-            "b2": witnesses["B2"]["values"],
-            "b3": witnesses["B3"]["squared_values"],
-            "b5": witnesses["B5"].get("abc_values"),
-            "coordinate_seed": report.coordinate_seed}
+    phi = _phi(job)
+    seed = check_all(phi, CheckConfig(seed=job["seed"])).coordinate_seed
+    return {"a": job["a"], **_windows(phi, seed), "coordinate_seed": seed}
 
 
 def write_fixture(seed):
@@ -84,16 +98,9 @@ def test_window_values_match_fixture(workload, seed):
     for job in jobs:
         want = expected[job["name"]]
         assert job["a"] == want["a"], "perfbench jobs changed: regenerate"
-        phi = _phi(job)
-        summary = base_point_summary(phi)
-        assert summary.hilbert_values == want["b2"], job["name"]
-        assert summary.hilbert_sq_values == want["b3"], job["name"]
-        abc = None
-        if summary.finite:
-            if want["coordinate_seed"] is not None:
-                phi, _ = generic_change(phi, want["coordinate_seed"])
-            abc = _abc_scheme_matches(phi, summary)[1]
-        assert abc == want["b5"], job["name"]
+        got = _windows(_phi(job), want["coordinate_seed"])
+        for window in ("b2", "b3", "b5"):
+            assert got[window] == want[window], (job["name"], window)
 
 
 if __name__ == "__main__":
