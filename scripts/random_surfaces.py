@@ -20,7 +20,6 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from movsurf import (BihomPoly, Parametrization, PipelineConfig,
                      ConditionError, VerificationError, monomial_basis,
                      pipeline)
-from movsurf.cli import DET_BACKENDS
 
 
 def random_poly(rng, bidegree, bound=5):
@@ -41,12 +40,11 @@ def main():
     ap.add_argument("--count", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--samples", type=int, default=100)
-    ap.add_argument("--backend", default="auto", choices=DET_BACKENDS)
     args = ap.parse_args()
     m, n = args.bidegree
 
     rng = random.Random(args.seed)
-    config = PipelineConfig(det_backend=args.backend, samples=args.samples)
+    config = PipelineConfig(samples=args.samples)
     print("%4s %6s %4s %7s %7s %9s" % (
         "idx", "k", "deg", "terms", "verify", "secs"))
     done = 0

@@ -62,12 +62,14 @@ CONDITION_NAMES = {
 }
 
 
+CHANGE_ATTEMPTS = 10         # coordinate-change retries when B5/B6 fail
+
+
 @dataclass(frozen=True)
 class CheckConfig:
     window: int = 3          # extra diagonal samples beyond the window start
     sat_bound: int = None    # None -> 2*max(m,n) + 2
     seed: int = 0
-    attempts: int = 10       # coordinate-change retries when B5/B6 fail
     coord_bound: int = 10    # entry bound for random recombinations
 
 
@@ -337,8 +339,6 @@ def check_all(phi, config=None):
         raise ValueError("window must be at least 2")
     if config.sat_bound is not None and config.sat_bound < 0:
         raise ValueError("sat_bound must be at least 0")
-    if config.attempts < 0:
-        raise ValueError("attempts must be at least 0")
     if config.coord_bound < 1:
         raise ValueError("coord_bound must be at least 1")
     invariant = _invariant_conditions(phi, config)
@@ -356,7 +356,7 @@ def check_all(phi, config=None):
 
     k = summary.k
     phi_cur, change, change_seed = phi, None, None
-    for attempt in range(config.attempts + 1):
+    for attempt in range(CHANGE_ATTEMPTS + 1):
         if attempt:
             change_seed = config.seed + attempt
             phi_cur, change = generic_change(phi, change_seed,

@@ -13,10 +13,13 @@ fields must be JSON integers (not true or false, not 1.7 or "2"),
 assert_one_to_one must be JSON true or false, and a must be a JSON list of
 strings.
 
-Every flag can be preset through an environment variable with prefix
-MOVSURF_ (e.g. MOVSURF_SEED=7, MOVSURF_DET_BACKEND=interp); explicit flags
-win over the environment, and a preset is read only when its flag is
-absent.  Exit codes: 0 success, 1 condition or verification failure, 2
+Each subcommand takes only the flags it reads: --input, --json, --seed and
+--output everywhere, --sat-bound and --window on check, implicitize and
+verify, --samples and --force on implicitize and verify.  Every flag can be
+preset through an environment variable with prefix MOVSURF_ (e.g.
+MOVSURF_SEED=7, MOVSURF_WINDOW=4); explicit flags win over the environment,
+and a preset is read only by a subcommand that has its flag, when the flag
+is absent.  Exit codes: 0 success, 1 condition or verification failure, 2
 input error (an unreadable or malformed job file, an option value that is
 not a number or out of range, from a flag or from the environment, with a
 bad preset named by its variable, or an --output file that cannot be
@@ -37,8 +40,8 @@ from fractions import Fraction
 from . import __version__
 from .basepoints import (CONDITION_NAMES, CheckConfig, check_all,
                          hilbert_values)
-from .implicitize import (BACKENDS, ConditionError, PipelineConfig,
-                          VerificationError, pipeline)
+from .implicitize import (ConditionError, PipelineConfig, VerificationError,
+                          pipeline)
 from .linalg import RatMatrix
 from .ring import MixedBidegreeError, ParseError, parse
 from .syzygy import Parametrization
@@ -49,7 +52,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
-DET_BACKENDS = BACKENDS + ("auto",)
+# the subcommands that run the condition battery, and those that also run
+# the pipeline
+BATTERY_COMMANDS = ("check", "implicitize", "verify")
+PIPELINE_COMMANDS = ("implicitize", "verify")
 
 
 class InputError(Exception):
@@ -127,21 +133,21 @@ def build_parser():
         p.add_argument("--seed", type=_int,
                        default=_env("SEED", None),
                        help="seed for coordinate changes and sampling")
-        p.add_argument("--det-backend",
-                       choices=DET_BACKENDS,
-                       default=_env("DET_BACKEND", "auto"))
-        p.add_argument("--sat-bound", type=_int,
-                       default=_env("SAT_BOUND", None),
-                       help="saturation search bound (default 2*max(m,n)+2)")
-        p.add_argument("--window", type=_int,
-                       default=_env("WINDOW", 3),
-                       help="diagonal sampling window for stabilization")
-        p.add_argument("--samples", type=_int,
-                       default=_env("SAMPLES", 100),
-                       help="number of exact vanishing samples")
-        p.add_argument("--force", action="store_true",
-                       default=_env_flag("FORCE"),
-                       help="emit results even when checks fail")
+        if name in BATTERY_COMMANDS:
+            p.add_argument("--sat-bound", type=_int,
+                           default=_env("SAT_BOUND", None),
+                           help="saturation search bound "
+                                "(default 2*max(m,n)+2)")
+            p.add_argument("--window", type=_int,
+                           default=_env("WINDOW", 3),
+                           help="diagonal sampling window for stabilization")
+        if name in PIPELINE_COMMANDS:
+            p.add_argument("--samples", type=_int,
+                           default=_env("SAMPLES", 100),
+                           help="number of exact vanishing samples")
+            p.add_argument("--force", action="store_true",
+                           default=_env_flag("FORCE"),
+                           help="emit results even when checks fail")
         p.add_argument("--output", default=_env("OUTPUT", None),
                        help="write the report to a file instead of stdout")
         if name == "hilbert":
@@ -155,22 +161,19 @@ def build_parser():
 
 
 def _check_args(args):
-    """Reject out-of-range option values.
+    """Reject out-of-range values of the options the command has.
 
-    argparse checks neither ranges nor the choices of a default taken from
-    the environment, so every value is checked here, as it is read.
+    argparse does not check ranges, so every value is checked here, as it
+    is read.
     """
-    if args.det_backend not in DET_BACKENDS:
-        raise InputError("--det-backend/%sDET_BACKEND must be one of %s, "
-                         "got %r" % (ENV_PREFIX, ", ".join(DET_BACKENDS),
-                                     args.det_backend))
-    if args.window < 2:
-        raise InputError("--window/%sWINDOW must be at least 2, got %d"
-                         % (ENV_PREFIX, args.window))
-    if args.sat_bound is not None and args.sat_bound < 0:
-        raise InputError("--sat-bound/%sSAT_BOUND must be at least 0, got %d"
-                         % (ENV_PREFIX, args.sat_bound))
-    if args.samples < 1:
+    if args.command in BATTERY_COMMANDS:
+        if args.window < 2:
+            raise InputError("--window/%sWINDOW must be at least 2, got %d"
+                             % (ENV_PREFIX, args.window))
+        if args.sat_bound is not None and args.sat_bound < 0:
+            raise InputError("--sat-bound/%sSAT_BOUND must be at least 0, "
+                             "got %d" % (ENV_PREFIX, args.sat_bound))
+    if args.command in PIPELINE_COMMANDS and args.samples < 1:
         raise InputError("--samples/%sSAMPLES must be at least 1, got %d"
                          % (ENV_PREFIX, args.samples))
     _check_output(args.output)
@@ -312,7 +315,6 @@ def _check_config(spec, args):
 
 def _pipeline_config(spec, args):
     return PipelineConfig(check=_check_config(spec, args),
-                          det_backend=args.det_backend,
                           samples=args.samples,
                           verify_seed=spec.seed,
                           force=args.force,
@@ -372,7 +374,6 @@ def _result_payload(spec, args, result, elapsed, command):
             "k": result.k,
             "term_count": len(result.polynomial.terms),
             "backend": result.backend,
-            "backend_agreement": result.backend_agreement,
             "projection_fallback": result.projection_fallback,
             "pivots": _jsonable(result.pivots),
         },

@@ -28,10 +28,11 @@ scaled once to integer coefficients.  Before the grid, the plane rows and the
 quadric rows, each group on its own, are replaced by an LLL-reduced basis of
 the saturation of their integer lattice (the integer vectors in their
 rational span), which makes the coefficients small; this multiplies det M by
-a known rational factor.  det of the reduced rows is evaluated on an integer
-grid by fraction-free Bareiss elimination, interpolated with integer
-differences and integer Newton weights, and scaled once at the end, so
-det_interpolation returns det M exactly.  Verification clears the
+a known rational factor.  At every size of M, det of the reduced rows is
+evaluated on an integer grid by fraction-free Bareiss elimination,
+interpolated with integer differences and integer Newton weights, and
+scaled once at the end, so det_interpolation returns det M exactly; it is
+the package's one determinant.  Verification clears the
 denominators of each sample point and of the polynomial and tests vanishing
 over Z.
 """
@@ -72,12 +73,19 @@ class VerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """`det_backend` accepts only "auto" and raises ValueError otherwise.
+    It stays only for the benchmark's calls, and goes with `samples` and
+    `verify_seed` once the benchmark reads the library's stage records
+    (ROADMAP items 1 and 3)."""
     check: CheckConfig = CheckConfig()
-    det_backend: str = "auto"      # cofactor | interp | both | auto
+    det_backend: str = "auto"
     samples: int = 100
     verify_seed: int = 0
     force: bool = False
     assert_one_to_one: bool = True
+
+    def __post_init__(self):
+        _auto_only(self.det_backend)
 
 
 @dataclass
@@ -128,14 +136,13 @@ class ImplicitResult:
     polynomial: XPoly
     degree: int
     k: int
-    backend: str
+    backend: str                   # always "interp"
     pivots: list
     projection_fallback: bool
     verification: VerificationRecord = None
     report: ConditionReport = None
     coordinate_change: RatMatrix = None
     coordinate_seed: int = None
-    backend_agreement: bool = None
     phi: Parametrization = None
 
 
@@ -309,47 +316,12 @@ def select_quadric_rows(elements, columns, pivots, working_bidegree, fallback):
 # ---------------------------------------------------------------------------
 # determinants
 
-BACKENDS = ("cofactor", "interp", "both")
 
-
-def resolve_backend(M, backend="auto"):
-    """The backend det_poly runs for M.
-
-    `auto` is cofactor expansion up to size 2 and grid interpolation above;
-    `cofactor` and `both` remain as oracles for the interpolated path.
-    """
-    if backend == "auto":
-        return "cofactor" if M.size <= 2 else "interp"
-    if backend not in BACKENDS:
-        raise ValueError("unknown determinant backend %r" % backend)
-    return backend
-
-
-def det_cofactor(M):
-    """Minor expansion along rows, memoized on (row, remaining columns)."""
-    n = M.size
-    memo = {}
-
-    def minor(r, cols):
-        if not cols:
-            return XPoly.monomial((0, 0, 0, 0))
-        key = (r, cols)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        acc = XPoly.zero()
-        row = M.entries[r]
-        for pos, c in enumerate(cols):
-            e = row[c]
-            if e.is_zero():
-                continue
-            sub = minor(r + 1, cols[:pos] + cols[pos + 1:])
-            term = e * sub
-            acc = acc + (-term if pos % 2 else term)
-        memo[key] = acc
-        return acc
-
-    return minor(0, tuple(range(n)))
+def _auto_only(backend):
+    """Reject every determinant backend but "auto", the interpolation grid."""
+    if backend != "auto":
+        raise ValueError("unknown determinant backend %r: the interpolation "
+                         "grid is the only determinant" % backend)
 
 
 def _int_polys(polys):
@@ -530,16 +502,16 @@ def det_interpolation(M):
 
 
 def det_poly(M, backend="auto"):
-    """Exact determinant of an MMatrix as an XPoly."""
-    backend = resolve_backend(M, backend)
-    if backend == "cofactor":
-        return det_cofactor(M)
-    if backend == "interp":
-        return det_interpolation(M)
-    a = det_cofactor(M)
-    if a != det_interpolation(M):
-        raise ArithmeticError("cofactor and interpolation determinants disagree")
-    return a
+    """Exact determinant of an MMatrix as an XPoly: det_interpolation at
+    every size.
+
+    `backend` accepts only "auto" and raises ValueError otherwise.  It stays
+    only for the benchmark's calls, and goes with PipelineConfig.det_backend
+    once the benchmark reads the library's stage records (ROADMAP items 1
+    and 3).
+    """
+    _auto_only(backend)
+    return det_interpolation(M)
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +666,7 @@ def pipeline(phi, config=None, report=None):
                                        phi_run.working_bidegree, fallback)
     M = assemble_M(echelon, quadric_rows, pivots, phi_run.working_bidegree)
 
-    backend_used = resolve_backend(M, config.det_backend)
-    raw = det_poly(M, backend_used)
-    agreement = True if backend_used == "both" else None
+    raw = det_poly(M, config.det_backend)
     if raw.is_zero():
         raise ConditionError("det M is identically zero; the construction "
                              "does not apply", report=report)
@@ -705,12 +675,12 @@ def pipeline(phi, config=None, report=None):
     record = verify_polynomial(poly, phi_run, k, samples=config.samples,
                                seed=config.verify_seed, check_x3=not fallback)
     result = ImplicitResult(polynomial=poly, degree=poly.total_degree(), k=k,
-                            backend=backend_used, pivots=pivots,
+                            backend="interp", pivots=pivots,
                             projection_fallback=fallback,
                             verification=record, report=report,
                             coordinate_change=report.coordinate_change,
                             coordinate_seed=report.coordinate_seed,
-                            backend_agreement=agreement, phi=phi_run)
+                            phi=phi_run)
     if not record.ok and not config.force:
         raise VerificationError(
             "verification failed: %d nonvanishing samples, degree %d vs %d, "

@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from movsurf import BihomPoly, Parametrization, monomial_basis, parse
+from movsurf import (BihomPoly, Parametrization, assemble_M,
+                     echelon_plane_basis, monomial_basis, moving_planes, parse,
+                     quadric_basis_via_projection)
+from movsurf.implicitize import select_quadric_rows
 
 settings.register_profile(
     "exact",
@@ -170,3 +173,12 @@ def base_point_free_parametrizations(count, m, n, start_seed=0):
             continue
         out.append((seed - 1, phi))
     return out
+
+
+def assembled_M(phi):
+    """M of phi from the public steps of the pipeline, without the battery."""
+    wdeg = phi.working_bidegree
+    ech, pivots = echelon_plane_basis(moving_planes(phi), wdeg)
+    elements, columns, fallback = quadric_basis_via_projection(phi, pivots)
+    rows = select_quadric_rows(elements, columns, pivots, wdeg, fallback)
+    return assemble_M(ech, rows, pivots, wdeg)

@@ -4,8 +4,9 @@ rref and solve_membership eliminate over the rationals with immediate pivot
 normalization, the textbook way, independently of the integer echelon and
 the certified rank of movsurf.linalg.  modular_basis is the row-by-row
 reduced echelon form modulo a prime on plain lists, the reference for the
-packed linalg._modular_basis.  The tests check the integer core against
-them; the package does not use them.
+packed linalg._modular_basis.  det_cofactor is memoized minor expansion of
+an MMatrix over XPoly, the reference for the interpolated determinant.  The
+tests check the integer core against them; the package does not use them.
 """
 
 from fractions import Fraction
@@ -13,6 +14,7 @@ from operator import mul
 from typing import NamedTuple
 
 from movsurf.linalg import RatMatrix
+from movsurf.ring import XPoly
 
 
 class RrefResult(NamedTuple):
@@ -127,3 +129,30 @@ def modular_basis(rows, ncols, p):
         if not free:
             break
     return basis, free, used
+
+
+def det_cofactor(M):
+    """Minor expansion along rows, memoized on (row, remaining columns)."""
+    n = M.size
+    memo = {}
+
+    def minor(r, cols):
+        if not cols:
+            return XPoly.monomial((0, 0, 0, 0))
+        key = (r, cols)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        acc = XPoly.zero()
+        row = M.entries[r]
+        for pos, c in enumerate(cols):
+            e = row[c]
+            if e.is_zero():
+                continue
+            sub = minor(r + 1, cols[:pos] + cols[pos + 1:])
+            term = e * sub
+            acc = acc + (-term if pos % 2 else term)
+        memo[key] = acc
+        return acc
+
+    return minor(0, tuple(range(n)))

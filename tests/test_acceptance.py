@@ -21,8 +21,10 @@ from movsurf import (Parametrization, PipelineConfig, base_point_summary,
 from movsurf.cli import main
 from movsurf.syzygy import plane_map_matrix, quadric_map_matrix
 
-from conftest import (QUARTIC_BP_STRINGS, base_point_free_parametrizations,
-                      load_golden, random_parametrization, substitute)
+from conftest import (QUARTIC_BP_STRINGS, assembled_M,
+                      base_point_free_parametrizations, load_golden,
+                      random_parametrization, substitute)
+from oracle import det_cofactor
 
 
 def _report(criterion, detail):
@@ -151,25 +153,24 @@ def test_criterion_6_property_suites(quartic_bp, segre):
             checked += 1
         assert checked == 50
 
-        # (c) determinant backend agreement on every instance exercised here
-        backend_instances = [quartic_bp, segre]
-        backend_instances += [phi for _, phi in
-                              base_point_free_parametrizations(2, 2, 2, 500)]
-        backend_instances.append(Parametrization(
+        # (c) the interpolated determinant agrees with the cofactor oracle,
+        # on the M of every instance exercised here
+        det_instances = [quartic_bp, segre]
+        det_instances += [phi for _, phi in
+                          base_point_free_parametrizations(2, 2, 2, 500)]
+        det_instances.append(Parametrization(
             1, 2, (parse("s*t^2"), parse("s*t*v"), parse("u*t*v"),
                    parse("u*v^2"))))
-        agreements = 0
-        for phi in backend_instances:
+        oracle_matches = 0
+        for phi in det_instances:
             try:
-                res_c = pipeline(phi, PipelineConfig(det_backend="cofactor",
-                                                     samples=5))
-                res_i = pipeline(phi, PipelineConfig(det_backend="interp",
-                                                     samples=5))
+                res = pipeline(phi, PipelineConfig(samples=5))
             except Exception:
                 continue
-            assert res_c.polynomial == res_i.polynomial
-            agreements += 1
-        assert agreements >= 4
+            M = assembled_M(res.phi)
+            assert res.polynomial == normalize(det_cofactor(M))
+            oracle_matches += 1
+        assert oracle_matches >= 4
 
         # (d) RREF idempotence and row-permutation invariance
         from movsurf import RatMatrix
@@ -194,9 +195,10 @@ def test_criterion_6_property_suites(quartic_bp, segre):
             res = pipeline(phi, PipelineConfig(samples=100))
             assert res.verification.vanishing_ok
             assert res.verification.failures == []
-    _report(6, "syzygy identities + rank-nullity on 50 instances, backend "
-               "agreement on %d instances, RREF properties on 30 matrices, "
-               "exact vanishing with 100 samples per instance" % agreements)
+    _report(6, "syzygy identities + rank-nullity on 50 instances, "
+               "determinant equal to the cofactor oracle on %d instances, "
+               "RREF properties on 30 matrices, exact vanishing with 100 "
+               "samples per instance" % oracle_matches)
 
 
 def test_criterion_7_deterministic_reports(tmp_path, quartic_bp):

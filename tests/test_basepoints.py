@@ -495,11 +495,6 @@ def test_saturation_member_skips_the_rank_with_f_at_a_zero_quotient(
                 == saturation_oracle(phi.a[3], phi.a[:3], 6))
 
 
-def test_check_all_rejects_negative_attempts(quartic_bp):
-    with pytest.raises(ValueError, match="attempts"):
-        check_all(quartic_bp, CheckConfig(attempts=-1))
-
-
 def test_check_all_rejects_coord_bound_below_1(quartic_bp):
     with pytest.raises(ValueError, match="coord_bound"):
         check_all(quartic_bp, CheckConfig(coord_bound=0))

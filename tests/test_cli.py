@@ -97,15 +97,44 @@ def test_implicitize_human_output(tmp_path, capsys):
     assert "verification: PASS" in out
 
 
-def test_backend_both_reports_agreement(tmp_path):
-    inp = write_job(tmp_path, QUARTIC_JOB)
-    out = tmp_path / "both.json"
-    code = main(["implicitize", "--input", inp, "--json", "--det-backend",
-                 "both", "--output", str(out)])
-    report = json.loads(out.read_text())
+def test_det_backend_flag_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    inp = write_job(tmp_path, SEGRE_JOB)
+    for value in ("both", "auto"):
+        with pytest.raises(SystemExit) as exc:
+            main(["implicitize", "--input", inp, "--det-backend", value])
+        assert exc.value.code == 2
+        assert "--det-backend" in capsys.readouterr().err
+    # the preset is not read either, and the one determinant is reported
+    monkeypatch.setenv("MOVSURF_DET_BACKEND", "lu")
+    code, report = run_json(tmp_path, "implicitize", SEGRE_JOB)
     assert code == 0
-    assert report["implicit"]["backend"] == "both"
-    assert report["implicit"]["backend_agreement"] is True
+    assert report["implicit"]["backend"] == "interp"
+    assert "backend_agreement" not in report["implicit"]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("check", ["--samples", "3"]), ("check", ["--force"]),
+    ("hilbert", ["--window", "3"]), ("hilbert", ["--sat-bound", "2"]),
+    ("hilbert", ["--samples", "3"]), ("hilbert", ["--force"])])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                           command, flags):
+    inp = write_job(tmp_path, SEGRE_JOB)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", inp] + flags)
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, var, value", [
+    ("check", "MOVSURF_SAMPLES", "0"), ("check", "MOVSURF_SAMPLES", "x"),
+    ("hilbert", "MOVSURF_WINDOW", "1"), ("hilbert", "MOVSURF_SAT_BOUND", "-1"),
+    ("hilbert", "MOVSURF_SAMPLES", "x")])
+def test_a_preset_the_command_does_not_read_is_ignored(tmp_path, monkeypatch,
+                                                       command, var, value):
+    monkeypatch.setenv(var, value)
+    code, report = run_json(tmp_path, command, SEGRE_JOB)
+    assert code == 0
+    assert report["command"] == command
 
 
 def test_verify_command(tmp_path):
@@ -260,8 +289,7 @@ def test_out_of_range_option_exits_2(tmp_path, capsys, flag, value, name):
     assert "input error" in err and name in err
 
 
-@pytest.mark.parametrize("var, value", [("MOVSURF_SAMPLES", "0"),
-                                        ("MOVSURF_DET_BACKEND", "lu")])
+@pytest.mark.parametrize("var, value", [("MOVSURF_SAMPLES", "0")])
 def test_out_of_range_environment_default_exits_2(tmp_path, capsys,
                                                   monkeypatch, var, value):
     monkeypatch.setenv(var, value)
@@ -276,8 +304,10 @@ def test_non_integer_environment_value_exits_2(tmp_path, capsys, monkeypatch,
                                                var):
     monkeypatch.setenv(var, "x")
     inp = write_job(tmp_path, SEGRE_JOB)
+    # each case runs under a command that reads the variable
+    command = "verify" if var == "MOVSURF_SAMPLES" else "check"
     with pytest.raises(SystemExit) as exc:
-        main(["check", "--input", inp])
+        main([command, "--input", inp])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "invalid int value: 'x'" in err

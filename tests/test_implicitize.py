@@ -12,16 +12,15 @@ from movsurf import (BihomPoly, ConditionError, MMatrix, Parametrization,
                      moving_planes, moving_quadrics, normalize, parse,
                      parse_xpoly, pipeline, quadric_basis_via_projection,
                      VerificationError, verify_polynomial)
-from movsurf.implicitize import (_IntegerRows, _sample_point, det_cofactor,
-                                 det_interpolation, resolve_backend,
-                                 select_quadric_rows)
+from movsurf.implicitize import (_IntegerRows, _sample_point,
+                                 det_interpolation, select_quadric_rows)
 from movsurf.syzygy import x_monomial
 
 import oracle
-from conftest import (load_golden, nonzero_blocks, random_parametrization,
-                      row_surface, substitute, surface_row, two_base_points,
-                      x_multiple)
-from oracle import rref
+from conftest import (assembled_M, load_golden, nonzero_blocks,
+                      random_parametrization, row_surface, substitute,
+                      surface_row, two_base_points, x_multiple)
+from oracle import det_cofactor, rref
 
 
 # --- plane echelonization -----------------------------------------------------
@@ -315,15 +314,6 @@ def test_det_interpolation_guard_catches_underdeclared_degrees():
     assert det_interpolation(honest) == det_cofactor(honest)
 
 
-def assembled_M(phi):
-    """M of phi from the public steps of the pipeline, without the battery."""
-    wdeg = phi.working_bidegree
-    ech, pivots = echelon_plane_basis(moving_planes(phi), wdeg)
-    elements, columns, fallback = quadric_basis_via_projection(phi, pivots)
-    rows = select_quadric_rows(elements, columns, pivots, wdeg, fallback)
-    return assemble_M(ech, rows, pivots, wdeg)
-
-
 @pytest.fixture(scope="module")
 def generic_33():
     """M of a seeded generic (3,3) input, and its interpolated determinant."""
@@ -379,20 +369,33 @@ def test_dependent_quadric_rows_give_a_zero_determinant(quartic_bp,
         pipeline(quartic_bp, PipelineConfig(samples=5))
 
 
-def test_auto_backend_is_cofactor_only_up_to_size_two():
-    for n, expected in [(1, "cofactor"), (2, "cofactor"), (3, "interp"),
-                        (6, "interp"), (9, "interp")]:
-        M = MMatrix(size=n, entries=[], linear_rows=0,
-                    col_monomials=list(range(n)), row_labels=[])
-        assert resolve_backend(M) == expected
-        assert resolve_backend(M, "both") == "both"
-        with pytest.raises(ValueError):
-            resolve_backend(M, "lu")
+def test_det_poly_runs_the_grid_at_sizes_one_and_two(segre, monkeypatch):
+    two_to_one = Parametrization(2, 1, tuple(parse(s) for s in (
+        "s^2*t", "s^2*v", "u^2*t", "u^2*v")))
+    calls = []
+
+    def counted(M):
+        calls.append(M.size)
+        return det_interpolation(M)
+
+    monkeypatch.setattr(implicitize, "det_interpolation", counted)
+    for phi, size in ((segre, 1), (two_to_one, 2)):
+        M = assembled_M(phi)
+        assert M.size == size
+        assert det_poly(M) == det_cofactor(M)
+        assert calls[-1] == size
+    assert len(calls) == 2
 
 
-def test_det_poly_backend_dispatch(quartic_bp):
-    res = pipeline(quartic_bp, PipelineConfig(det_backend="both"))
-    assert res.backend_agreement is True
+def test_det_poly_accepts_only_auto(segre):
+    M = assembled_M(segre)
+    for backend in ("cofactor", "interp", "both", "lu"):
+        with pytest.raises(ValueError, match="backend"):
+            det_poly(M, backend)
+    for backend in ("cofactor", "both"):
+        with pytest.raises(ValueError, match="backend"):
+            PipelineConfig(det_backend=backend)
+    assert pipeline(segre).backend == "interp"
 
 
 # --- normalization ----------------------------------------------------------------
@@ -528,10 +531,12 @@ def test_pipeline_segre(segre):
 
 
 def test_pipeline_deterministic_across_backends(quartic_bp):
-    a = pipeline(quartic_bp, PipelineConfig(det_backend="cofactor"))
-    b = pipeline(quartic_bp, PipelineConfig(det_backend="interp"))
-    c = pipeline(quartic_bp)
-    assert a.polynomial == b.polynomial == c.polynomial
+    # the grid against the cofactor oracle, on the M the pipeline assembles
+    a = pipeline(quartic_bp)
+    b = pipeline(quartic_bp)
+    assert a.backend == "interp"
+    assert a.polynomial == b.polynomial
+    assert a.polynomial == normalize(det_cofactor(assembled_M(a.phi)))
 
 
 def test_pipeline_random_base_point_free_22():
