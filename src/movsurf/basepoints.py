@@ -16,7 +16,8 @@ must pass six checks, reported as B1..B6:
 B1-B4 are invariant under invertible linear recombination of the a_i, while
 B5/B6 hold only in sufficiently general position; when just B5/B6 fail, a
 seeded random recombination is applied and only B5/B6 are rerun, B1-B4
-being computed once per check.
+being computed once per check.  A recombination, the coordinate change of
+the report, is four rows of ints T with a'_i = sum_j T[i][j] a_j.
 
 The battery stops at a B1 or B2 refusal.  B3, B4 and B5 read the
 multiplicity k that B2 certifies, and no coordinate change can repair B1 or
@@ -35,22 +36,29 @@ integer rows.  A window stops computing ranks at its first zero: I_d = R_d
 puts R_{d'} = R_{d'-d} R_d inside I_{d'} for every d' >= d, so the later
 values are zero too.
 
-The other counts of the battery are the same certified rank.  B5 tests
-mu*a3 in (a0,a1,a2) for all mu of one bidegree at once, by comparing two
-Hilbert values, with and without a3 among the generators; B6 is the number
-of multipliers minus the rank of the multiples of a0, a1, a2.
+The other counts of the battery are the same certified rank, each taken
+once.  B1 is the rank of the coefficient rows of the a_i.  B5 tests mu*a3
+in (a0,a1,a2) for all mu of one bidegree at once, by comparing two Hilbert
+values, with and without a3 among the generators.  At (2m-1, 2n-1), where
+the windows start, a multiplication map from bidegree (m-1, n-1) has 4mn
+monomials as target and mn multipliers per generator.  So B6, the kernel
+of the map from the 3mn multiples of a0, a1, a2, has dimension the first
+abc window value minus mn; and the moving-plane space, the kernel of the
+square map from the 4mn multiples of all four, has dimension the first
+window value, which is k once B2 holds.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import RatMatrix, det_bareiss, integer_rank, kernel_basis, rank
-from .ring import bidegree_leq, coeff_vector, monomial_basis
-from .syzygy import (Parametrization, moving_planes, multiple_rows,
-                     syz_dim_abc)
+# rank, moving_planes and syz_dim_abc are not called here: perfbench/spans.py
+# installs its probes on them in this module
+from .linalg import det_integer, integer_rank, kernel_basis, rank
+from .ring import bidegree_leq
+from .syzygy import (Parametrization, moving_planes, mult_matrix,
+                     multiple_rows, syz_dim_abc)
 
 CONDITION_NAMES = {
     "B1": "linear independence",
@@ -100,7 +108,7 @@ class ConditionReport:
     all_passed: bool
     failure: str
     phi: Parametrization            # the parametrization the verdicts describe
-    coordinate_change: RatMatrix = None
+    coordinate_change: list = None  # four rows of ints, see generic_change
     coordinate_seed: int = None
     summary: BasePointSummary = None  # None when B1 fails
 
@@ -142,17 +150,13 @@ def hilbert_values(generators, degrees):
 
 def check_independence(phi):
     """B1: the a_i span a 4-dimensional space of forms."""
-    basis = monomial_basis((phi.m, phi.n))
-    A = RatMatrix([coeff_vector(f, basis) for f in phi.a])
-    return rank(A) == 4
+    ncols = (phi.m + 1) * (phi.n + 1)
+    return integer_rank(multiple_rows(phi.a, (phi.m, phi.n)), ncols) == 4
 
 
 def independence_witness(phi):
     """A dependency among the a_i (None when independent)."""
-    basis = monomial_basis((phi.m, phi.n))
-    A = RatMatrix.from_columns(
-        [coeff_vector(f, basis) for f in phi.a], len(basis))
-    kb = kernel_basis(A)
+    kb = kernel_basis(mult_matrix(phi.a, (phi.m, phi.n)))
     return kb.vectors[0] if kb.vectors else None
 
 
@@ -238,28 +242,31 @@ def _abc_scheme_matches(phi, summary):
 
 
 def generic_change(phi, seed, bound=10, matrix=None):
-    """Recombine (a0..a3) by a seeded random invertible integer matrix.
+    """Recombine (a0..a3) by a seeded random invertible integer matrix T,
+    a'_i = sum_j T[i][j] a_j; returns the recombined parametrization and T.
 
-    Deterministic for a fixed seed.  An explicit matrix overrides the draw.
+    T is four rows of ints.  Deterministic for a fixed seed.  An explicit
+    matrix, four rows of ints, overrides the draw.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
     if matrix is None:
         rng = random.Random(seed)
         while True:
-            entries = [[Fraction(rng.randint(-bound, bound)) for _ in range(4)]
-                       for _ in range(4)]
-            matrix = RatMatrix(entries, _trusted=True)
-            if det_bareiss(matrix) != 0:
+            matrix = [[rng.randint(-bound, bound) for _ in range(4)]
+                      for _ in range(4)]
+            if det_integer(matrix):
                 break
-    elif det_bareiss(matrix) == 0:
+    elif not all(type(x) is int for row in matrix for x in row):
+        raise ValueError("coordinate change matrix must hold ints")
+    elif not det_integer(matrix):
         raise ValueError("coordinate change matrix is singular")
     new_a = []
-    for i in range(4):
-        f = phi.a[0].scale(matrix[i, 0])
-        for j in range(1, 4):
-            if matrix[i, j]:
-                f = f + phi.a[j].scale(matrix[i, j])
+    for row in matrix:
+        f = phi.a[0].scale(row[0])
+        for c, g in zip(row[1:], phi.a[1:]):
+            if c:
+                f = f + g.scale(c)
         new_a.append(f)
     return Parametrization(phi.m, phi.n, tuple(new_a)), matrix
 
@@ -316,7 +323,7 @@ def _evaluate_conditions(phi, config, invariant):
                        "saturation_power": sat.power,
                        "bound_reached": sat.bound_reached}
 
-    abc_dim = syz_dim_abc(phi)
+    abc_dim = abc_values[0] - phi.mn
     verdicts["B6"] = abc_dim == 0
     witnesses["B6"] = {"dim": abc_dim}
 
@@ -331,8 +338,8 @@ def check_all(phi, config=None):
     False with a "skipped" witness, and no coordinate change is tried.
 
     A parametrization with no base points at all (k = 0) does not need the
-    full battery: the construction goes through as soon as the moving-plane
-    space is trivial, so such reports pass regardless of B3-B6.
+    full battery: its moving-plane space, of dimension k, is trivial, and
+    the construction goes through, so such reports pass regardless of B3-B6.
     """
     config = config or CheckConfig()
     if config.window < 2:
@@ -355,6 +362,7 @@ def check_all(phi, config=None):
             all_passed=False, failure=failure, phi=phi, summary=summary)
 
     k = summary.k
+    short_path = k == 0
     phi_cur, change, change_seed = phi, None, None
     for attempt in range(CHANGE_ATTEMPTS + 1):
         if attempt:
@@ -362,12 +370,8 @@ def check_all(phi, config=None):
             phi_cur, change = generic_change(phi, change_seed,
                                              bound=config.coord_bound)
         verdicts, witnesses = _evaluate_conditions(phi_cur, config, invariant)
-
-        short_path = False
-        if k == 0:
-            mp_dim = moving_planes(phi_cur).dim
-            witnesses["short_path"] = {"moving_plane_dim": mp_dim}
-            short_path = mp_dim == 0
+        if short_path:
+            witnesses["short_path"] = {"moving_plane_dim": k}
 
         all_passed = all(verdicts.values()) or short_path
         failure = None

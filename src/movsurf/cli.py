@@ -13,8 +13,8 @@ fields must be JSON integers (not true or false, not 1.7 or "2"),
 assert_one_to_one must be JSON true or false, and a must be a JSON list of
 strings.
 
-Each subcommand takes only the flags it reads: --input, --json, --seed and
---output everywhere, --sat-bound and --window on check, implicitize and
+Each subcommand takes only the flags it reads: --input, --json and --output
+everywhere, --seed, --sat-bound and --window on check, implicitize and
 verify, --samples and --force on implicitize and verify.  Every flag can be
 preset through an environment variable with prefix MOVSURF_ (e.g.
 MOVSURF_SEED=7, MOVSURF_WINDOW=4); explicit flags win over the environment,
@@ -42,7 +42,6 @@ from .basepoints import (CONDITION_NAMES, CheckConfig, check_all,
                          hilbert_values)
 from .implicitize import (ConditionError, PipelineConfig, VerificationError,
                           pipeline)
-from .linalg import RatMatrix
 from .ring import MixedBidegreeError, ParseError, parse
 from .syzygy import Parametrization
 
@@ -130,20 +129,20 @@ def build_parser():
         p.add_argument("--json", action="store_true",
                        default=_env_flag("JSON"),
                        help="emit a machine-readable JSON report")
-        p.add_argument("--seed", type=_int,
-                       default=_env("SEED", None),
-                       help="seed for coordinate changes and sampling")
         if name in BATTERY_COMMANDS:
+            p.add_argument("--seed", type=_int,
+                           default=_env("SEED", None),
+                           help="seed for coordinate changes and sampling")
             p.add_argument("--sat-bound", type=_int,
                            default=_env("SAT_BOUND", None),
                            help="saturation search bound "
                                 "(default 2*max(m,n)+2)")
             p.add_argument("--window", type=_int,
-                           default=_env("WINDOW", 3),
+                           default=_env("WINDOW", CheckConfig.window),
                            help="diagonal sampling window for stabilization")
         if name in PIPELINE_COMMANDS:
             p.add_argument("--samples", type=_int,
-                           default=_env("SAMPLES", 100),
+                           default=_env("SAMPLES", PipelineConfig.samples),
                            help="number of exact vanishing samples")
             p.add_argument("--force", action="store_true",
                            default=_env_flag("FORCE"),
@@ -264,8 +263,6 @@ def load_jobspec(path, seed_override=None):
 def _jsonable(obj):
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, RatMatrix):
-        return [[str(x) for x in row] for row in obj.entries]
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -288,7 +285,8 @@ def change_block(report):
     if report.coordinate_change is None:
         return None
     return {"seed": report.coordinate_seed,
-            "matrix": _jsonable(report.coordinate_change)}
+            "matrix": [[str(x) for x in row]
+                       for row in report.coordinate_change]}
 
 
 def emit(args, text):
@@ -310,7 +308,7 @@ def render_report(args, payload, human_lines):
 
 def _check_config(spec, args):
     return CheckConfig(window=args.window, sat_bound=args.sat_bound,
-                       seed=spec.seed, coord_bound=10)
+                       seed=spec.seed)
 
 
 def _pipeline_config(spec, args):
@@ -481,7 +479,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        spec = load_jobspec(args.input, seed_override=args.seed)
+        spec = load_jobspec(args.input,
+                            seed_override=getattr(args, "seed", None))
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

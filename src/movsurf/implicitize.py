@@ -141,7 +141,7 @@ class ImplicitResult:
     projection_fallback: bool
     verification: VerificationRecord = None
     report: ConditionReport = None
-    coordinate_change: RatMatrix = None
+    coordinate_change: list = None  # four rows of ints, see generic_change
     coordinate_seed: int = None
     phi: Parametrization = None
 
@@ -301,7 +301,6 @@ def select_quadric_rows(elements, columns, pivots, working_bidegree, fallback):
     """The mn - k quadric rows that enter M (all rows when falling back)."""
     if fallback:
         return list(elements)
-    basis = monomial_basis(working_bidegree)
     pivot_pairs = set(pivots)
     out = []
     for pos, (mono, xm) in enumerate(columns.distinguished):
@@ -614,8 +613,8 @@ def compose_linear(poly, T):
     """
     subs = []
     for i in range(4):
-        subs.append(XPoly({x_monomial(j): T[i, j] for j in range(4)
-                           if T[i, j]}))
+        subs.append(XPoly({x_monomial(j): T[i][j] for j in range(4)
+                           if T[i][j]}))
     out = XPoly.zero()
     for mono, c in poly.terms.items():
         term = XPoly.monomial((0, 0, 0, 0), c)

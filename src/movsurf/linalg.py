@@ -53,7 +53,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
-from .ring import clear, content_normalize
+from .ring import clear, content_normalize, primitive
 
 
 class RatMatrix:
@@ -81,10 +81,6 @@ class RatMatrix:
     def identity(cls, n):
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
                    _trusted=True)
-
-    @classmethod
-    def from_columns(cls, columns, nrows):
-        return cls([[col[i] for col in columns] for i in range(nrows)])
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
@@ -129,14 +125,7 @@ class KernelBasis:
 
 def _int_rows(entries):
     """Denominator-cleared, gcd-reduced integer rows; zero rows dropped."""
-    out = []
-    for row in entries:
-        ints, _ = clear(row)
-        g = gcd(*ints)
-        if g == 0:
-            continue
-        out.append([x // g for x in ints] if g > 1 else ints)
-    return out
+    return [row for row in map(primitive, entries) if any(row)]
 
 
 def _combine(row, prow, p, f):

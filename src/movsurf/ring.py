@@ -8,10 +8,10 @@ with the usual total grading.  Monomials are bare exponent tuples:
 Both rings share one implementation: BihomPoly and XPoly differ only in
 their variables and their grading (a declared bidegree, or none), and
 arithmetic never mixes them.  One term order, graded lex on the exponent
-tuples, sorts both (s > u > t > v, x0 > x1 > x2 > x3), and `clear` is the
+tuples, sorts both (s > u > t > v, x0 > x1 > x2 > x3).  `clear` is the
 one routine that scales ints and Fractions to integers by the lcm of their
-denominators.  Everything here is an immutable value; all operations are
-pure and exact.
+denominators, and `primitive` the one that also divides out their gcd.
+Everything here is an immutable value; all operations are pure and exact.
 """
 
 from __future__ import annotations
@@ -440,13 +440,19 @@ def clear(values):
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
+def primitive(values):
+    """Coprime integer multiples of `values` (ints or Fractions) by one
+    positive factor: the denominators cleared, then the gcd divided out.
+    Zeros stay zeros."""
+    ints, _ = clear(values)
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def content_normalize(coeffs):
     """Rescale a list of ints or Fractions to coprime integers, as Fractions,
     with the first nonzero one positive."""
-    ints, _ = clear(coeffs)
-    g = gcd(*ints)
-    if not g:
-        return [Fraction(0)] * len(ints)
-    if next(x for x in ints if x) < 0:
-        g = -g
-    return [Fraction(x // g) for x in ints]
+    ints = primitive(coeffs)
+    if next((x for x in ints if x), 0) < 0:
+        ints = [-x for x in ints]
+    return [Fraction(x) for x in ints]

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .linalg import RatMatrix, integer_rank, kernel_basis
-from .ring import clear, monomial_basis
+from .ring import monomial_basis, primitive
 
 # x_i x_j blocks of the quadric map, in this fixed order
 PROD_ORDER = tuple((i, j) for i in range(4) for j in range(i, 4))
@@ -132,13 +131,6 @@ def mult_matrix(generators, target):
                      _trusted=True)
 
 
-def _primitive(g):
-    """The coefficients of g scaled to coprime integers."""
-    ints, _ = clear(list(g.terms.values()))
-    content = gcd(*ints)
-    return [c // content for c in ints]
-
-
 def multiple_rows(generators, target):
     """The multiples mu*g into bidegree `target`, as rows of integers.
 
@@ -147,7 +139,8 @@ def multiple_rows(generators, target):
     is scaled once to coprime integer coefficients, which leaves the span of
     its multiples unchanged.
     """
-    return _multiples(generators, target, _primitive, 0)[0]
+    return _multiples(generators, target,
+                      lambda g: primitive(g.terms.values()), 0)[0]
 
 
 def plane_map_matrix(phi):

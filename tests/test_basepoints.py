@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,11 +9,15 @@ from movsurf import (BihomPoly, CheckConfig, Parametrization, RatMatrix,
                      check_regularity, generic_change, hilbert_dim,
                      kernel_basis, parse, saturation_member)
 from movsurf import basepoints
-from movsurf.basepoints import SaturationResult, independence_witness
+from movsurf.basepoints import (SaturationResult, _evaluate_conditions,
+                                _invariant_conditions, independence_witness)
+from movsurf.cli import load_jobspec
+from movsurf.linalg import det_integer
 from movsurf.ring import bidegree_leq, coeff_vector, monomial_basis
-from movsurf.syzygy import mult_matrix
+from movsurf.syzygy import moving_planes, mult_matrix, syz_dim_abc
 
-from conftest import base_point_free_parametrizations, random_parametrization
+from conftest import (QUARTIC_BP_STRINGS, base_point_free_parametrizations,
+                      random_parametrization)
 from oracle import solve_membership
 
 
@@ -233,15 +239,24 @@ def test_generic_change_deterministic(quartic_bp):
 
 
 def test_generic_change_identity_override(quartic_bp):
-    phi, T = generic_change(quartic_bp, seed=0, matrix=RatMatrix.identity(4))
+    phi, T = generic_change(quartic_bp, seed=0,
+                            matrix=[[int(i == j) for j in range(4)]
+                                    for i in range(4)])
     assert phi.a == quartic_bp.a
 
 
 def test_generic_change_rejects_singular_matrix(quartic_bp):
     with pytest.raises(ValueError):
         generic_change(quartic_bp, seed=0,
-                       matrix=RatMatrix([[1, 1, 0, 0], [2, 2, 0, 0],
-                                         [0, 0, 1, 0], [0, 0, 0, 1]]))
+                       matrix=[[1, 1, 0, 0], [2, 2, 0, 0],
+                               [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def test_generic_change_rejects_a_fraction_matrix(quartic_bp):
+    # det_integer divides exactly only over the integers
+    half = [[Fraction(int(i == j), 2) for j in range(4)] for i in range(4)]
+    with pytest.raises(ValueError, match="ints"):
+        generic_change(quartic_bp, seed=0, matrix=half)
 
 
 def test_generic_change_restores_b5_b6_on_most_seeds(quartic_bp):
@@ -530,3 +545,72 @@ def test_check_all_runs_b1_to_b4_once_across_coordinate_changes(monkeypatch):
                                       "expected": 3 * fresh.k}
     assert report.witnesses["B4"] == {"value_at_start": fresh.hilbert_values[0],
                                       "k": fresh.k}
+
+
+# --- counts read off the windows ------------------------------------------------
+
+INPUT_DIR = Path(__file__).resolve().parents[1] / "scripts" / "inputs"
+
+
+def test_check_all_ranks_no_plane_kernel_and_no_second_abc_map(monkeypatch,
+                                                                quartic_bp,
+                                                                segre):
+    # B6 and the short path are read off the windows, B1 is one integer rank
+    names = ("moving_planes", "syz_dim_abc", "rank")
+    assert not hasattr(basepoints, "det_bareiss")
+    calls = counted_calls(monkeypatch, names)
+    generic = random_parametrization(random.Random(5), 2, 2)
+    for phi, k in ((quartic_bp, 1), (segre, 0), (generic, 0)):
+        report = check_all(phi)
+        assert report.all_passed and report.k == k
+        assert report.short_path == (k == 0)
+    assert calls == {name: [] for name in names}
+
+
+def window_oracle_inputs():
+    """(id, parametrization): the bundled inputs, seeded random ones and a
+    recombined quartic."""
+    cases = [(path.stem, load_jobspec(str(path)).phi)
+             for path in sorted(INPUT_DIR.glob("*.json"))]
+    cases += [("seeded_%d%d" % (m, n),
+               random_parametrization(random.Random(seed), m, n))
+              for seed, (m, n) in enumerate(((2, 2), (2, 3), (3, 3)))]
+    quartic = Parametrization(2, 2, tuple(parse(s, bidegree=(2, 2))
+                                          for s in QUARTIC_BP_STRINGS))
+    cases.append(("changed_quartic", generic_change(quartic, 1)[0]))
+    return cases
+
+
+@pytest.mark.parametrize("phi", [pytest.param(phi, id=name)
+                                 for name, phi in window_oracle_inputs()])
+def test_window_counts_match_the_kernel_oracles(phi):
+    # B6 on the input itself (1 on degree_two_scheme_23), and on the
+    # recombination the battery settles on
+    config = CheckConfig()
+    _, witnesses = _evaluate_conditions(phi, config,
+                                        _invariant_conditions(phi, config))
+    assert witnesses["B6"]["dim"] == syz_dim_abc(phi)
+    report = check_all(phi, config)
+    assert report.verdicts["B2"]
+    assert report.witnesses["B6"]["dim"] == syz_dim_abc(report.phi)
+    if report.k == 0:
+        assert report.short_path
+        assert report.witnesses["short_path"] == {"moving_plane_dim": 0}
+        assert moving_planes(report.phi).dim == 0
+    else:
+        assert "short_path" not in report.witnesses
+
+
+def test_coordinate_change_is_four_int_rows(quartic_bp):
+    report = check_all(Parametrization(2, 2, (
+        parse("s^2*t*v"), parse("u^2*t^2 + s*u*v^2"),
+        parse("s^2*v^2 + s^2*t^2"), parse("u^2*t*v + s^2*t*v"))))
+    T = report.coordinate_change
+    assert report.coordinate_seed == 1
+    assert type(T) is list and len(T) == 4
+    assert all(type(row) is list and len(row) == 4 for row in T)
+    assert all(type(x) is int for row in T for x in row)
+    assert det_integer(T) != 0
+    changed, drawn = generic_change(quartic_bp, 7)
+    assert all(type(x) is int for row in drawn for x in row)
+    assert generic_change(quartic_bp, 0, matrix=drawn)[0] == changed

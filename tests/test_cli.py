@@ -115,7 +115,8 @@ def test_det_backend_flag_is_a_usage_error(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command, flags", [
     ("check", ["--samples", "3"]), ("check", ["--force"]),
     ("hilbert", ["--window", "3"]), ("hilbert", ["--sat-bound", "2"]),
-    ("hilbert", ["--samples", "3"]), ("hilbert", ["--force"])])
+    ("hilbert", ["--samples", "3"]), ("hilbert", ["--force"]),
+    ("hilbert", ["--seed", "5"])])
 def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys,
                                                            command, flags):
     inp = write_job(tmp_path, SEGRE_JOB)
@@ -128,13 +129,22 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys,
 @pytest.mark.parametrize("command, var, value", [
     ("check", "MOVSURF_SAMPLES", "0"), ("check", "MOVSURF_SAMPLES", "x"),
     ("hilbert", "MOVSURF_WINDOW", "1"), ("hilbert", "MOVSURF_SAT_BOUND", "-1"),
-    ("hilbert", "MOVSURF_SAMPLES", "x")])
+    ("hilbert", "MOVSURF_SAMPLES", "x"), ("hilbert", "MOVSURF_SEED", "x")])
 def test_a_preset_the_command_does_not_read_is_ignored(tmp_path, monkeypatch,
                                                        command, var, value):
     monkeypatch.setenv(var, value)
     code, report = run_json(tmp_path, command, SEGRE_JOB)
     assert code == 0
     assert report["command"] == command
+
+
+def test_hilbert_reports_the_seed_of_the_job_file(tmp_path, monkeypatch):
+    # hilbert draws nothing, so no seed option reaches it
+    monkeypatch.setenv("MOVSURF_SEED", "5")
+    code, report = run_json(tmp_path, "hilbert", dict(SEGRE_JOB, seed=3))
+    assert code == 0 and report["seed"] == 3
+    code, report = run_json(tmp_path, "check", dict(SEGRE_JOB, seed=3))
+    assert code == 0 and report["seed"] == 5
 
 
 def test_verify_command(tmp_path):

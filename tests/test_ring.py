@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from movsurf import (BihomPoly, MixedBidegreeError, ParseError, XPoly,
                      coeff_vector, monomial_basis, parse, parse_xpoly)
-from movsurf.ring import SUV_VARS, X_VARS, clear, content_normalize
+from movsurf.ring import (SUV_VARS, X_VARS, clear, content_normalize,
+                          primitive)
 
 from conftest import random_bihom
 
@@ -300,3 +301,16 @@ def test_content_normalize_matches_fraction_reference(values):
     d = next(d for d in range(1, 1000)
              if all((r * d).denominator == 1 for r in ratios))
     assert got == [r * d for r in ratios]
+
+
+@pytest.mark.parametrize("values, expected", [
+    ([], []),
+    ([0, 0, 0], [0, 0, 0]),
+    ([0, 6, 0, -9], [0, 2, 0, -3]),
+    ([Fraction(1, 2), Fraction(-1, 3), 0], [3, -2, 0]),
+    ([-4, -6, Fraction(-2, 5)], [-10, -15, -1]),
+    ([Fraction(-7, 3)], [-1])])
+def test_primitive_scales_by_one_positive_factor(values, expected):
+    got = primitive(values)
+    assert got == expected
+    assert all(type(x) is int for x in got)
