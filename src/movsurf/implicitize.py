@@ -32,9 +32,11 @@ a known rational factor.  At every size of M, det of the reduced rows is
 evaluated on an integer grid by fraction-free Bareiss elimination,
 interpolated with integer differences and integer Newton weights, and
 scaled once at the end, so det_interpolation returns det M exactly; it is
-the package's one determinant.  Verification clears the
-denominators of each sample point and of the polynomial and tests vanishing
-over Z.
+the package's one determinant.  Along each grid line the entries advance by
+integer differences, so each is expanded once per line, not per point.
+Verification clears the denominators of each sample point and of the
+polynomial and tests vanishing over Z, with the polynomial compiled once
+into groups of terms that share their x0, x1 exponents.
 """
 
 from __future__ import annotations
@@ -332,20 +334,36 @@ def _int_polys(polys):
     return [[(next(it), mono) for mono in f.terms] for f in polys], den
 
 
-def _int_eval(terms, point):
-    """Value of an integer polynomial, given as (coefficient, exponents)
-    pairs, at an integer point, by int power tables."""
-    if not terms:
-        return 0
-    top = max(max(mono) for _, mono in terms)
-    tables = []
-    for x in point:
-        pw = [1] * (top + 1)
-        for e in range(1, top + 1):
-            pw[e] = pw[e - 1] * x
-        tables.append(pw)
-    p0, p1, p2, p3 = tables
-    return sum(c * p0[a] * p1[b] * p2[d] * p3[e] for c, (a, b, d, e) in terms)
+def _compile(terms):
+    """An integer polynomial in four variables, given as (coefficient,
+    exponents) pairs, grouped for _int_eval.
+
+    Returns (top, pairs, groups): top is the largest exponent, pairs lists
+    the distinct exponent pairs (d, e) of the last two variables, and groups
+    holds, per distinct pair (a, b) of the first two, the (coefficient,
+    index into pairs) of its terms.
+    """
+    index = {}
+    groups = {}
+    for c, (a, b, d, e) in terms:
+        groups.setdefault((a, b), []).append(
+            (c, index.setdefault((d, e), len(index))))
+    top = max((max(mono) for _, mono in terms), default=0)
+    return top, list(index), list(groups.items())
+
+
+def _int_eval(poly, point):
+    """Value of a polynomial compiled by _compile at an integer point: one
+    x2^d*x3^e product per distinct (d, e), one coefficient product per term
+    and one x0^a*x1^b product per group, from int power tables."""
+    top, pairs, groups = poly
+    p0, p1, p2, p3 = tables = [[1] * (top + 1) for _ in point]
+    for pw, x in zip(tables, point):
+        for e in range(top):
+            pw[e + 1] = pw[e] * x
+    w = [p2[d] * p3[e] for d, e in pairs]
+    return sum([p0[a] * p1[b] * sum([c * w[i] for c, i in part])
+                for (a, b), part in groups])
 
 
 class _IntegerRows:
@@ -361,9 +379,13 @@ class _IntegerRows:
     at any point; det C is the quotient of the two groups' minors at the
     saturation's pivot columns.  A group of dependent rows makes det M
     zero and is kept as it is.  Entries are compiled to (coefficient,
-    monomial index) pairs over the distinct monomials of M, so that
-    evaluating at an integer point costs one power product per monomial
-    and int dot products.
+    monomial index) pairs over the distinct monomials of M.
+
+    Every entry is a form of degree at most 2, so on a line along x2 it is
+    e0 + e1*x2 + e2*x2**2.  dets computes (e0, e1, e2) once per line and
+    per entry, from one x0^a*x1^b*x3^e product per monomial, and then
+    advances every entry by two integer additions per step; the grid and
+    its off-grid guard both evaluate through it.
     """
 
     def __init__(self, M):
@@ -394,13 +416,32 @@ class _IntegerRows:
                 self.rows.append(row)
         self.monomials = list(index)
 
-    def det(self, point):
-        """det M / ratio at an integer x-point, by Bareiss over Z."""
-        x0, x1, x2, x3 = point
-        mv = [x0 ** a * x1 ** b * x2 ** c * x3 ** d
-              for a, b, c, d in self.monomials]
-        return det_integer([[sum(c * mv[i] for c, i in entry)
-                             for entry in row] for row in self.rows])
+    def dets(self, point, count):
+        """det M / ratio at the integer points (x0, x1, y + t, x3) for
+        t = 0..count-1, where point = (x0, x1, y, x3), by Bareiss over Z."""
+        x0, x1, y, x3 = point
+        pv = [x0 ** a * x1 ** b * x3 ** e for a, b, _, e in self.monomials]
+        deg = [d for _, _, d, _ in self.monomials]
+        vals, d1s, d2s = [], [], []
+        for row in self.rows:
+            for entry in row:
+                e = [0, 0, 0]
+                for c, i in entry:
+                    e[deg[i]] += c * pv[i]
+                e0, e1, e2 = e
+                # value at y, and its first and second forward differences
+                vals.append(e0 + y * (e1 + y * e2))
+                d1s.append(e1 + (2 * y + 1) * e2)
+                d2s.append(2 * e2)
+        n = len(self.rows)
+        out = []
+        for t in range(count):
+            out.append(det_integer([vals[r:r + n]
+                                    for r in range(0, n * n, n)]))
+            if t + 1 < count:
+                vals = [v + d for v, d in zip(vals, d1s)]
+                d1s = [d + dd for d, dd in zip(d1s, d2s)]
+        return out
 
 
 def _forward_diffs(line):
@@ -468,8 +509,8 @@ def det_interpolation(M):
     values = {}
     for i in range(D + 1):
         for j in range(D + 1 - i):
-            for l in range(D + 1 - i - j):
-                values[(i, j, l)] = rows.det((i, j, l, 1))
+            for l, v in enumerate(rows.dets((i, j, 0, 1), D + 1 - i - j)):
+                values[(i, j, l)] = v
     _sweep(values, D, _forward_diffs)
     weights = _newton_weights(D)
 
@@ -489,10 +530,11 @@ def det_interpolation(M):
     # guard: cross-check at a few random points off the grid, each cleared
     # to integers; both sides are homogeneous of degree D in the point
     rng = random.Random(1)
+    poly = _compile(terms)
     for _ in range(3):
         pt, _ = clear([Fraction(rng.randint(-50, 50), rng.randint(1, 7))
                         for _ in range(4)])
-        if _int_eval(terms, pt) != cube * rows.det(pt):
+        if _int_eval(poly, pt) != cube * rows.dets(pt, 1)[0]:
             raise ArithmeticError(
                 "interpolated determinant disagrees with a direct evaluation;"
                 " the determinant degree exceeds %d" % D)
@@ -561,10 +603,12 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
     expected = 2 * phi.mn - k
     # one common factor for all four a_i only scales the image
     forms, den = _int_polys(phi.a)
+    forms = [_compile(f) for f in forms]
     (terms,), _ = _int_polys([poly])
     parts = {}
     for c, mono in terms:
         parts.setdefault(sum(mono), []).append((c, mono))
+    parts = {d: _compile(part) for d, part in parts.items()}
     top = poly.total_degree()
     failures = []
     drawn = 0

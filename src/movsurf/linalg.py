@@ -2,9 +2,10 @@
 
 Kernels and changes of basis share one fraction-free integer echelon: rows
 are cleared of denominators and gcd-reduced, then eliminated over Z with
-their contents kept reduced.  reduced_echelon back-substitutes it to a
-scaled reduced echelon form, from which kernel_basis reads the kernel and
-the implicitization reads its unit-pivot bases.
+their contents kept reduced.  kernel_basis back-solves each kernel vector
+from this forward echelon alone.  reduced_echelon back-substitutes it to a
+scaled reduced echelon form, from which the implicitization reads its
+unit-pivot bases and saturation its lattice.
 
 Ranks (integer_rank, and rank for a RatMatrix) are computed modulo primes
 and certified over Z.  Modulo the first prime, r pivots give a nonzero
@@ -46,6 +47,7 @@ pivot choice is about reproducibility, not stability.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -393,21 +395,34 @@ def reduced_echelon(entries, ncols):
 def kernel_basis(A):
     """Canonical basis of the right kernel, one vector per free column.
 
-    Read off the scaled reduced echelon form, whose uniqueness makes each
-    free-column vector canonical after content normalization.
+    The vector of a free column f is the kernel vector that is 1 at f and 0
+    at the other free columns; it is unique, so after content normalization
+    it is canonical.  It is back-solved from the forward echelon, pivot rows
+    from last to first; rows whose pivot lies right of f give 0 and are
+    skipped.  The vector is kept as an integer multiple of itself: when a
+    pivot p does not divide the partial sum s of its row, the vector is
+    first scaled by |p| / gcd(s, p).
     """
-    pivots, rows = reduced_echelon(A.entries, A.cols)
+    pivots, rows = echelon(A.entries, A.cols)
     pivot_set = set(pivots)
     vectors = []
     for free in range(A.cols):
         if free in pivot_set:
             continue
-        v = [0] * A.cols
-        v[free] = 1
-        for pc, row in zip(pivots, rows):
-            if row[free]:
-                v[pc] = Fraction(-row[free], row[pc])
-        vectors.append(content_normalize(v))
+        v = {free: 1}
+        for r in range(bisect_left(pivots, free) - 1, -1, -1):
+            pc, row = pivots[r], rows[r]
+            s = sum(row[j] * x for j, x in v.items())
+            if not s:
+                continue
+            p = row[pc]
+            if s % p:
+                g = abs(p) // gcd(s, p)
+                v = {j: x * g for j, x in v.items()}
+                s *= g
+            v[pc] = -s // p
+        vectors.append(content_normalize([v.get(j, 0)
+                                          for j in range(A.cols)]))
     return KernelBasis(dim=len(vectors), vectors=vectors)
 
 

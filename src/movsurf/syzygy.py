@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .linalg import RatMatrix, integer_rank, kernel_basis
 from .ring import monomial_basis, primitive
@@ -73,9 +74,14 @@ class Parametrization:
     def working_bidegree(self):
         return (self.m - 1, self.n - 1)
 
+    @cached_property
+    def _products(self):
+        return tuple(self.a[i] * self.a[j] for i, j in PROD_ORDER)
+
     def products(self):
-        """The ten pairwise products a_i a_j, i <= j, in block order."""
-        return [self.a[i] * self.a[j] for i, j in PROD_ORDER]
+        """The ten pairwise products a_i a_j, i <= j, in block order, as a
+        fresh list; they are computed once per instance."""
+        return list(self._products)
 
     def evaluate(self, point):
         return tuple(f.evaluate(point) for f in self.a)

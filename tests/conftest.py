@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-from movsurf import (BihomPoly, Parametrization, assemble_M,
+from movsurf import (BihomPoly, Parametrization, assemble_M, basepoints,
                      echelon_plane_basis, monomial_basis, moving_planes, parse,
                      quadric_basis_via_projection)
 from movsurf.implicitize import select_quadric_rows
@@ -63,6 +63,19 @@ def regularity_phi():
     """Bidegree-(2,3) quadruple whose base scheme has degree 2."""
     return Parametrization(
         2, 3, tuple(parse(s, bidegree=(2, 3)) for s in REGULARITY_IDEAL_STRINGS))
+
+
+def counted_calls(monkeypatch, names, module=basepoints):
+    """{name: [args of each call]} of the named functions of a module (or
+    attributes of a class), counted while the test runs."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name),
+                    **kwargs):
+            calls[_name].append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def x_mono(*indices):

@@ -17,7 +17,7 @@ from movsurf.ring import bidegree_leq, coeff_vector, monomial_basis
 from movsurf.syzygy import moving_planes, mult_matrix, syz_dim_abc
 
 from conftest import (QUARTIC_BP_STRINGS, base_point_free_parametrizations,
-                      random_parametrization)
+                      counted_calls, random_parametrization)
 from oracle import solve_membership
 
 
@@ -345,18 +345,6 @@ def test_check_all_not_recoverable_failure_returns_immediately():
 
 LATER = ("hilbert_dim", "base_point_summary", "saturation_member",
          "syz_dim_abc", "moving_planes", "generic_change")
-
-
-def counted_calls(monkeypatch, names):
-    """{name: [args of each call]} of the named basepoints functions."""
-    calls = {name: [] for name in names}
-    for name in names:
-        def counted(*args, _name=name, _original=getattr(basepoints, name),
-                    **kwargs):
-            calls[_name].append(args)
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(basepoints, name, counted)
-    return calls
 
 
 def assert_skipped_after(report, failure):

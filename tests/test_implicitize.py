@@ -12,14 +12,15 @@ from movsurf import (BihomPoly, ConditionError, MMatrix, Parametrization,
                      moving_planes, moving_quadrics, normalize, parse,
                      parse_xpoly, pipeline, quadric_basis_via_projection,
                      VerificationError, verify_polynomial)
-from movsurf.implicitize import (_IntegerRows, _sample_point,
-                                 det_interpolation, select_quadric_rows)
+from movsurf.implicitize import (_IntegerRows, _compile, _int_eval,
+                                 _sample_point, det_interpolation,
+                                 select_quadric_rows)
 from movsurf.syzygy import x_monomial
 
 import oracle
-from conftest import (assembled_M, load_golden, nonzero_blocks,
-                      random_parametrization, row_surface, substitute,
-                      surface_row, two_base_points, x_multiple)
+from conftest import (QUARTIC_BP_STRINGS, assembled_M, load_golden,
+                      nonzero_blocks, random_parametrization, row_surface,
+                      substitute, surface_row, two_base_points, x_multiple)
 from oracle import det_cofactor, rref
 
 
@@ -398,6 +399,38 @@ def test_det_poly_accepts_only_auto(segre):
     assert pipeline(segre).backend == "interp"
 
 
+def grid_inputs():
+    """(id, parametrization) whose M the line path is checked on."""
+    quartic = Parametrization(2, 2, tuple(parse(f, bidegree=(2, 2))
+                                          for f in QUARTIC_BP_STRINGS))
+    segre = Parametrization(1, 1, tuple(parse(f) for f in (
+        "s*t", "s*v", "u*t", "u*v")))
+    return [("segre", segre), ("quartic", quartic),
+            ("seeded_23", random_parametrization(random.Random(0), 2, 3)),
+            ("two_base_points", two_base_points())]
+
+
+@pytest.mark.parametrize("name, phi", grid_inputs(),
+                         ids=[name for name, _ in grid_inputs()])
+def test_grid_lines_give_the_bareiss_determinants(name, phi):
+    M = assembled_M(phi)
+    rows = _IntegerRows(M)
+    D = sum(M.row_degrees())
+    for i in range(D + 1):
+        for j in range(D + 1 - i):
+            count = D + 1 - i - j
+            assert rows.dets((i, j, 0, 1), count) == [
+                det_bareiss(M.evaluate((i, j, l, 1))) / rows.ratio
+                for l in range(count)]
+    # the guard's lines: any x3, and a start off the origin
+    rng = random.Random(4)
+    for _ in range(4):
+        x0, x1, x2, x3 = (rng.randint(-9, 9) for _ in range(4))
+        assert rows.dets((x0, x1, x2, x3), 3) == [
+            det_bareiss(M.evaluate((x0, x1, x2 + t, x3))) / rows.ratio
+            for t in range(3)]
+
+
 # --- normalization ----------------------------------------------------------------
 
 def test_normalize_examples():
@@ -508,6 +541,29 @@ def test_verify_wrapper_reruns_certificates(quartic_bp):
     res = pipeline(quartic_bp)
     record = verify(res, quartic_bp, samples=25, seed=99)
     assert record.ok and record.samples == 25
+
+
+EVAL_POINTS = [(0, 0, 0, 0), (0, 3, -2, 5), (-4, 0, 7, -1), (2, -3, 0, 0),
+               (-1, -1, -1, -1), (5, 7, -6, 3), (-3, 2, 4, -2)]
+
+
+def eval_polys():
+    rng = random.Random(6)
+    dense = XPoly({(a, b, d, e): rng.randint(-20, 20)
+                   for a in range(3) for b in range(3)
+                   for d in range(3) for e in range(3)})
+    return [XPoly.zero(), XPoly.monomial((0, 0, 0, 0), -7),
+            parse_xpoly("x2*x3^2 + x2*x3 - 2*x2 + x0*x2^2*x3 - 5*x1^3*x3^4"
+                        " + 3*x0^2*x1 - 4*x1*x3 + 6"),
+            dense]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_grouped_evaluation_matches_xpoly_evaluate(index):
+    poly = eval_polys()[index]
+    compiled = _compile([(int(c), mono) for mono, c in poly.terms.items()])
+    for point in EVAL_POINTS:
+        assert _int_eval(compiled, point) == poly.evaluate(point)
 
 
 # --- the full pipeline -------------------------------------------------------------

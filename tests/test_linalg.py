@@ -7,8 +7,8 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
-from movsurf import (RatMatrix, det_bareiss, generic_change, kernel_basis,
-                     linalg, rank)
+from movsurf import (BihomPoly, Parametrization, RatMatrix, det_bareiss,
+                     generic_change, kernel_basis, linalg, rank)
 from movsurf.linalg import (det_integer, echelon, integer_rank,
                             lll, reduced_echelon, saturation)
 from movsurf.ring import clear, content_normalize
@@ -16,7 +16,7 @@ from movsurf.syzygy import (mult_matrix, multiple_rows, plane_map_matrix,
                             quadric_map_matrix)
 
 import oracle
-from conftest import two_base_points
+from conftest import counted_calls, random_parametrization, two_base_points
 from oracle import rref, solve_membership
 
 
@@ -303,6 +303,67 @@ def test_kernel_basis_matches_oracle_on_changed_quartic_maps(quartic_bp):
         kb = kernel_basis(A)
         assert kb.vectors == kernel_oracle(A)
         assert kb.dim + rank(A) == A.cols
+
+
+# --- the kernel from the forward echelon -------------------------------------
+
+# small matrices that each exercise one branch of the back-solve
+BACK_SOLVE_CASES = {
+    # pivots 0, 2, 4 with the free columns 1, 3, 5 between them
+    "interleaved": [[1, 2, 0, 3, 0, 1], [0, 0, 2, 1, 0, 5],
+                    [0, 0, 0, 0, 3, 1]],
+    # each pivot fails to divide the partial sum of its row
+    "nondividing_pivot": [[3, 1, 1], [0, 2, 1]],
+    "nondividing_chain": [[5, 3, 2, 7], [0, 4, 3, 1], [0, 0, 6, 5]],
+    "zero_rows_and_columns": [[0, 0, 0, 0, 0], [0, 2, 0, 3, 6],
+                              [0, 0, 0, 0, 0], [0, 4, 0, 1, -2]],
+    "fractions": [[Fraction(1, 2), Fraction(2, 3), 1],
+                  [Fraction(3, 4), 0, Fraction(5, 7)]],
+    "row_full_rank": [[2, -3, 5, 7]],
+    "row_zero": [[0, 0, 0]],
+    "column_full_rank": [[0], [3], [5]],
+    "column_zero": [[0], [0]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BACK_SOLVE_CASES))
+def test_kernel_basis_back_solve_matches_rref_oracle(name):
+    A = RatMatrix(BACK_SOLVE_CASES[name])
+    kb = kernel_basis(A)
+    assert kb.vectors == kernel_oracle(A)
+    assert kb.dim == A.cols - len(rref(A).pivots)
+
+
+def through_corners(rng, m, n, corners):
+    """Seeded (m, n) parametrization through the first `corners` of the
+    points (0:1; 0:1) and (1:0; 1:0) of P1 x P1: its forms lose their
+    u^m*v^n, then their s^m*t^n coefficient."""
+    drop = [(0, m, 0, n), (m, 0, n, 0)][:corners]
+    return Parametrization(m, n, tuple(
+        BihomPoly((m, n), {mono: c for mono, c in f.terms.items()
+                           if mono not in drop})
+        for f in random_parametrization(rng, m, n).a))
+
+
+@pytest.mark.parametrize("m, n, corners", [(2, 2, 0), (2, 2, 1), (2, 3, 0),
+                                           (2, 3, 2), (3, 3, 0), (3, 3, 1)])
+def test_kernel_basis_matches_rref_oracle_on_quadric_maps(m, n, corners):
+    phi = through_corners(random.Random(0), m, n, corners)
+    k = kernel_basis(plane_map_matrix(phi)).dim
+    assert k == corners
+    A = quadric_map_matrix(phi)
+    kb = kernel_basis(A)
+    assert kb.dim == m * n + 3 * k
+    assert kb.vectors == kernel_oracle(A)
+
+
+def test_kernel_basis_reads_only_the_forward_echelon(monkeypatch):
+    calls = counted_calls(monkeypatch, ("echelon", "reduced_echelon"),
+                          module=linalg)
+    phi = random_parametrization(random.Random(3), 2, 3)
+    kernel_basis(quadric_map_matrix(phi))
+    kernel_basis(RatMatrix(BACK_SOLVE_CASES["fractions"]))
+    assert len(calls["echelon"]) == 2 and calls["reduced_echelon"] == []
 
 
 # --- the certified modular rank ------------------------------------------------

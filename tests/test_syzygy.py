@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from movsurf import (BihomPoly, Parametrization, RatMatrix, moving_planes,
-                     moving_quadrics, mult_matrix, parse, rank, syz_dim_abc)
+from movsurf import (BihomPoly, Parametrization, RatMatrix, check_all,
+                     generic_change, moving_planes, moving_quadrics,
+                     mult_matrix, parse, rank, ring, syz_dim_abc)
 from movsurf.linalg import kernel_basis
 from movsurf.syzygy import plane_map_matrix, quadric_map_matrix, x_monomial
 
-from conftest import (random_bihom, random_parametrization, row_surface,
-                      substitute)
+from conftest import (counted_calls, random_bihom, random_parametrization,
+                      row_surface, substitute)
 from oracle import rref
 
 
@@ -196,3 +197,21 @@ def test_kernel_vectors_canonical(quartic_bp):
     for v in kb.vectors:
         assert all(c.denominator == 1 for c in v)
         assert next(c for c in v if c) > 0
+
+
+def test_products_are_computed_once_per_parametrization(monkeypatch):
+    phi = random_parametrization(random.Random(3), 2, 2)
+    report = check_all(phi)
+    assert report.all_passed and report.phi is phi
+    calls = counted_calls(monkeypatch, ("__mul__",), module=ring._Poly)
+    quadric_map_matrix(report.phi)
+    assert calls["__mul__"] == []
+    first, second = phi.products(), phi.products()
+    assert first == second and first is not second
+    first.pop()
+    assert phi.products() == second
+    # a coordinate-changed parametrization has its own products
+    changed, _ = generic_change(phi, 1)
+    assert changed.products() == [changed.a[i] * changed.a[j]
+                                  for i in range(4) for j in range(i, 4)]
+    assert changed.products() != second
