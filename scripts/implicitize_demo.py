@@ -34,7 +34,9 @@ def main():
         t0 = time.perf_counter()
         report = check_all(phi)
         for name in sorted(report.verdicts):
-            print("  %s: %s" % (name, "pass" if report.verdicts[name] else "fail"))
+            verdict = report.verdicts[name]
+            print("  %s: %s" % (name, "skipped" if verdict is None
+                                else "pass" if verdict else "fail"))
         print("  k = %s, short path: %s" % (report.k, report.short_path))
         result = pipeline(phi, report=report)
         elapsed = time.perf_counter() - t0

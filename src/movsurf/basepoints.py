@@ -19,14 +19,14 @@ seeded random recombination is applied and only B5/B6 are rerun, B1-B4
 being computed once per check.  A recombination, the coordinate change of
 the report, is four rows of ints T with a'_i = sum_j T[i][j] a_j.
 
-The battery stops at a B1 or B2 refusal.  B3, B4 and B5 read the
-multiplicity k that B2 certifies, and no coordinate change can repair B1 or
-B2, so nothing later can change the outcome: when B1 fails no window is
-sampled, and when B2 fails the squared-ideal window is not.  Every later
-check is then reported False with the witness {"skipped": "B1 failed"} or
-{"skipped": "B2 failed"}.  A refusal at B3 or B4 keeps its B5/B6
-witnesses, and an input with k = 0 passes on the short path whatever
-B3-B6 say.
+The battery stops after B2 whenever B2 settles the outcome.  B3, B4 and
+B5 read the multiplicity k that B2 certifies, and no coordinate change can
+repair B1 or B2: when B1 fails no window is sampled, and when B2 fails the
+squared-ideal window is not.  The later checks are then reported False
+with the witness {"skipped": "B1 failed"} or {"skipped": "B2 failed"}.
+An input with k = 0 passes on the short path, which needs none of B3-B6:
+they are reported None (JSON null, not a failure) with the witness
+{"skipped": "k = 0"}.  A refusal at B3 or B4 keeps its B5/B6 witnesses.
 
 Degrees of zero-dimensional schemes are read off as stabilized values of the
 Hilbert function dim (R/I)_{d,d'} sampled along a diagonal window, never via
@@ -95,7 +95,7 @@ class BasePointSummary:
     lci_proxy: bool
     stabilization_window: list
     hilbert_values: list
-    hilbert_sq_values: list  # None when B2 fails: the window is not sampled
+    hilbert_sq_values: list  # None unless B2 holds with k > 0: not sampled
     reason: str = None       # "growing" | "not_stabilized" when finite is False
 
 
@@ -180,9 +180,10 @@ def base_point_summary(phi, window=3):
 
     dim (R/I) is sampled at (2m-1+i, 2n-1+i) for i = 0..window.  The base
     locus counts as finite when the sequence is constant; its value is then
-    the total multiplicity k.  Only when B2 holds is dim (R/I^2) sampled at
-    (3m-1+i, 3n-1+i); it must be constantly 3k for the
-    local-complete-intersection proxy.
+    the total multiplicity k.  Only when B2 holds with k > 0 is dim (R/I^2)
+    sampled at (3m-1+i, 3n-1+i); it must be constantly 3k for the
+    local-complete-intersection proxy, which k = 0 passes with no base
+    point to test.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
@@ -193,8 +194,8 @@ def base_point_summary(phi, window=3):
     k = values[0] if finite else None
 
     sq_values = None
-    lci = False
-    if _locus_ok(phi, finite, k):
+    lci = k == 0
+    if k and _locus_ok(phi, finite, k):
         sq_degrees = [(3 * m - 1 + i, 3 * n - 1 + i)
                       for i in range(window + 1)]
         sq_values = hilbert_values(phi.products(), sq_degrees)
@@ -281,8 +282,8 @@ def _invariant_conditions(phi, config):
     """B1-B4, which a coordinate change leaves unchanged: the ideal of the
     a_i and its square are the same after an invertible recombination.
 
-    Stops at a B1 or B2 refusal, before the windows that refusal leaves
-    unread; the summary is None when B1 fails.
+    Stops at a B1 or B2 refusal, or after B2 when k = 0, before any window
+    the outcome does not need; the summary is None when B1 fails.
     """
     verdicts = {"B1": check_independence(phi)}
     witnesses = {}
@@ -299,7 +300,7 @@ def _invariant_conditions(phi, config):
         "k": k,
         "reason": summary.reason,
     }
-    if not verdicts["B2"]:
+    if not verdicts["B2"] or k == 0:
         return verdicts, witnesses, summary
     verdicts["B3"] = summary.lci_proxy
     witnesses["B3"] = {"squared_values": summary.hilbert_sq_values,
@@ -334,12 +335,12 @@ def check_all(phi, config=None):
     """Run B1..B6, retrying with seeded coordinate changes when only the
     position-dependent checks B5/B6 fail.
 
-    A refusal at B1 or B2 ends the battery: the later checks are reported
-    False with a "skipped" witness, and no coordinate change is tried.
-
-    A parametrization with no base points at all (k = 0) does not need the
-    full battery: its moving-plane space, of dimension k, is trivial, and
-    the construction goes through, so such reports pass regardless of B3-B6.
+    The battery ends after B2 when B2 settles the outcome, and no
+    coordinate change is tried.  A refusal at B1 or B2 reports the later
+    checks False with a "skipped" witness.  A parametrization with no base
+    points at all (k = 0) does not need B3-B6: its moving-plane space, of
+    dimension k, is trivial, and the construction goes through, so the
+    report passes on the short path with B3-B6 None and skipped.
     """
     config = config or CheckConfig()
     if config.window < 2:
@@ -350,19 +351,22 @@ def check_all(phi, config=None):
         raise ValueError("coord_bound must be at least 1")
     invariant = _invariant_conditions(phi, config)
     verdicts, witnesses, summary = invariant
-    if not verdicts.get("B2"):
-        failure = "B2" if verdicts["B1"] else "B1"
+    k = summary.k if summary else None
+    short_path = k == 0
+    if short_path or not verdicts.get("B2"):
+        failure = None if short_path else "B2" if verdicts["B1"] else "B1"
         for name in CONDITION_NAMES:
             if name not in verdicts:
-                verdicts[name] = False
-                witnesses[name] = {"skipped": "%s failed" % failure}
+                verdicts[name] = None if short_path else False
+                witnesses[name] = {"skipped": "k = 0" if short_path
+                                   else "%s failed" % failure}
+        if short_path:
+            witnesses["short_path"] = {"moving_plane_dim": k}
         return ConditionReport(
-            verdicts=verdicts, witnesses=witnesses,
-            k=summary.k if summary else None, short_path=False,
-            all_passed=False, failure=failure, phi=phi, summary=summary)
+            verdicts=verdicts, witnesses=witnesses, k=k,
+            short_path=short_path, all_passed=short_path, failure=failure,
+            phi=phi, summary=summary)
 
-    k = summary.k
-    short_path = k == 0
     phi_cur, change, change_seed = phi, None, None
     for attempt in range(CHANGE_ATTEMPTS + 1):
         if attempt:
@@ -370,16 +374,11 @@ def check_all(phi, config=None):
             phi_cur, change = generic_change(phi, change_seed,
                                              bound=config.coord_bound)
         verdicts, witnesses = _evaluate_conditions(phi_cur, config, invariant)
-        if short_path:
-            witnesses["short_path"] = {"moving_plane_dim": k}
-
-        all_passed = all(verdicts.values()) or short_path
-        failure = None
-        if not all_passed:
-            failure = next(name for name in CONDITION_NAMES
-                           if not verdicts[name])
+        all_passed = all(verdicts.values())
+        failure = None if all_passed else next(
+            name for name in CONDITION_NAMES if not verdicts[name])
         report = ConditionReport(verdicts=verdicts, witnesses=witnesses, k=k,
-                                 short_path=short_path, all_passed=all_passed,
+                                 short_path=False, all_passed=all_passed,
                                  failure=failure, phi=phi_cur,
                                  coordinate_change=change,
                                  coordinate_seed=change_seed,

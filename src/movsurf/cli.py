@@ -23,8 +23,9 @@ is absent.  Exit codes: 0 success, 1 condition or verification failure, 2
 input error (an unreadable or malformed job file, an option value that is
 not a number or out of range, from a flag or from the environment, with a
 bad preset named by its variable, or an --output file that cannot be
-written).  Any other exception is an internal error and propagates with
-its traceback.
+written).  The presets of --json and --force accept 1/true/yes/on and
+0/false/no/off or empty, in any case.  Any other exception is an internal
+error and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -94,21 +95,44 @@ def _env(name, fallback):
     return fallback
 
 
-def _int(text):
-    """argparse type of the integer flags, naming the variable of a bad
+def _invalid(kind, text):
+    """The usage error of a bad flag value, naming the variable of a bad
     preset."""
+    source = " (from %s)" % text.variable if isinstance(text, _Preset) else ""
+    return argparse.ArgumentTypeError(
+        "invalid %s value: %r%s" % (kind, str(text), source))
+
+
+def _int(text):
+    """argparse type of the integer flags."""
     try:
         return int(text)
     except ValueError:
-        source = (" (from %s)" % text.variable
-                  if isinstance(text, _Preset) else "")
-        raise argparse.ArgumentTypeError(
-            "invalid int value: %r%s" % (str(text), source))
+        raise _invalid("int", text)
 
 
-def _env_flag(name):
-    raw = os.environ.get(ENV_PREFIX + name, "")
-    return raw.lower() in ("1", "true", "yes", "on")
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False, "": False}
+
+
+def _bool(text):
+    """argparse type of the preset of a boolean flag, case-insensitive."""
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise _invalid("boolean", text)
+
+
+class _Switch(argparse.Action):
+    """A flag that takes no value and sets True.  Its default, False or a
+    preset string, is converted with _bool only when the flag is absent."""
+
+    def __init__(self, option_strings, dest, default=False, help=None):
+        super().__init__(option_strings, dest, nargs=0, default=default,
+                         type=_bool, help=help)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, True)
 
 
 def build_parser():
@@ -126,8 +150,7 @@ def build_parser():
             ("hilbert", "tabulate quotient dimensions over a bidegree rectangle")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="JSON job file")
-        p.add_argument("--json", action="store_true",
-                       default=_env_flag("JSON"),
+        p.add_argument("--json", action=_Switch, default=_env("JSON", False),
                        help="emit a machine-readable JSON report")
         if name in BATTERY_COMMANDS:
             p.add_argument("--seed", type=_int,
@@ -144,8 +167,8 @@ def build_parser():
             p.add_argument("--samples", type=_int,
                            default=_env("SAMPLES", PipelineConfig.samples),
                            help="number of exact vanishing samples")
-            p.add_argument("--force", action="store_true",
-                           default=_env_flag("FORCE"),
+            p.add_argument("--force", action=_Switch,
+                           default=_env("FORCE", False),
                            help="emit results even when checks fail")
         p.add_argument("--output", default=_env("OUTPUT", None),
                        help="write the report to a file instead of stdout")
@@ -322,8 +345,8 @@ def _pipeline_config(spec, args):
 def _human_conditions(report):
     lines = []
     for name in sorted(CONDITION_NAMES):
-        verdict = report.verdicts.get(name)
-        mark = "PASS" if verdict else "FAIL"
+        mark = {True: "PASS", False: "FAIL", None: "SKIP"}[
+            report.verdicts.get(name)]
         lines.append("%s %-45s %s" % (name, CONDITION_NAMES[name], mark))
     lines.append("k = %s%s" % (report.k,
                                " (no base points: short path)" if report.short_path else ""))

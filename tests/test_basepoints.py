@@ -82,11 +82,11 @@ def test_summary_and_abc_window_rank_no_degree_past_a_zero(monkeypatch):
     calls = recorded_hilbert_dim(monkeypatch)
     summary = base_point_summary(phi)
     assert summary.hilbert_values == [0, 0, 0, 0]
-    assert summary.hilbert_sq_values == [0, 0, 0, 0]
-    assert calls == [(3, 3), (5, 5)]
+    assert summary.hilbert_sq_values is None
+    assert calls == [(3, 3)]
     assert basepoints._abc_scheme_matches(phi, summary) == (True,
                                                             [4, 1, 0, 0])
-    assert calls[2:] == [(3, 3), (4, 4), (5, 5)]
+    assert calls[1:] == [(3, 3), (4, 4), (5, 5)]
 
 
 def hilbert_cases(phi):
@@ -169,7 +169,7 @@ def test_summary_random_base_point_free():
     s = base_point_summary(phi, window=3)
     assert s.finite and s.k == 0
     assert s.lci_proxy
-    assert set(s.hilbert_sq_values) == {0}
+    assert s.hilbert_sq_values is None
 
 
 def test_summary_detects_common_factor(quartic_bp):
@@ -428,6 +428,40 @@ def test_check_all_skips_the_squared_window_when_k_exceeds_mn(monkeypatch):
         phi.products(), [(5, 5), (6, 6), (7, 7), (8, 8)]) == [15] * 4
 
 
+# --- the stop after B2 at k = 0 ------------------------------------------------
+
+def short_path_inputs():
+    """(id, parametrization) of three k = 0 inputs: the Segre embedding, a
+    seeded generic (2,2) input and the 2:1 map (s^2 t, s^2 v, u^2 t, u^2 v)."""
+    return [("segre", Parametrization(1, 1, tuple(
+                parse(s) for s in ("s*t", "s*v", "u*t", "u*v")))),
+            ("generic_22", random_parametrization(random.Random(5), 2, 2)),
+            ("two_to_one", Parametrization(2, 1, tuple(
+                parse(s) for s in ("s^2*t", "s^2*v", "u^2*t", "u^2*v"))))]
+
+
+@pytest.mark.parametrize("phi", [pytest.param(phi, id=name)
+                                 for name, phi in short_path_inputs()])
+def test_check_all_stops_after_b2_at_k_0(monkeypatch, phi):
+    names = ("saturation_member", "generic_change", "syz_dim_abc",
+             "moving_planes", "rank")
+    degrees = recorded_hilbert_dim(monkeypatch)
+    calls = counted_calls(monkeypatch, names)
+    report = check_all(phi)
+    # the first B2-window value is 0, so no later degree is ranked
+    assert degrees == [(2 * phi.m - 1, 2 * phi.n - 1)]
+    assert calls == {name: [] for name in names}
+    assert report.all_passed and report.short_path and report.failure is None
+    assert report.k == 0 and report.coordinate_change is None
+    for name in ("B3", "B4", "B5", "B6"):
+        assert report.verdicts[name] is None
+        assert report.witnesses[name] == {"skipped": "k = 0"}
+    assert report.verdicts["B1"] and report.verdicts["B2"]
+    assert report.witnesses["short_path"] == {"moving_plane_dim": 0}
+    assert report.summary.hilbert_sq_values is None
+    assert report.summary.lci_proxy
+
+
 # --- saturation and the single B1-B4 pass -------------------------------------
 
 def saturation_oracle(f, generators, max_power):
@@ -580,12 +614,13 @@ def test_window_counts_match_the_kernel_oracles(phi):
     assert witnesses["B6"]["dim"] == syz_dim_abc(phi)
     report = check_all(phi, config)
     assert report.verdicts["B2"]
-    assert report.witnesses["B6"]["dim"] == syz_dim_abc(report.phi)
     if report.k == 0:
         assert report.short_path
         assert report.witnesses["short_path"] == {"moving_plane_dim": 0}
+        assert report.witnesses["B6"] == {"skipped": "k = 0"}
         assert moving_planes(report.phi).dim == 0
     else:
+        assert report.witnesses["B6"]["dim"] == syz_dim_abc(report.phi)
         assert "short_path" not in report.witnesses
 
 

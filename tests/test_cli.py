@@ -61,6 +61,17 @@ def test_check_segre_short_path(tmp_path):
     assert report["conditions"]["short_path"] is True
 
 
+def test_check_segre_prints_the_skipped_checks_as_skip(capsys):
+    segre = Path(__file__).resolve().parents[1] / "scripts/inputs/segre.json"
+    assert main(["check", "--input", str(segre)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:6]] == [
+        "B1", "B2", "B3", "B4", "B5", "B6"]
+    assert [line.split()[-1] for line in lines[:6]] == ["PASS"] * 2 + [
+        "SKIP"] * 4
+    assert lines[-1] == "conditions: PASS"
+
+
 def test_check_failure_exit_code(tmp_path):
     bad = dict(QUARTIC_JOB)
     bad["a"] = [bad["a"][0]] * 2 + bad["a"][2:]
@@ -129,7 +140,8 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys,
 @pytest.mark.parametrize("command, var, value", [
     ("check", "MOVSURF_SAMPLES", "0"), ("check", "MOVSURF_SAMPLES", "x"),
     ("hilbert", "MOVSURF_WINDOW", "1"), ("hilbert", "MOVSURF_SAT_BOUND", "-1"),
-    ("hilbert", "MOVSURF_SAMPLES", "x"), ("hilbert", "MOVSURF_SEED", "x")])
+    ("hilbert", "MOVSURF_SAMPLES", "x"), ("hilbert", "MOVSURF_SEED", "x"),
+    ("check", "MOVSURF_FORCE", "ture")])
 def test_a_preset_the_command_does_not_read_is_ignored(tmp_path, monkeypatch,
                                                        command, var, value):
     monkeypatch.setenv(var, value)
@@ -325,12 +337,56 @@ def test_non_integer_environment_value_exits_2(tmp_path, capsys, monkeypatch,
     assert "(from %s)" % var in err
 
 
+@pytest.mark.parametrize("command, var", [
+    ("check", "MOVSURF_JSON"), ("hilbert", "MOVSURF_JSON"),
+    ("implicitize", "MOVSURF_FORCE"), ("verify", "MOVSURF_FORCE")])
+def test_non_boolean_environment_value_exits_2(tmp_path, capsys, monkeypatch,
+                                               command, var):
+    monkeypatch.setenv(var, "ture")
+    inp = write_job(tmp_path, SEGRE_JOB)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", inp])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid boolean value: 'ture' (from %s)" % var in err
+
+
+@pytest.mark.parametrize("value, is_json", [
+    ("on", True), ("TRUE", True), ("Yes", True), ("Off", False), ("", False)])
+def test_boolean_environment_values_are_case_insensitive(tmp_path, capsys,
+                                                         monkeypatch, value,
+                                                         is_json):
+    monkeypatch.setenv("MOVSURF_JSON", value)
+    assert main(["check", "--input", write_job(tmp_path, SEGRE_JOB)]) == 0
+    out = capsys.readouterr().out
+    if is_json:
+        assert json.loads(out)["command"] == "check"
+    else:
+        assert "conditions: PASS" in out
+
+
+def test_explicit_switch_overrides_a_bad_environment_value(tmp_path,
+                                                           monkeypatch):
+    monkeypatch.setenv("MOVSURF_JSON", "ture")
+    monkeypatch.setenv("MOVSURF_FORCE", "ture")
+    code, report = run_json(tmp_path, "implicitize", SEGRE_JOB, "--force")
+    assert code == 0 and report["command"] == "implicitize"
+
+
 def test_help_ignores_a_bad_environment_value(monkeypatch, capsys):
     monkeypatch.setenv("MOVSURF_SEED", "x")
     with pytest.raises(SystemExit) as exc:
         main(["check", "--help"])
     assert exc.value.code == 0
     assert "--seed" in capsys.readouterr().out
+
+
+def test_help_ignores_a_bad_boolean_environment_value(monkeypatch, capsys):
+    monkeypatch.setenv("MOVSURF_JSON", "ture")
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert "--json" in capsys.readouterr().out
 
 
 def test_explicit_flag_overrides_a_bad_environment_value(tmp_path,

@@ -10,8 +10,8 @@ from movsurf import (BihomPoly, Parametrization, RatMatrix, check_all,
 from movsurf.linalg import kernel_basis
 from movsurf.syzygy import plane_map_matrix, quadric_map_matrix, x_monomial
 
-from conftest import (counted_calls, random_bihom, random_parametrization,
-                      row_surface, substitute)
+from conftest import (QUARTIC_BP_STRINGS, counted_calls, random_bihom,
+                      random_parametrization, row_surface, substitute)
 from oracle import rref
 
 
@@ -200,7 +200,9 @@ def test_kernel_vectors_canonical(quartic_bp):
 
 
 def test_products_are_computed_once_per_parametrization(monkeypatch):
-    phi = random_parametrization(random.Random(3), 2, 2)
+    # k = 1: the battery samples the squared-ideal window, from the products
+    phi = Parametrization(2, 2, tuple(parse(s, bidegree=(2, 2))
+                                      for s in QUARTIC_BP_STRINGS))
     report = check_all(phi)
     assert report.all_passed and report.phi is phi
     calls = counted_calls(monkeypatch, ("__mul__",), module=ring._Poly)
