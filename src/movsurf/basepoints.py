@@ -225,9 +225,7 @@ def saturation_member(f, generators, max_power):
     with_f = [*generators, f]
     for N in range(max_power + 1):
         target = (f.bidegree[0] + N, f.bidegree[1] + N)
-        # a zero quotient leaves nothing for f to add: I_t = R_t
-        value = hilbert_dim(generators, target)
-        if value == 0 or value == hilbert_dim(with_f, target):
+        if hilbert_dim(generators, target) == hilbert_dim(with_f, target):
             return SaturationResult(member=True, power=N)
     return SaturationResult(member=False, bound_reached=True)
 

@@ -15,17 +15,19 @@ strings.
 
 Each subcommand takes only the flags it reads: --input, --json and --output
 everywhere, --seed, --sat-bound and --window on check, implicitize and
-verify, --samples and --force on implicitize and verify.  Every flag can be
-preset through an environment variable with prefix MOVSURF_ (e.g.
-MOVSURF_SEED=7, MOVSURF_WINDOW=4); explicit flags win over the environment,
-and a preset is read only by a subcommand that has its flag, when the flag
-is absent.  Exit codes: 0 success, 1 condition or verification failure, 2
-input error (an unreadable or malformed job file, an option value that is
-not a number or out of range, from a flag or from the environment, with a
-bad preset named by its variable, or an --output file that cannot be
-written).  The presets of --json and --force accept 1/true/yes/on and
-0/false/no/off or empty, in any case.  Any other exception is an internal
-error and propagates with its traceback.
+verify, --samples and --force on implicitize and verify.  Seven flags can be
+preset through an environment variable: MOVSURF_JSON, MOVSURF_OUTPUT,
+MOVSURF_SEED, MOVSURF_SAT_BOUND, MOVSURF_WINDOW, MOVSURF_SAMPLES and
+MOVSURF_FORCE; --input and hilbert's --d1, --d2 and --squared have none.
+Explicit flags win over the environment, and a preset is read only by a
+subcommand that has its flag, when the flag is absent.  Exit codes: 0
+success, 1 condition or verification failure, 2 input error (an unreadable
+or malformed job file, an option value that is not a number or out of
+range, from a flag or from the environment, with a bad preset named by its
+variable, or an --output file that cannot be written).  The presets of
+--json and --force accept 1/true/yes/on and 0/false/no/off or empty, in
+any case.  Any other exception is an internal error and propagates with
+its traceback.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Dense exact rational linear algebra.
 
+RatMatrix is only a shape around nested lists of ints or Fractions.
 Kernels and changes of basis share one fraction-free integer echelon: rows
 are cleared of denominators and gcd-reduced, then eliminated over Z with
 their contents kept reduced.  kernel_basis back-solves each kernel vector
@@ -59,64 +60,30 @@ from .ring import clear, content_normalize, primitive
 
 
 class RatMatrix:
-    """Immutable dense matrix of Fractions, row major."""
+    """Dense matrix of rationals, ints or Fractions, as row-major nested
+    lists: the shape and entries that kernel_basis, rank and det_bareiss
+    read.  The entries are kept as given."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries, _trusted=False):
-        if _trusted:
-            rows = entries
-        else:
-            rows = [[Fraction(x) for x in row] for row in entries]
-        ncols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RatMatrix is immutable")
+    def __init__(self, entries):
+        ncols = len(entries[0]) if entries else 0
+        if any(len(row) != ncols for row in entries):
+            raise ValueError("ragged rows")
+        self.rows = len(entries)
+        self.cols = ncols
+        self.entries = entries
 
     @classmethod
     def identity(cls, n):
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)],
-                   _trusted=True)
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
-    def row(self, i):
-        return list(self.entries[i])
-
-    def column(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
-
     def __eq__(self, other):
         return (isinstance(other, RatMatrix) and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
-
-    def matvec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch: %d cols, vector of %d"
-                             % (self.cols, len(v)))
-        return [sum((r[j] * v[j] for j in range(self.cols) if v[j]),
-                    Fraction(0)) for r in self.entries]
-
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.entries[i]
-            out.append([sum((ri[k] * other.entries[k][j]
-                             for k in range(self.cols) if ri[k]), Fraction(0))
-                        for j in range(other.cols)])
-        return RatMatrix(out, _trusted=True)
-
-    def __repr__(self):
-        return "RatMatrix(%d x %d)" % (self.rows, self.cols)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,12 @@ multiplication maps at the working bidegree (m-1, n-1):
     quadric map  R_{m-1,n-1}^10 -> R_{3m-1,3n-1}   (A_ij) -> sum A_ij a_i a_j
 
 Their kernels are the moving planes, the syzygies on (a0,a1,a2), and the
-moving quadrics that follow phi.  Kernel vectors are canonicalized to coprime
-integer coordinates with positive leading coordinate, so bases are
-reproducible run to run.
+moving quadrics that follow phi.  One builder, multiple_rows, gives the
+generator multiples mu*g as integer rows, all generators scaled by one
+common integer: the condition battery ranks these rows, and a map's matrix
+is their transpose.  Kernel vectors are canonicalized to coprime integer
+coordinates with positive leading coordinate, so bases are reproducible
+run to run.
 
 A moving plane or quadric is kept as its kernel vector, a row of
 coefficients in the column order of its map: with mn = m*n, position
@@ -22,11 +25,10 @@ d = 1 for a plane (4mn entries) and d = 2 for a quadric (10mn entries).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .linalg import RatMatrix, integer_rank, kernel_basis
-from .ring import monomial_basis, primitive
+from .ring import clear, monomial_basis
 
 # x_i x_j blocks of the quadric map, in this fixed order
 PROD_ORDER = tuple((i, j) for i in range(4) for j in range(i, 4))
@@ -96,57 +98,43 @@ class SyzygyBasis:
         return len(self.elements)
 
 
-def _multiples(generators, target, coefficients, zero):
-    """The multiples mu*g into bidegree `target`, as rows over the canonical
-    monomial basis of the target, and that basis's length.
+def multiple_rows(generators, target):
+    """The multiples mu*g into bidegree `target`, as rows of integers over
+    the canonical monomial basis of the target.
 
     One row per generator g and monomial mu of the complementary bidegree,
-    generators in order and mu in canonical order.  coefficients(g) lists
-    the coefficients g contributes, in the order of g.terms; zero fills the
-    other entries.
+    generators in order and mu in canonical order.  All generators are
+    scaled by one common positive integer, the lcm of the denominators of
+    their coefficients, so the rows span the multiples and every relation
+    among them is a relation among the multiples.
     """
     target = (int(target[0]), int(target[1]))
     row_index = {m: i for i, m in enumerate(monomial_basis(target))}
+    coeffs = iter(clear([c for g in generators for c in g.terms.values()])[0])
     rows = []
     for g in generators:
         d = (target[0] - g.bidegree[0], target[1] - g.bidegree[1])
         if d[0] < 0 or d[1] < 0:
             raise ValueError("bidegree underflow: generator %s into target %s"
                              % (g.bidegree, target))
-        terms = list(zip(g.terms, coefficients(g)))
+        # zip stops at the end of g.terms, so it takes g's coefficients only
+        terms = list(zip(g.terms, coeffs))
         for mu in monomial_basis(d):
-            row = [zero] * len(row_index)
+            row = [0] * len(row_index)
             for mono, c in terms:
                 row[row_index[(mono[0] + mu[0], mono[1] + mu[1],
                                mono[2] + mu[2], mono[3] + mu[3])]] = c
             rows.append(row)
-    return rows, len(row_index)
+    return rows
 
 
 def mult_matrix(generators, target):
-    """Matrix of (A_g) -> sum A_g * g into bidegree `target`.
-
-    Column blocks follow the generator order; inside a block, multiplier
-    monomials run in canonical order.  Rows run over the canonical monomial
-    basis of the target bidegree.  Entries are the generators' own Fraction
-    coefficients.
-    """
-    columns, height = _multiples(generators, target,
-                                 lambda g: list(g.terms.values()), Fraction(0))
-    return RatMatrix([[col[i] for col in columns] for i in range(height)],
-                     _trusted=True)
-
-
-def multiple_rows(generators, target):
-    """The multiples mu*g into bidegree `target`, as rows of integers.
-
-    One row per column of mult_matrix(generators, target), in the same
-    order, over the canonical monomial basis of the target.  Each generator
-    is scaled once to coprime integer coefficients, which leaves the span of
-    its multiples unchanged.
-    """
-    return _multiples(generators, target,
-                      lambda g: primitive(g.terms.values()), 0)[0]
+    """Matrix of (A_g) -> sum A_g * g into bidegree `target`, with column
+    blocks in generator order and rows over the canonical monomial basis of
+    the target: the transpose of the integer multiple_rows, whose common
+    scaling changes neither the kernel nor the rank."""
+    return RatMatrix([list(col)
+                      for col in zip(*multiple_rows(generators, target))])
 
 
 def plane_map_matrix(phi):
@@ -171,8 +159,8 @@ def syz_dim_abc(phi):
     """Dimension of the bidegree-(m-1,n-1) syzygies on a0, a1, a2 alone.
 
     The kernel of the abc map, whose 3mn columns are the multiples mu*a_i.
-    multiple_rows gives them as rows, each scaled by a nonzero constant, so
-    its rank is the rank of the map.
+    multiple_rows gives them as the rows of the transposed map, so its rank
+    is the rank of the map.
     """
     rows = multiple_rows(phi.a[:3], (2 * phi.m - 1, 2 * phi.n - 1))
     return 3 * phi.mn - integer_rank(rows, 4 * phi.mn)

@@ -66,14 +66,14 @@ def _eliminate(rows, trows=None):
 def rref(A):
     """Reduced row echelon form with the invertible transform.
 
-    Returns (R, pivots, transform) with R = transform * A.
+    Returns (R, pivots, transform) with R = transform * A.  The entries are
+    converted to Fractions first, so that the divisions stay exact.
     """
-    rows = [list(r) for r in A.entries]
+    rows = [[Fraction(x) for x in r] for r in A.entries]
     trows = [[Fraction(int(i == j)) for j in range(A.rows)]
              for i in range(A.rows)]
     pivots = _eliminate(rows, trows)
-    return RrefResult(RatMatrix(rows, _trusted=True), pivots,
-                      RatMatrix(trows, _trusted=True))
+    return RrefResult(RatMatrix(rows), pivots, RatMatrix(trows))
 
 
 def solve_membership(A, b):

@@ -185,7 +185,7 @@ def test_criterion_6_property_suites(quartic_bp, segre):
             assert R2 == R and piv2 == piv
             perm = list(range(rows))
             rng.shuffle(perm)
-            RP, pivP, _ = rref(RatMatrix([A.row(i) for i in perm]))
+            RP, pivP, _ = rref(RatMatrix([A.entries[i] for i in perm]))
             assert RP == R and pivP == piv
 
         # (e) exact vanishing of the implicit equation, zero tolerance

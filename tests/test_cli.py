@@ -159,6 +159,19 @@ def test_hilbert_reports_the_seed_of_the_job_file(tmp_path, monkeypatch):
     assert code == 0 and report["seed"] == 5
 
 
+def test_hilbert_range_and_squared_flags_have_no_preset(tmp_path,
+                                                        monkeypatch):
+    code, plain = run_json(tmp_path, "hilbert", QUARTIC_JOB)
+    monkeypatch.setenv("MOVSURF_SQUARED", "1")
+    monkeypatch.setenv("MOVSURF_D1", "3:3")
+    preset_code, preset = run_json(tmp_path, "hilbert", QUARTIC_JOB)
+    assert code == preset_code == 0
+    plain.pop("timings")
+    preset.pop("timings")
+    assert preset == plain
+    assert plain["squared"] is False and plain["d1"] == [0, 4]
+
+
 def test_verify_command(tmp_path):
     code, report = run_json(tmp_path, "verify", QUARTIC_JOB)
     assert code == 0

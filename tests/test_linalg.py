@@ -11,7 +11,7 @@ from movsurf import (BihomPoly, Parametrization, RatMatrix, det_bareiss,
                      generic_change, kernel_basis, linalg, rank)
 from movsurf.linalg import (det_integer, echelon, integer_rank,
                             lll, reduced_echelon, saturation)
-from movsurf.ring import clear, content_normalize
+from movsurf.ring import clear, coeff_vector, content_normalize, monomial_basis
 from movsurf.syzygy import (mult_matrix, multiple_rows, plane_map_matrix,
                             quadric_map_matrix)
 
@@ -92,7 +92,7 @@ def test_rref_transform_reproduces_R_and_is_invertible(seed):
     rng = random.Random(seed)
     A = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
     R, pivots, T = rref(A)
-    assert T.matmul(A) == R
+    assert matmul(T.entries, A.entries) == R.entries
     assert det_bareiss(T) != 0
 
 
@@ -105,7 +105,7 @@ def test_rref_idempotent_and_permutation_invariant(seed):
     assert R2 == R and pivots2 == pivots
     perm = list(range(A.rows))
     rng.shuffle(perm)
-    P = RatMatrix([A.row(i) for i in perm])
+    P = RatMatrix([A.entries[i] for i in perm])
     RP, pivotsP, _ = rref(P)
     assert RP == R and pivotsP == pivots
 
@@ -136,7 +136,7 @@ def test_rank_nullity(seed):
     kb = kernel_basis(A)
     assert kb.dim + rank(A) == A.cols
     for v in kb.vectors:
-        assert A.matvec(v) == [0] * A.rows
+        assert [dot(row, v) for row in A.entries] == [0] * A.rows
 
 
 def test_rank_nullity_on_200_matrices():
@@ -169,10 +169,10 @@ def test_solve_membership_consistent_system(seed):
     rng = random.Random(seed)
     A = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7))
     x0 = [Fraction(rng.randint(-5, 5)) for _ in range(A.cols)]
-    b = A.matvec(x0)
+    b = [dot(row, x0) for row in A.entries]
     x = solve_membership(A, b)
     assert x is not None
-    assert A.matvec(x) == b
+    assert [dot(row, x) for row in A.entries] == b
 
 
 # --- determinants ------------------------------------------------------------
@@ -303,6 +303,31 @@ def test_kernel_basis_matches_oracle_on_changed_quartic_maps(quartic_bp):
         kb = kernel_basis(A)
         assert kb.vectors == kernel_oracle(A)
         assert kb.dim + rank(A) == A.cols
+
+
+def fraction_map(generators, target):
+    """The map (A_g) -> sum A_g * g into bidegree target, with the
+    generators' own coefficients, built column by column from products."""
+    basis = monomial_basis(target)
+    columns = [coeff_vector(g * g.monomial(mu), basis) for g in generators
+               for mu in monomial_basis((target[0] - g.bidegree[0],
+                                         target[1] - g.bidegree[1]))]
+    return RatMatrix([list(row) for row in zip(*columns)])
+
+
+def test_maps_of_unequal_contents_keep_their_kernels_and_ranks():
+    """Generators of unequal contents, two of them with Fraction
+    coefficients: scaling them all by one common integer leaves the kernel
+    of each map, where a scaling per generator would not."""
+    a = random_parametrization(random.Random(5), 2, 2).a
+    phi = Parametrization(2, 2, (a[0] * 6, a[1] * Fraction(1, 4), a[2],
+                                 a[3] * Fraction(-2, 3)))
+    for gens, target in ((phi.a, (3, 3)), (phi.products(), (5, 5))):
+        A = fraction_map(gens, target)
+        assert kernel_basis(mult_matrix(gens, target)).vectors == \
+            kernel_oracle(A)
+        assert (integer_rank(multiple_rows(gens, target), A.rows)
+                == len(rref(A).pivots))
 
 
 # --- the kernel from the forward echelon -------------------------------------
