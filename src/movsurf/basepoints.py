@@ -30,16 +30,23 @@ they are reported None (JSON null, not a failure) with the witness
 
 Degrees of zero-dimensional schemes are read off as stabilized values of the
 Hilbert function dim (R/I)_{d,d'} sampled along a diagonal window, never via
-primary decomposition.  Each value is the number of monomials minus the
-certified rank (linalg.integer_rank) of the generator multiples, built as
-integer rows.  A window stops computing ranks at its first zero: I_d = R_d
-puts R_{d'} = R_{d'-d} R_d inside I_{d'} for every d' >= d, so the later
-values are zero too.
+primary decomposition.  Each value is the dimension of the dual of
+(R/I)_d: the functionals on R_d that vanish on I_d, Macaulay's inverse
+system (Mourrain, "Isolated points, duality and residues", JPAA 117-118,
+1997).  A window takes it at its first degree only, as the certified
+kernel (linalg.integer_kernel) of the generator multiples, built as integer
+rows.  Once every generator fits, I_{d+(1,0)} = s I_d + u I_d, so the dual
+at d + (1,0) is the set of lam with lam o s and lam o u in the dual at d:
+a small kernel on twice the dual's size.  The same holds in t, v, and the
+window reaches each later degree by two such half steps.  A dual of size 0
+stays 0 with no step, since I_d = R_d puts R_{d'} = R_{d'-d} R_d inside
+I_{d'} for every d' >= d.
 
-The other counts of the battery are the same certified rank, each taken
-once.  B1 is the rank of the coefficient rows of the a_i.  B5 tests mu*a3
-in (a0,a1,a2) for all mu of one bidegree at once, by comparing two Hilbert
-values, with and without a3 among the generators.  At (2m-1, 2n-1), where
+The other counts of the battery are certified ranks (linalg.integer_rank),
+each taken once.  B1 is the rank of the coefficient rows of the a_i.  B5
+tests mu*a3 in (a0,a1,a2) for all mu of one bidegree at once, by comparing
+two ranks there: of the multiples of a0, a1, a2, built once, and of those
+rows with the multiples of a3 appended.  At (2m-1, 2n-1), where
 the windows start, a multiplication map from bidegree (m-1, n-1) has 4mn
 monomials as target and mn multipliers per generator.  So B6, the kernel
 of the map from the 3mn multiples of a0, a1, a2, has dimension the first
@@ -52,10 +59,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 # rank, moving_planes and syz_dim_abc are not called here: perfbench/spans.py
 # installs its probes on them in this module
-from .linalg import det_integer, integer_rank, kernel_basis, rank
+from .linalg import (det_integer, integer_kernel, integer_rank,
+                     kernel_basis, rank, reduced_echelon)
 from .ring import bidegree_leq
 from .syzygy import (Parametrization, moving_planes, mult_matrix,
                      multiple_rows, syz_dim_abc)
@@ -127,25 +136,104 @@ def hilbert_dim(generators, d):
     return full - integer_rank(multiple_rows(use, d), full)
 
 
+def dual_basis(generators, d):
+    """Basis of the dual of (R / <generators>) at bidegree d: the integer
+    vectors over monomial_basis(d) that annihilate every generator multiple
+    there, as integer_kernel gives them.  Its size is hilbert_dim.
+    """
+    d = (int(d[0]), int(d[1]))
+    full = (d[0] + 1) * (d[1] + 1)
+    use = [g for g in generators if bidegree_leq(g.bidegree, d)]
+    return integer_kernel(multiple_rows(use, d), full)
+
+
+def _half_step(dual, d, axis):
+    """The dual at d + (1, 0) (axis 0) or d + (0, 1) (axis 1) from a basis
+    of the dual at d, when the ideal there is generated from degree d.
+
+    With x, y the variables of the axis (s, u or t, v) and
+    I_{d+e} = x I_d + y I_d, a functional lam is in the new dual exactly
+    when lam o x and lam o y are in the old one: lam o x = sum alpha_i K_i
+    and lam o y = sum beta_i K_i.  A monomial M divisible by x alone or by
+    y alone takes its value from one of them; one divisible by both gives
+    the consistency row K(M/x) . alpha - K(M/y) . beta = 0.  The kernel of
+    these rows on the 2h unknowns maps one to one onto the new dual, which
+    is returned in reduced echelon form.
+    """
+    a, b = d
+    block = b + 1
+    size = (a + 2) * block if axis == 0 else (a + 1) * (b + 2)
+    # up[q], down[q]: the position of M/x, M/y at d for the monomial at
+    # position q of d + e, None when x, y does not divide it
+    if axis == 0:
+        up = [q if q < size - block else None for q in range(size)]
+        down = [q - block if q >= block else None for q in range(size)]
+    else:
+        up, down = [], []
+        for q in range(size):
+            blk, r = divmod(q, b + 2)
+            up.append(blk * block + r if r <= b else None)
+            down.append(blk * block + r - 1 if r else None)
+    h = len(dual)
+    columns = [list(column) for column in zip(*dual)]
+    rows = [[*columns[x], *(-c for c in columns[y])]
+            for x, y in zip(up, down) if x is not None and y is not None]
+    lifted = []
+    for coeffs in integer_kernel(rows, 2 * h):
+        alpha, beta = coeffs[:h], coeffs[h:]
+        lifted.append([sum(map(mul, alpha, columns[x])) if x is not None
+                       else sum(map(mul, beta, columns[y]))
+                       for x, y in zip(up, down)])
+    return reduced_echelon(lifted, size).rows
+
+
 def hilbert_values(generators, degrees):
     """hilbert_dim of the generators at each of the degrees.
 
-    A zero is propagated without computing a rank: if the quotient is 0 at
-    d, then I_d = R_d, so at every d' >= d (componentwise)
-    R_{d'} = R_{d'-d} R_d = R_{d'-d} I_d lies in I_{d'}, and the quotient
-    is 0 there too.
+    Each value is the size of a basis of the dual at its degree, stepped
+    from the dual at the nearest earlier degree below it by half steps
+    (_half_step), s and u before t and v.  A half step needs the ideal at
+    the new degree to be generated from the old one, which holds when every
+    generator that fits at the new degree already fits at the old; where it
+    does not, and where no earlier degree lies below, the dual is taken
+    directly (dual_basis).  A dual of size 0 stays 0: I_d = R_d puts
+    R_{d'} = R_{d'-d} R_d inside I_{d'} for every d' >= d.
     """
-    zeros = []
+    known = []
     values = []
     for d in degrees:
-        if any(bidegree_leq(z, d) for z in zeros):
-            values.append(0)
-            continue
-        value = hilbert_dim(generators, d)
-        if value == 0:
-            zeros.append(d)
-        values.append(value)
+        d = (int(d[0]), int(d[1]))
+        dual = _stepped(generators, known, d)
+        if dual is None:
+            dual = dual_basis(generators, d)
+        known.append((d, dual))
+        values.append(len(dual))
     return values
+
+
+def _stepped(generators, known, d):
+    """The dual at d stepped from the nearest of the known (degree, dual)
+    pairs below d, a zero first; None when no step path is valid."""
+    below = [(e, dual) for e, dual in known if bidegree_leq(e, d)]
+    if not below:
+        return None
+    if any(not dual for _, dual in below):
+        return []
+    cur, dual = min(reversed(below),
+                    key=lambda pair: d[0] - pair[0][0] + d[1] - pair[0][1])
+    while cur != d and dual:
+        for axis in (0, 1):
+            if cur[axis] == d[axis]:
+                continue
+            nxt = (cur[0] + 1, cur[1]) if axis == 0 else (cur[0], cur[1] + 1)
+            if any(bidegree_leq(g.bidegree, nxt)
+                   and not bidegree_leq(g.bidegree, cur) for g in generators):
+                return None
+            dual = _half_step(dual, cur, axis)
+            cur = nxt
+            if not dual:
+                break
+    return dual
 
 
 def check_independence(phi):
@@ -218,16 +306,31 @@ def saturation_member(f, generators, max_power):
 
     Search N = 0, 1, ..., max_power; at each N test that mu*f lies in the
     ideal I at t = deg f + (N, N) for every monomial mu of bidegree (N, N).
-    N = 0 is plain ideal membership.  (I + (f))_t = I_t + f*R_{N,N} contains
-    I_t, so it equals I_t, and every mu*f lies in I_t, exactly when the two
-    quotients have the same dimension at t.
+    N = 0 is plain ideal membership.
     """
-    with_f = [*generators, f]
     for N in range(max_power + 1):
-        target = (f.bidegree[0] + N, f.bidegree[1] + N)
-        if hilbert_dim(generators, target) == hilbert_dim(with_f, target):
+        if _multiples_in_ideal(f, generators,
+                               (f.bidegree[0] + N, f.bidegree[1] + N)):
             return SaturationResult(member=True, power=N)
     return SaturationResult(member=False, bound_reached=True)
+
+
+def _multiples_in_ideal(f, generators, target):
+    """Whether every multiple of f of bidegree target lies in the ideal I
+    of the generators.
+
+    (I + (f))_t = I_t + f*R_{t - deg f} contains I_t, so it equals I_t
+    exactly when the multiples of the generators at t have the same rank
+    with and without the multiples of f appended.  The generator multiples
+    are built once for both ranks; each block of rows carries its own
+    scale, which leaves the rank unchanged.
+    """
+    full = (target[0] + 1) * (target[1] + 1)
+    rows = multiple_rows([g for g in generators
+                          if bidegree_leq(g.bidegree, target)], target)
+    # the larger rank first, so that the smaller one reuses its memory
+    with_f = integer_rank(rows + multiple_rows([f], target), full)
+    return integer_rank(rows, full) == with_f
 
 
 def _abc_scheme_matches(phi, summary):

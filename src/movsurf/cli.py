@@ -24,10 +24,11 @@ subcommand that has its flag, when the flag is absent.  Exit codes: 0
 success, 1 condition or verification failure, 2 input error (an unreadable
 or malformed job file, an option value that is not a number or out of
 range, from a flag or from the environment, with a bad preset named by its
-variable, or an --output file that cannot be written).  The presets of
---json and --force accept 1/true/yes/on and 0/false/no/off or empty, in
-any case.  Any other exception is an internal error and propagates with
-its traceback.
+variable, or an --output file that cannot be written), 141 (128 + SIGPIPE)
+when standard output closes before the report is written, with no
+traceback.  The presets of --json and --force accept 1/true/yes/on and
+0/false/no/off or empty, in any case.  Any other exception is an internal
+error and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ ENV_PREFIX = "MOVSURF_"
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141
 
 # the subcommands that run the condition battery, and those that also run
 # the pipeline
@@ -322,7 +324,9 @@ def emit(args, text):
         except OSError as exc:
             raise InputError("cannot write %s: %s" % (args.output, exc))
     else:
-        print(text)
+        # flushed here, so that a closed pipe raises BrokenPipeError inside
+        # main, not in the flush at interpreter exit
+        print(text, flush=True)
 
 
 def render_report(args, payload, human_lines):
@@ -523,6 +527,13 @@ def main(argv=None):
     except VerificationError as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return EXIT_FAIL
+    except BrokenPipeError:
+        # the rest of the buffered report goes to the null device, so that
+        # the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

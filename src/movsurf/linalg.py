@@ -8,15 +8,17 @@ from this forward echelon alone.  reduced_echelon back-substitutes it to a
 scaled reduced echelon form, from which the implicitization reads its
 unit-pivot bases and saturation its lattice.
 
-Ranks (integer_rank, and rank for a RatMatrix) are computed modulo primes
-and certified over Z.  Modulo the first prime, r pivots give a nonzero
-r x r minor, so the rank is at least r.  Below full rank, one kernel vector
-per free column is lifted through further primes by CRT and rational
-reconstruction, and checked against every row over Z; independent kernel
-vectors in that number bound the rank by r from above.  No answer rests on
-chance: whatever cannot be certified so (an unlucky prime, a kernel too
-large for the primes, a failed check) is the pivot count of the integer
-echelon instead.
+Integer kernels (integer_kernel) are computed modulo primes and certified
+over Z.  Modulo the first prime, r pivots give a nonzero r x r minor, so
+the rank is at least r.  Below full rank, one kernel vector per free column
+is lifted through further primes by CRT and rational reconstruction, and
+checked against every row over Z; independent kernel vectors in that
+number bound the rank by r from above, so they span the kernel.  No answer
+rests on chance: whatever cannot be certified so (an unlucky prime, a
+kernel too large for the primes, a failed check) is the kernel_basis of
+the integer echelon instead, the same vectors up to content.  Ranks
+(integer_rank, and rank for a RatMatrix) are the column count minus the
+size of that kernel, taken in the orientation with fewer columns.
 
 Both halves of the certificate work on packed integers, in the manner of
 Dumas, Fousse and Salvy, "Simultaneous modular reduction and Kronecker
@@ -145,9 +147,9 @@ def echelon(entries, ncols):
 
 
 # Primes just below 2**30, written out so that importing the module does no
-# work.  The certified rank takes them in this order; together they
+# work.  The certified kernel takes them in this order; together they
 # reconstruct kernel vectors with entries up to about 59 bits, and a larger
-# kernel falls back to the integer echelon form.
+# kernel falls back to kernel_basis.
 _PRIMES = (1073741789, 1073741783, 1073741741, 1073741723)
 
 
@@ -291,28 +293,28 @@ def _annihilates(rows, vectors):
     return all(not sum(map(mul, row, V)) for row in rows)
 
 
-def integer_rank(rows, ncols):
-    """Exact rank of a list of integer rows of length ncols.
+def integer_kernel(rows, ncols):
+    """Basis of the right kernel of a list of integer rows of length ncols:
+    one integer vector per free column f, nonzero at f and 0 at the other
+    free columns, with coprime entries.
 
-    The rows are eliminated in the orientation with at least as many rows
-    as columns.  Modulo the first prime they give r pivots; a nonzero r x r
-    minor mod p is nonzero over Z, so the rank is at least r, and r = ncols
+    Modulo the first prime the rows give r pivots; a nonzero r x r minor
+    mod p is nonzero over Z, so the rank is at least r, and r = ncols
     settles it.  Otherwise the reduced basis rows give one kernel vector per
     free column, the identity there, so the ncols - r vectors are
     independent.  They are lifted through further primes (the same pivot
     rows, required to give the same pivot columns), combined by CRT and
     rationally reconstructed; once every row times every vector is 0 over Z
-    (_annihilates, one packed dot product per row), the rank is at most r.
-    Any failure on the way returns the rank of the integer echelon form
-    instead.
+    (_annihilates, one packed dot product per row), the rank is at most r
+    and the vectors span the kernel.  Any failure on the way returns the
+    vectors of kernel_basis instead, as ints: the same up to content.
     """
-    if len(rows) < ncols:
-        rows, ncols = [list(col) for col in zip(*rows)], len(rows)
+    if not rows:
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
     modulus = _PRIMES[0]
     basis, free, used = _modular_basis(rows, ncols, modulus)
-    r = len(basis)
-    if r == ncols:
-        return r
+    if not free:
+        return []
     pivots = list(basis)
     pivot_rows = [rows[i] for i in used]
     residues = [[row[k] % modulus for row in basis.values()]
@@ -320,7 +322,7 @@ def integer_rank(rows, ncols):
     for q in _PRIMES[1:] + (None,):
         vectors = _lift_kernel(free, pivots, residues, modulus, ncols)
         if vectors is not None and _annihilates(rows, vectors):
-            return r
+            return vectors
         if q is None:
             break
         qbasis, _, _ = _modular_basis(pivot_rows, ncols, q)
@@ -331,7 +333,17 @@ def integer_rank(rows, ncols):
                      for x, row in zip(column, qbasis.values())]
                     for k, column in enumerate(residues)]
         modulus *= q
-    return len(echelon(rows, ncols).pivots)
+    return [[x.numerator for x in v]
+            for v in kernel_basis(RatMatrix(rows)).vectors]
+
+
+def integer_rank(rows, ncols):
+    """Exact rank of a list of integer rows of length ncols: ncols minus
+    the dimension of integer_kernel, taken in the orientation with at least
+    as many rows as columns."""
+    if len(rows) < ncols:
+        rows, ncols = [list(col) for col in zip(*rows)], len(rows)
+    return ncols - len(integer_kernel(rows, ncols))
 
 
 def rank(A):

@@ -17,7 +17,7 @@ from movsurf.ring import bidegree_leq, coeff_vector, monomial_basis
 from movsurf.syzygy import moving_planes, mult_matrix, syz_dim_abc
 
 from conftest import (QUARTIC_BP_STRINGS, base_point_free_parametrizations,
-                      counted_calls, random_parametrization)
+                      counted_calls, random_bihom, random_parametrization)
 from oracle import solve_membership
 
 
@@ -46,15 +46,30 @@ def test_hilbert_nonincreasing_along_diagonal(quartic_bp):
     assert vals == [1, 1, 1, 1]
 
 
-def recorded_hilbert_dim(monkeypatch):
-    degrees = []
-    original = basepoints.hilbert_dim
+def recorded_windows(monkeypatch):
+    """The work of hilbert_values, in call order: ("rank", d) for each dual
+    taken directly at d, ("step", d, axis) for each half step from d."""
+    events = []
+    dual_basis, half_step = basepoints.dual_basis, basepoints._half_step
 
-    def recorded(generators, d):
-        degrees.append(tuple(d))
-        return original(generators, d)
-    monkeypatch.setattr(basepoints, "hilbert_dim", recorded)
-    return degrees
+    def ranked(generators, d):
+        events.append(("rank", tuple(d)))
+        return dual_basis(generators, d)
+
+    def stepped(dual, d, axis):
+        events.append(("step", tuple(d), axis))
+        return half_step(dual, d, axis)
+    monkeypatch.setattr(basepoints, "dual_basis", ranked)
+    monkeypatch.setattr(basepoints, "_half_step", stepped)
+    return events
+
+
+def stepped_window(window):
+    """The events of a diagonal window with no zero: its first degree
+    ranked, then from each degree a half step in s, u and one in t, v."""
+    return [("rank", window[0])] + [
+        event for a, b in window[:-1]
+        for event in (("step", (a, b), 0), ("step", (a + 1, b), 1))]
 
 
 def test_hilbert_values_stop_ranking_at_the_first_zero(monkeypatch):
@@ -62,9 +77,12 @@ def test_hilbert_values_stop_ranking_at_the_first_zero(monkeypatch):
     window = [(3 + i, 3 + i) for i in range(4)]
     expected = [hilbert_dim(phi.a[:3], d) for d in window]
     assert expected == [4, 1, 0, 0]
-    calls = recorded_hilbert_dim(monkeypatch)
+    # the value at (5, 4), half way to (5, 5), is already 0
+    assert hilbert_dim(phi.a[:3], (5, 4)) == 0
+    events = recorded_windows(monkeypatch)
     assert basepoints.hilbert_values(phi.a[:3], window) == expected
-    assert calls == window[:3]
+    assert events == [("rank", (3, 3)), ("step", (3, 3), 0),
+                      ("step", (4, 3), 1), ("step", (4, 4), 0)]
 
 
 def test_hilbert_values_propagate_a_zero_only_upwards(monkeypatch):
@@ -72,21 +90,23 @@ def test_hilbert_values_propagate_a_zero_only_upwards(monkeypatch):
     degrees = [(3, 3), (2, 5), (4, 4), (5, 2), (3, 4)]
     expected = [hilbert_dim(phi.a, d) for d in degrees]
     assert expected == [0, 2, 0, 2, 0]
-    calls = recorded_hilbert_dim(monkeypatch)
+    events = recorded_windows(monkeypatch)
     assert basepoints.hilbert_values(phi.a, degrees) == expected
-    assert calls == [(3, 3), (2, 5), (5, 2)]
+    # (2, 5) and (5, 2) lie above no earlier degree: nothing to step from
+    assert events == [("rank", (3, 3)), ("rank", (2, 5)), ("rank", (5, 2))]
 
 
 def test_summary_and_abc_window_rank_no_degree_past_a_zero(monkeypatch):
     _, phi = base_point_free_parametrizations(1, 2, 2)[0]
-    calls = recorded_hilbert_dim(monkeypatch)
+    events = recorded_windows(monkeypatch)
     summary = base_point_summary(phi)
     assert summary.hilbert_values == [0, 0, 0, 0]
     assert summary.hilbert_sq_values is None
-    assert calls == [(3, 3)]
+    assert events == [("rank", (3, 3))]
     assert basepoints._abc_scheme_matches(phi, summary) == (True,
                                                             [4, 1, 0, 0])
-    assert calls[1:] == [(3, 3), (4, 4), (5, 5)]
+    assert events[1:] == [("rank", (3, 3)), ("step", (3, 3), 0),
+                          ("step", (4, 3), 1), ("step", (4, 4), 0)]
 
 
 def hilbert_cases(phi):
@@ -121,6 +141,94 @@ def test_dependent_products_keep_six_of_ten():
     degrees = hilbert_cases(dependent)[1][1]
     assert basepoints.hilbert_values(dependent.products(), degrees) == [
         hilbert_dim(dependent.products(), d) for d in degrees]
+
+
+# --- stepped window values against direct ranks ------------------------------
+
+def through_points(seed, m, n, k):
+    """Seeded (m, n) input through k points of P1 x P1 with small ratios.
+
+    Each form sums, over the ways to put every point on one of its two
+    ruling lines, the product of those lines and a random form with
+    entries -1, 0, 1 filling the bidegree.
+    """
+    rng = random.Random(seed)
+    points = [(1, a, 1, b) for a, b in zip(rng.sample(range(-3, 4), k),
+                                           rng.sample(range(-3, 4), k))]
+
+    def form():
+        total = None
+        for mask in range(1 << k):
+            sides = [(mask >> j) & 1 for j in range(k)]
+            first = sides.count(0)
+            if first > m or k - first > n:
+                continue
+            f = random_bihom(rng, (m - first, n - k + first), coeff_bound=1)
+            for (s, u, t, v), side in zip(points, sides):
+                f = f * (BihomPoly((1, 0), {(1, 0, 0, 0): u,
+                                            (0, 1, 0, 0): -s})
+                         if side == 0 else
+                         BihomPoly((0, 1), {(0, 0, 1, 0): v,
+                                            (0, 0, 0, 1): -t}))
+            total = f if total is None else total + f
+        return total
+    return Parametrization(m, n, tuple(form() for _ in range(4)))
+
+
+def assert_stepped_equals_direct(generators, degrees):
+    assert basepoints.hilbert_values(generators, degrees) == [
+        hilbert_dim(generators, d) for d in degrees]
+
+
+def battery_windows(phi):
+    """(generators, degrees) of the B2, B3 and abc windows of phi."""
+    m, n = phi.m, phi.n
+    return [(gens, [(start[0] + i, start[1] + i) for i in range(4)])
+            for gens, start in ((list(phi.a), (2 * m - 1, 2 * n - 1)),
+                                (phi.products(), (3 * m - 1, 3 * n - 1)),
+                                (list(phi.a[:3]), (2 * m - 1, 2 * n - 1)))]
+
+
+@pytest.mark.parametrize("m, n, k", [
+    pytest.param(m, n, k, id="%d%d_k%d" % (m, n, k))
+    for m, n in ((2, 2), (2, 3), (3, 3)) for k in range(5)])
+def test_stepped_window_values_equal_direct_ranks(m, n, k):
+    phi = through_points(10 * m + n + k, m, n, k)
+    assert base_point_summary(phi).k == k
+    for gens, degrees in battery_windows(phi):
+        assert_stepped_equals_direct(gens, degrees)
+
+
+def test_stepped_values_equal_direct_ranks_on_a_growing_window():
+    base = random_parametrization(random.Random(99), 2, 2)
+    phi = Parametrization(3, 2, tuple(f * parse("s") for f in base.a))
+    values = basepoints.hilbert_values(phi.a, [(5, 3), (6, 4), (7, 5), (8, 6)])
+    assert values[0] < values[-1]
+    for gens, degrees in battery_windows(phi):
+        assert_stepped_equals_direct(gens, degrees)
+
+
+def cli_grid(m, n):
+    """The degrees of the default hilbert table, in its order."""
+    return [(i, j) for i in range(2 * m + 1) for j in range(2 * n + 1)]
+
+
+def test_stepped_values_equal_direct_ranks_on_the_cli_grid(quartic_bp):
+    inputs = [quartic_bp, through_points(7, 2, 3, 2),
+              random_parametrization(random.Random(4), 3, 2)]
+    for phi in inputs:
+        # the grid starts below the generators' bidegree, where no
+        # generator fits, and the squared ideal fits only at its far corner
+        assert_stepped_equals_direct(list(phi.a), cli_grid(phi.m, phi.n))
+        assert_stepped_equals_direct(phi.products(), cli_grid(phi.m, phi.n))
+    # generators of several bidegrees, which start to fit at different
+    # degrees of the grid, so that some steps are not allowed
+    rng = random.Random(11)
+    a0, a1, _, _ = quartic_bp.a
+    mixed = [random_bihom(rng, (1, 2)), a0, random_bihom(rng, (3, 0)),
+             a1 * parse("s"), random_bihom(rng, (0, 3))]
+    assert_stepped_equals_direct(mixed, cli_grid(2, 2))
+    assert_stepped_equals_direct(mixed[1:], cli_grid(2, 2))
 
 
 # --- B1 ------------------------------------------------------------------------
@@ -373,21 +481,23 @@ def test_check_all_rejects_a_bad_config_before_any_rank(monkeypatch,
                                                        quartic_bp):
     a0, a1, a2, _ = quartic_bp.a
     dependent = Parametrization(2, 2, (a0, a1, a2, a0 + a1))
-    calls = counted_calls(monkeypatch, ("rank", "hilbert_dim"))
+    calls = counted_calls(monkeypatch, ("rank", "hilbert_dim", "dual_basis"))
     for config, match in ((CheckConfig(window=1), "window"),
                           (CheckConfig(sat_bound=-1), "sat_bound")):
         for phi in (quartic_bp, dependent):
             with pytest.raises(ValueError, match=match):
                 check_all(phi, config)
-    assert calls == {"rank": [], "hilbert_dim": []}
+    assert calls == {"rank": [], "hilbert_dim": [], "dual_basis": []}
 
 
 def test_check_all_stops_at_a_b1_refusal(monkeypatch, quartic_bp):
     a0, a1, a2, _ = quartic_bp.a
     phi = Parametrization(2, 2, (a0, a1, a2, a0 + a1))
     calls = counted_calls(monkeypatch, LATER)
+    events = recorded_windows(monkeypatch)
     report = check_all(phi)
     assert calls == {name: [] for name in LATER}
+    assert events == []
     assert_skipped_after(report, "B1")
     assert "dependency" in report.witnesses["B1"]
     assert report.k is None and report.summary is None
@@ -396,11 +506,11 @@ def test_check_all_stops_at_a_b1_refusal(monkeypatch, quartic_bp):
 def test_check_all_ranks_only_the_b2_window_on_a_common_factor(monkeypatch):
     base = random_parametrization(random.Random(99), 2, 2)
     phi = Parametrization(3, 2, tuple(f * parse("s") for f in base.a))
-    degrees = recorded_hilbert_dim(monkeypatch)
+    events = recorded_windows(monkeypatch)
     calls = counted_calls(monkeypatch, LATER[2:])
     report = check_all(phi)
     window = [(5, 3), (6, 4), (7, 5), (8, 6)]
-    assert degrees == window
+    assert events == stepped_window(window)
     assert calls == {name: [] for name in LATER[2:]}
     assert_skipped_after(report, "B2")
     assert report.witnesses["B2"]["window"] == window
@@ -411,11 +521,11 @@ def test_check_all_ranks_only_the_b2_window_on_a_common_factor(monkeypatch):
 def test_check_all_skips_the_squared_window_when_k_exceeds_mn(monkeypatch):
     phi = five_point_input()
     assert check_independence(phi)
-    degrees = recorded_hilbert_dim(monkeypatch)
+    events = recorded_windows(monkeypatch)
     calls = counted_calls(monkeypatch, LATER[2:])
     report = check_all(phi)
     window = [(3, 3), (4, 4), (5, 5), (6, 6)]
-    assert degrees == window
+    assert events == stepped_window(window)
     assert calls == {name: [] for name in LATER[2:]}
     assert_skipped_after(report, "B2")
     assert report.witnesses["B2"]["values"] == [5, 5, 5, 5]
@@ -444,11 +554,12 @@ def short_path_inputs():
 def test_check_all_stops_after_b2_at_k_0(monkeypatch, phi):
     names = ("saturation_member", "generic_change", "syz_dim_abc",
              "moving_planes", "rank")
-    degrees = recorded_hilbert_dim(monkeypatch)
+    events = recorded_windows(monkeypatch)
     calls = counted_calls(monkeypatch, names)
     report = check_all(phi)
-    # the first B2-window value is 0, so no later degree is ranked
-    assert degrees == [(2 * phi.m - 1, 2 * phi.n - 1)]
+    # the first B2-window value is 0, so no later degree is ranked or
+    # stepped
+    assert events == [("rank", (2 * phi.m - 1, 2 * phi.n - 1))]
     assert calls == {name: [] for name in names}
     assert report.all_passed and report.short_path and report.failure is None
     assert report.k == 0 and report.coordinate_change is None

@@ -4,6 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+try:
+    import fcntl
+except ImportError:   # not on Windows
+    fcntl = None
+
 import pytest
 
 import movsurf
@@ -34,14 +39,18 @@ def run_json(tmp_path, command, payload, *extra):
     return code, json.loads(out.read_text())
 
 
-def run_module(*args):
-    """`python -m movsurf *args` in a child process.  The child finds the
-    package where this process imported it from, also when pytest put src
-    on sys.path rather than PYTHONPATH."""
+def module_env():
+    """The environment of a child that runs `python -m movsurf`: it finds
+    the package where this process imported it from, also when pytest put
+    src on sys.path rather than PYTHONPATH."""
     path = [str(Path(movsurf.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def run_module(*args):
+    """`python -m movsurf *args` in a child process."""
     return subprocess.run([sys.executable, "-m", "movsurf", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=module_env())
 
 
 def test_check_quartic(tmp_path):
@@ -267,6 +276,27 @@ def test_unwritable_output_exits_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("input error: cannot write %s" % out)
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"),
+                    reason="needs a pipe of settable size")
+def test_a_stdout_closed_after_the_first_bytes_exits_141(tmp_path):
+    inp = write_job(tmp_path, SEGRE_JOB)
+    read_end, write_end = os.pipe()
+    # a one-page pipe, which the report of about 7 kB overfills, so the
+    # child still writes after the reader has gone
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "movsurf", "hilbert", "--input", inp, "--json",
+         "--d1", "0:20", "--d2", "0:20"],
+        stdout=write_end, stderr=subprocess.PIPE, env=module_env())
+    os.close(write_end)
+    head = os.read(read_end, 100)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=120)
+    assert head.startswith(b"{")
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def refuse_to_run(monkeypatch):

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from movsurf import (BihomPoly, Parametrization, RatMatrix, det_bareiss,
                      generic_change, kernel_basis, linalg, rank)
-from movsurf.linalg import (det_integer, echelon, integer_rank,
-                            lll, reduced_echelon, saturation)
+from movsurf.linalg import (det_integer, echelon, integer_kernel,
+                            integer_rank, lll, reduced_echelon, saturation)
 from movsurf.ring import clear, coeff_vector, content_normalize, monomial_basis
 from movsurf.syzygy import (mult_matrix, multiple_rows, plane_map_matrix,
                             quadric_map_matrix)
@@ -492,6 +492,40 @@ def test_rank_falls_back_when_reconstruction_fails(monkeypatch):
     for A in oracle_cases():
         assert rank(A) == len(rref(A).pivots)
     assert fallbacks
+
+
+# --- the certified kernel -------------------------------------------------------
+
+def assert_kernel_matches_kernel_basis(rows, ncols):
+    got = integer_kernel(rows, ncols)
+    assert all(type(x) is int for v in got for x in v)
+    assert ([content_normalize(v) for v in got]
+            == kernel_basis(RatMatrix(rows)).vectors)
+
+
+def test_integer_kernel_matches_kernel_basis_on_wide_rows(monkeypatch):
+    fallbacks = count_calls(monkeypatch, linalg, "kernel_basis")
+    rng = random.Random(8)
+    for nrows, ncols in ((1, 3), (2, 5), (3, 7), (5, 9), (6, 12)):
+        rows = [[rng.randint(-9, 9) for _ in range(ncols)]
+                for _ in range(nrows)]
+        rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        assert_kernel_matches_kernel_basis(rows, ncols)
+    # the multiples of a0, a1, a2 at the first abc-window degree
+    phi = random_parametrization(random.Random(2), 2, 2)
+    assert_kernel_matches_kernel_basis(multiple_rows(phi.a[:3], (3, 3)), 16)
+    assert fallbacks == []
+    assert integer_kernel([], 2) == [[1, 0], [0, 1]]
+
+
+def test_integer_kernel_falls_back_beyond_the_primes(monkeypatch):
+    fallbacks = count_calls(monkeypatch, linalg, "kernel_basis")
+    big = 2 ** 90 + 1
+    # a tall kernel of one vector (-7 big, -15, 21), and a wide one of two
+    # vectors with entries of about 90 bits: more than four primes carry
+    assert_kernel_matches_kernel_basis(tall_rank_two(big, 5), 3)
+    assert_kernel_matches_kernel_basis([[3, 0, big, 1], [0, 7, 5, big]], 4)
+    assert len(fallbacks) == 2
 
 
 # --- packed rows against the list reference ----------------------------------

@@ -3,16 +3,20 @@
 ``window_values_seed<N>.json`` holds, for every job of both ``perfbench``
 workloads at seed N (0 and 1), the B2 window values, the B3 squared-ideal values and
 the B5 abc values (None when the base locus is not finite), each computed
-directly with ``hilbert_values`` and the command-line window, plus the seed
-of the coordinate change that ``check_all`` runs B5 under with the
-command-line defaults (None without one).  The squared-ideal window is
-sampled even where ``check_all`` stops before it.
+with ``hilbert_values``, which steps the later degrees of a window from the
+first, and the command-line window, plus the seed of the coordinate change
+that ``check_all`` runs B5 under with the command-line defaults (None
+without one).  The squared-ideal window is sampled even where ``check_all``
+stops before it.
 
 Regenerate the file only when a change of these values is intended:
 
     PYTHONPATH=src python tests/test_window_values.py --write [--seed N]
 
-The seed defaults to 0.
+The seed defaults to 0.  Before it writes, the script checks every value
+against a direct rank at its degree (``hilbert_dim``), and it writes
+nothing when one differs, so a fault of the stepping cannot enter the
+fixture.
 """
 
 import argparse
@@ -24,7 +28,7 @@ import pytest
 
 from movsurf import (CheckConfig, Parametrization, base_point_summary,
                      check_all, generic_change, parse)
-from movsurf.basepoints import _abc_scheme_matches, hilbert_values
+from movsurf.basepoints import hilbert_dim, hilbert_values
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (0, 1)
@@ -49,27 +53,38 @@ def _phi(job):
                                        for s in job["a"]))
 
 
-def _windows(phi, coordinate_seed):
+def _direct(generators, degrees):
+    """The values at the degrees, each a direct rank."""
+    return [hilbert_dim(generators, d) for d in degrees]
+
+
+def _windows(phi, coordinate_seed, values=hilbert_values):
     """The B2, B3 and B5 window values of phi, the last one on phi changed
-    by the seeded coordinate change when there is one."""
-    summary = base_point_summary(phi)
+    by the seeded coordinate change when there is one, each window computed
+    by values(generators, degrees)."""
     m, n = phi.m, phi.n
-    squared = [(3 * m - 1 + i, 3 * n - 1 + i)
-               for i in range(CheckConfig().window + 1)]
-    windows = {"b2": summary.hilbert_values,
-               "b3": hilbert_values(phi.products(), squared),
+    window = CheckConfig().window
+    plain = [(2 * m - 1 + i, 2 * n - 1 + i) for i in range(window + 1)]
+    squared = [(3 * m - 1 + i, 3 * n - 1 + i) for i in range(window + 1)]
+    windows = {"b2": values(phi.a, plain),
+               "b3": values(phi.products(), squared),
                "b5": None}
-    if summary.finite:
+    if base_point_summary(phi).finite:
         if coordinate_seed is not None:
             phi, _ = generic_change(phi, coordinate_seed)
-        windows["b5"] = _abc_scheme_matches(phi, summary)[1]
+        windows["b5"] = values(phi.a[:3], plain)
     return windows
 
 
 def _record(job):
     phi = _phi(job)
     seed = check_all(phi, CheckConfig(seed=job["seed"])).coordinate_seed
-    return {"a": job["a"], **_windows(phi, seed), "coordinate_seed": seed}
+    windows = _windows(phi, seed)
+    direct = _windows(phi, seed, _direct)
+    if windows != direct:
+        raise SystemExit("%s: stepped values %s, direct ranks %s; nothing "
+                         "written" % (job["name"], windows, direct))
+    return {"a": job["a"], **windows, "coordinate_seed": seed}
 
 
 def write_fixture(seed):
