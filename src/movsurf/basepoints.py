@@ -42,17 +42,20 @@ window reaches each later degree by two such half steps.  A dual of size 0
 stays 0 with no step, since I_d = R_d puts R_{d'} = R_{d'-d} R_d inside
 I_{d'} for every d' >= d.
 
-The other counts of the battery are certified ranks (linalg.integer_rank),
-each taken once.  B1 is the rank of the coefficient rows of the a_i.  B5
-tests mu*a3 in (a0,a1,a2) for all mu of one bidegree at once, by comparing
-two ranks there: of the multiples of a0, a1, a2, built once, and of those
-rows with the multiples of a3 appended.  At (2m-1, 2n-1), where
-the windows start, a multiplication map from bidegree (m-1, n-1) has 4mn
-monomials as target and mn multipliers per generator.  So B6, the kernel
-of the map from the 3mn multiples of a0, a1, a2, has dimension the first
-abc window value minus mn; and the moving-plane space, the kernel of the
-square map from the 4mn multiples of all four, has dimension the first
-window value, which is k once B2 holds.
+B1 is the one certified rank (linalg.integer_rank) of the battery: of
+the coefficient rows of the a_i.  B5 tests mu*a3 in I = (a0,a1,a2) for
+all mu of bidegree (N, N) at once: they lie in I_t, t = deg a3 + (N, N),
+exactly when every functional of the dual at t vanishes on the multiples
+of a3, a check over Z (linalg._annihilates).  These targets form a
+diagonal, so the search walks the dual from one direct kernel at deg a3
+by the same half steps, and the abc window of B5 steps from the duals of
+that walk: B5 and B6 take one direct dual per attempt.  At (2m-1, 2n-1),
+where the windows start, a multiplication map from bidegree (m-1, n-1)
+has 4mn monomials as target and mn multipliers per generator.  So B6,
+the kernel of the map from the 3mn multiples of a0, a1, a2, has
+dimension the first abc window value minus mn; and the moving-plane
+space, the kernel of the square map from the 4mn multiples of all four,
+has dimension the first window value, which is k once B2 holds.
 """
 
 from __future__ import annotations
@@ -63,9 +66,9 @@ from operator import mul
 
 # rank, moving_planes and syz_dim_abc are not called here: perfbench/spans.py
 # installs its probes on them in this module
-from .linalg import (det_integer, integer_kernel, integer_rank,
-                     kernel_basis, rank, reduced_echelon)
-from .ring import bidegree_leq
+from .linalg import (_annihilates, det_integer, integer_kernel,
+                     integer_rank, kernel_basis, rank)
+from .ring import bidegree_leq, primitive
 from .syzygy import (Parametrization, moving_planes, mult_matrix,
                      multiple_rows, syz_dim_abc)
 
@@ -156,9 +159,11 @@ def _half_step(dual, d, axis):
     when lam o x and lam o y are in the old one: lam o x = sum alpha_i K_i
     and lam o y = sum beta_i K_i.  A monomial M divisible by x alone or by
     y alone takes its value from one of them; one divisible by both gives
-    the consistency row K(M/x) . alpha - K(M/y) . beta = 0.  The kernel of
-    these rows on the 2h unknowns maps one to one onto the new dual, which
-    is returned in reduced echelon form.
+    the consistency row K(M/x) . alpha - K(M/y) . beta = 0, and a zero or
+    repeated one is dropped.  The kernel of these rows on the 2h unknowns
+    maps one to one onto the new dual, so the lifted kernel vectors are
+    independent: they are returned as a basis of it, each divided by its
+    content.
     """
     a, b = d
     block = b + 1
@@ -178,16 +183,21 @@ def _half_step(dual, d, axis):
     columns = [list(column) for column in zip(*dual)]
     rows = [[*columns[x], *(-c for c in columns[y])]
             for x, y in zip(up, down) if x is not None and y is not None]
+    # a zero or repeated row adds nothing but work to the kernel; rows are
+    # told apart by their text, since tuple keys would leave hundreds of
+    # small tuples in the interpreter's free lists and raise peak memory
+    rows = list({str(row): row for row in rows if any(row)}.values())
     lifted = []
     for coeffs in integer_kernel(rows, 2 * h):
         alpha, beta = coeffs[:h], coeffs[h:]
-        lifted.append([sum(map(mul, alpha, columns[x])) if x is not None
-                       else sum(map(mul, beta, columns[y]))
-                       for x, y in zip(up, down)])
-    return reduced_echelon(lifted, size).rows
+        lifted.append(primitive([sum(map(mul, alpha, columns[x]))
+                                 if x is not None
+                                 else sum(map(mul, beta, columns[y]))
+                                 for x, y in zip(up, down)]))
+    return lifted
 
 
-def hilbert_values(generators, degrees):
+def hilbert_values(generators, degrees, known=None):
     """hilbert_dim of the generators at each of the degrees.
 
     Each value is the size of a basis of the dual at its degree, stepped
@@ -198,17 +208,24 @@ def hilbert_values(generators, degrees):
     does not, and where no earlier degree lies below, the dual is taken
     directly (dual_basis).  A dual of size 0 stays 0: I_d = R_d puts
     R_{d'} = R_{d'-d} R_d inside I_{d'} for every d' >= d.
+
+    known, a list of (degree, dual) pairs of the same generators, offers
+    earlier degrees to step from; the call extends it with the duals it
+    takes.
     """
-    known = []
-    values = []
-    for d in degrees:
-        d = (int(d[0]), int(d[1]))
-        dual = _stepped(generators, known, d)
-        if dual is None:
-            dual = dual_basis(generators, d)
-        known.append((d, dual))
-        values.append(len(dual))
-    return values
+    known = [] if known is None else known
+    return [len(_dual_at(generators, known, (int(d[0]), int(d[1]))))
+            for d in degrees]
+
+
+def _dual_at(generators, known, d):
+    """The dual at d, stepped from the known pairs when a step path is
+    valid and taken directly otherwise; appended to known."""
+    dual = _stepped(generators, known, d)
+    if dual is None:
+        dual = dual_basis(generators, d)
+    known.append((d, dual))
+    return dual
 
 
 def _stepped(generators, known, d):
@@ -301,44 +318,40 @@ def check_regularity(phi, summary):
     return summary.finite and summary.hilbert_values[0] == summary.k
 
 
-def saturation_member(f, generators, max_power):
+def saturation_member(f, generators, max_power, known=None):
     """Does some power of the irrelevant ideal multiply f into <generators>?
 
     Search N = 0, 1, ..., max_power; at each N test that mu*f lies in the
     ideal I at t = deg f + (N, N) for every monomial mu of bidegree (N, N).
     N = 0 is plain ideal membership.
+
+    They all lie in I_t exactly when every functional of the dual of
+    (R/I)_t vanishes on the multiples of f there, which _annihilates
+    decides over Z; an empty dual means I_t = R_t, which holds them all.
+    The targets form a diagonal, so the search walks the dual as a window
+    does (hilbert_values): it takes the dual directly only where no earlier
+    degree lies below t or a generator starts to fit, and otherwise by two
+    half steps from the previous N.  known is as in hilbert_values: the
+    walk steps from its pairs and extends it with its own duals.
     """
+    if max_power < 0:
+        raise ValueError("max_power must be at least 0")
+    known = [] if known is None else known
     for N in range(max_power + 1):
-        if _multiples_in_ideal(f, generators,
-                               (f.bidegree[0] + N, f.bidegree[1] + N)):
+        t = (f.bidegree[0] + N, f.bidegree[1] + N)
+        dual = _dual_at(generators, known, t)
+        if not dual or _annihilates(multiple_rows([f], t), dual):
             return SaturationResult(member=True, power=N)
     return SaturationResult(member=False, bound_reached=True)
 
 
-def _multiples_in_ideal(f, generators, target):
-    """Whether every multiple of f of bidegree target lies in the ideal I
-    of the generators.
-
-    (I + (f))_t = I_t + f*R_{t - deg f} contains I_t, so it equals I_t
-    exactly when the multiples of the generators at t have the same rank
-    with and without the multiples of f appended.  The generator multiples
-    are built once for both ranks; each block of rows carries its own
-    scale, which leaves the rank unchanged.
-    """
-    full = (target[0] + 1) * (target[1] + 1)
-    rows = multiple_rows([g for g in generators
-                          if bidegree_leq(g.bidegree, target)], target)
-    # the larger rank first, so that the smaller one reuses its memory
-    with_f = integer_rank(rows + multiple_rows([f], target), full)
-    return integer_rank(rows, full) == with_f
-
-
-def _abc_scheme_matches(phi, summary):
+def _abc_scheme_matches(phi, summary, known=None):
     """First half of B5: (a0,a1,a2) cut out the same finite scheme as the
     full ideal, certified by a matching stabilized Hilbert value over the
     same window (the triple stabilizes later than the full ideal, so only
-    the window tail is required to be constant)."""
-    values = hilbert_values(phi.a[:3], summary.stabilization_window)
+    the window tail is required to be constant).  known is as in
+    hilbert_values."""
+    values = hilbert_values(phi.a[:3], summary.stabilization_window, known)
     stabilized = len(values) >= 2 and values[-1] == values[-2]
     return stabilized and values[-1] == summary.k, values
 
@@ -418,8 +431,12 @@ def _evaluate_conditions(phi, config, invariant):
     verdicts, witnesses, summary = invariant
     verdicts, witnesses = dict(verdicts), dict(witnesses)
 
-    scheme_ok, abc_values = _abc_scheme_matches(phi, summary)
-    sat = saturation_member(phi.a[3], phi.a[:3], _sat_bound(phi, config))
+    # the abc window steps from the duals of a0, a1, a2 that the
+    # saturation search walks through, so it takes no direct dual
+    walk = []
+    sat = saturation_member(phi.a[3], phi.a[:3], _sat_bound(phi, config),
+                            walk)
+    scheme_ok, abc_values = _abc_scheme_matches(phi, summary, walk)
     verdicts["B5"] = scheme_ok and sat.member
     witnesses["B5"] = {"abc_values": abc_values, "scheme_match": scheme_ok,
                        "saturation_power": sat.power,

@@ -8,10 +8,10 @@ Four subcommands operate on a JSON job file:
     movsurf hilbert      --input job.json     quotient-dimension table
 
 Job file schema: {"m": int, "n": int, "a": [4 polynomial strings],
-optional "seed": int, optional "assert_one_to_one": bool}.  The integer
-fields must be JSON integers (not true or false, not 1.7 or "2"),
-assert_one_to_one must be JSON true or false, and a must be a JSON list of
-strings.
+optional "seed": int, optional "assert_one_to_one": bool}, and no other
+field.  The integer fields must be JSON integers (not true or false, not
+1.7 or "2"), assert_one_to_one must be JSON true or false, and a must be a
+JSON list of strings.
 
 Each subcommand takes only the flags it reads: --input, --json and --output
 everywhere, --seed, --sat-bound and --window on check, implicitize and
@@ -227,6 +227,7 @@ def _check_output(path):
 
 
 _JSON_KINDS = {int: "integer", bool: "boolean", list: "list"}
+JOB_FIELDS = ("m", "n", "a", "seed", "assert_one_to_one")
 
 
 def _field(data, name, kind, fallback=None):
@@ -255,6 +256,10 @@ def load_jobspec(path, seed_override=None):
         raise InputError("invalid JSON in %s: %s" % (path, exc))
     if not isinstance(data, dict):
         raise InputError("job file must hold a JSON object")
+    # a misspelt optional field would otherwise leave its default in force
+    unknown = sorted(set(data).difference(JOB_FIELDS))
+    if unknown:
+        raise InputError("unknown field '%s'" % unknown[0])
     m = _field(data, "m", int)
     n = _field(data, "n", int)
     seed = _field(data, "seed", int, 0)

@@ -1,3 +1,4 @@
+import importlib.util
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ settings.register_profile(
 settings.load_profile("exact")
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def load_golden(name):
@@ -63,6 +65,22 @@ def regularity_phi():
     """Bidegree-(2,3) quadruple whose base scheme has degree 2."""
     return Parametrization(
         2, 3, tuple(parse(s, bidegree=(2, 3)) for s in REGULARITY_IDEAL_STRINGS))
+
+
+def perfbench_jobs():
+    """perfbench/jobs.py, loaded by path under a name of its own."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_jobs", ROOT / "perfbench" / "jobs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def job_phi(job):
+    """The parametrization of a perfbench job."""
+    m, n = job["m"], job["n"]
+    return Parametrization(m, n, tuple(parse(s, bidegree=(m, n))
+                                       for s in job["a"]))
 
 
 def counted_calls(monkeypatch, names, module=basepoints):

@@ -5,7 +5,9 @@ normalization, the textbook way, independently of the integer echelon and
 the certified rank of movsurf.linalg.  modular_basis is the row-by-row
 reduced echelon form modulo a prime on plain lists, the reference for the
 packed linalg._modular_basis.  det_cofactor is memoized minor expansion of
-an MMatrix over XPoly, the reference for the interpolated determinant.  The
+an MMatrix over XPoly, the reference for the interpolated determinant.
+saturation_by_ranks is the saturation search by two certified ranks per
+power, the reference for the search that walks the inverse system.  The
 tests check the integer core against them; the package does not use them.
 """
 
@@ -13,8 +15,10 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from movsurf.linalg import RatMatrix
-from movsurf.ring import XPoly
+from movsurf.basepoints import SaturationResult
+from movsurf.linalg import RatMatrix, integer_rank
+from movsurf.ring import XPoly, bidegree_leq
+from movsurf.syzygy import multiple_rows
 
 
 class RrefResult(NamedTuple):
@@ -129,6 +133,25 @@ def modular_basis(rows, ncols, p):
         if not free:
             break
     return basis, free, used
+
+
+def saturation_by_ranks(f, generators, max_power):
+    """The SaturationResult of basepoints.saturation_member, by ranks.
+
+    At each N = 0..max_power every mu*f of bidegree t = deg f + (N, N)
+    lies in the ideal I of the generators exactly when (I + (f))_t, which
+    contains I_t, has the same dimension: when appending the multiples of
+    f to those of the generators leaves the rank unchanged.
+    """
+    for N in range(max_power + 1):
+        t = (f.bidegree[0] + N, f.bidegree[1] + N)
+        full = (t[0] + 1) * (t[1] + 1)
+        rows = multiple_rows([g for g in generators
+                              if bidegree_leq(g.bidegree, t)], t)
+        if integer_rank(rows, full) == integer_rank(
+                rows + multiple_rows([f], t), full):
+            return SaturationResult(member=True, power=N)
+    return SaturationResult(member=False, bound_reached=True)
 
 
 def det_cofactor(M):

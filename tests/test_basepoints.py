@@ -17,8 +17,9 @@ from movsurf.ring import bidegree_leq, coeff_vector, monomial_basis
 from movsurf.syzygy import moving_planes, mult_matrix, syz_dim_abc
 
 from conftest import (QUARTIC_BP_STRINGS, base_point_free_parametrizations,
-                      counted_calls, random_bihom, random_parametrization)
-from oracle import solve_membership
+                      counted_calls, job_phi, perfbench_jobs, random_bihom,
+                      random_parametrization)
+from oracle import saturation_by_ranks, solve_membership
 
 
 # --- quotient dimensions -----------------------------------------------------
@@ -338,6 +339,11 @@ def test_saturation_monotone_in_bound(quartic_bp):
         assert res.member == (bound >= 2)
 
 
+def test_saturation_member_rejects_a_negative_bound(quartic_bp):
+    with pytest.raises(ValueError, match="max_power"):
+        saturation_member(quartic_bp.a[3], quartic_bp.a[:3], -1)
+
+
 # --- coordinate changes ------------------------------------------------------------
 
 def test_generic_change_deterministic(quartic_bp):
@@ -626,6 +632,71 @@ def test_saturation_member_ends_at_the_first_zero_quotient():
     for phi in inputs[1:]:
         assert (saturation_member(phi.a[3], phi.a[:3], 6).power
                 == saturation_oracle(phi.a[3], phi.a[:3], 6))
+
+
+def assert_matches_the_rank_reference(f, generators, bound):
+    assert (saturation_member(f, generators, bound)
+            == saturation_by_ranks(f, generators, bound))
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_saturation_member_matches_the_rank_reference_on_the_benchmark(seed):
+    # (a3; a0, a1, a2) of every basepoints job at the default bound, as
+    # given and, where the battery needs one, after its coordinate change:
+    # the first attempts of the retry jobs and of degree_two_scheme fail B5
+    config = CheckConfig()
+    outcomes = set()
+    for job in perfbench_jobs().make_jobs("basepoints", seed):
+        phi = job_phi(job)
+        report = check_all(phi, CheckConfig(seed=job["seed"]))
+        for psi in (phi, report.phi) if report.coordinate_change else (phi,):
+            bound = basepoints._sat_bound(psi, config)
+            res = saturation_member(psi.a[3], psi.a[:3], bound)
+            assert res == saturation_by_ranks(psi.a[3], psi.a[:3], bound), (
+                job["name"], psi is phi)
+            outcomes.add(res.member)
+    assert outcomes == {True, False}
+
+
+def test_saturation_member_matches_the_rank_reference(quartic_bp):
+    for seed in (1, 2, 3, 4):
+        changed, _ = generic_change(quartic_bp, seed)
+        for bound in (0, 6):
+            assert_matches_the_rank_reference(changed.a[3], changed.a[:3],
+                                              bound)
+    # a0 is a member at N = 0, the least bound
+    assert_matches_the_rank_reference(quartic_bp.a[0], quartic_bp.a[:3], 0)
+    # s fits only from (1, 1) on, above deg t = (0, 1): the walk takes a
+    # second direct dual there
+    assert_matches_the_rank_reference(parse("t"), [parse("s")], 4)
+    assert_matches_the_rank_reference(parse("s*t"), [parse("s^2")], 3)
+    # k = 0: the dual of a0, a1, a2 becomes empty on the way
+    for m, n in ((2, 2), (1, 2), (2, 1), (2, 3)):
+        for _, phi in base_point_free_parametrizations(2, m, n):
+            assert_matches_the_rank_reference(phi.a[3], phi.a[:3], 6)
+
+
+@pytest.mark.parametrize("name", ("quartic", "basepoints_23a",
+                                  "basepoints_33"))
+def test_one_evaluation_takes_one_direct_dual(monkeypatch, name):
+    # the abc window steps from the duals of the saturation walk, and B6
+    # reads the abc window: one kernel of generator multiples in all
+    job, = [job for job in perfbench_jobs().make_jobs("basepoints", 0)
+            if job["name"] == name]
+    phi, config = job_phi(job), CheckConfig()
+    invariant = _invariant_conditions(phi, config)
+    calls = counted_calls(monkeypatch, ("dual_basis", "integer_rank",
+                                        "hilbert_dim", "integer_kernel",
+                                        "_half_step"))
+    _evaluate_conditions(phi, config, invariant)
+    assert len(calls["dual_basis"]) == 1
+    assert calls["integer_rank"] == [] and calls["hilbert_dim"] == []
+    # the kernel of the direct dual, then one per half step
+    kernels = calls["integer_kernel"]
+    assert len(kernels) == 1 + len(calls["_half_step"]) > 1
+    for rows, _ in kernels:
+        assert all(any(row) for row in rows)
+        assert len(set(map(tuple, rows))) == len(rows)
 
 
 def test_check_all_rejects_coord_bound_below_1(quartic_bp):

@@ -16,16 +16,16 @@ The seed defaults to 0.
 """
 
 import argparse
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from movsurf import CheckConfig, Parametrization, check_all, parse
+from movsurf import CheckConfig, check_all
 from movsurf.cli import change_block, conditions_block
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import job_phi, perfbench_jobs
+
 SEEDS = (0, 1)
 
 
@@ -33,20 +33,8 @@ def fixture_path(seed):
     return Path(__file__).with_name("battery_reports_seed%d.json" % seed)
 
 
-def _jobs_module():
-    """perfbench/jobs.py, loaded by path under a name of its own."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_jobs", ROOT / "perfbench" / "jobs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _record(job):
-    m, n = job["m"], job["n"]
-    phi = Parametrization(m, n, tuple(parse(s, bidegree=(m, n))
-                                      for s in job["a"]))
-    report = check_all(phi, CheckConfig(seed=job["seed"]))
+    report = check_all(job_phi(job), CheckConfig(seed=job["seed"]))
     conditions = conditions_block(report)
     del conditions["names"]
     # through JSON, as --json prints it: tuples become lists
@@ -55,7 +43,7 @@ def _record(job):
 
 
 def write_fixture(seed):
-    jobs = _jobs_module()
+    jobs = perfbench_jobs()
     blocks = []
     for workload in jobs.WORKLOADS:
         lines = ["  %s: %s" % (json.dumps(job["name"]),
@@ -75,7 +63,7 @@ CASES = [pytest.param(workload, seed,
 @pytest.mark.parametrize("workload, seed", CASES)
 def test_battery_reports_match_fixture(workload, seed):
     expected = json.loads(fixture_path(seed).read_text())[workload]
-    jobs = _jobs_module().make_jobs(workload, seed)
+    jobs = perfbench_jobs().make_jobs(workload, seed)
     assert sorted(job["name"] for job in jobs) == sorted(expected)
     for job in jobs:
         assert _record(job) == expected[job["name"]], job["name"]

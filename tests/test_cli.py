@@ -265,6 +265,18 @@ def test_malformed_job_field_exits_2(tmp_path, capsys, field, value):
     assert "input error: %s must be" % field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ("check", "implicitize", "verify",
+                                     "hilbert"))
+def test_an_unknown_job_field_exits_2(tmp_path, capsys, monkeypatch,
+                                      command):
+    refuse_to_run(monkeypatch)
+    # misspelt, the field would leave assert_one_to_one at its default
+    inp = write_job(tmp_path, dict(SEGRE_JOB, assert_one_to_on=False))
+    assert main([command, "--input", inp]) == 2
+    assert capsys.readouterr().err == (
+        "input error: unknown field 'assert_one_to_on'\n")
+
+
 def test_missing_file_exits_2(tmp_path):
     assert main(["check", "--input", str(tmp_path / "nope.json")]) == 2
 

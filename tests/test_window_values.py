@@ -20,37 +20,21 @@ fixture.
 """
 
 import argparse
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from movsurf import (CheckConfig, Parametrization, base_point_summary,
-                     check_all, generic_change, parse)
+from movsurf import CheckConfig, base_point_summary, check_all, generic_change
 from movsurf.basepoints import hilbert_dim, hilbert_values
 
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import job_phi, perfbench_jobs
+
 SEEDS = (0, 1)
 
 
 def fixture_path(seed):
     return Path(__file__).with_name("window_values_seed%d.json" % seed)
-
-
-def _jobs_module():
-    """perfbench/jobs.py, loaded by path under a name of its own."""
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_jobs", ROOT / "perfbench" / "jobs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _phi(job):
-    m, n = job["m"], job["n"]
-    return Parametrization(m, n, tuple(parse(s, bidegree=(m, n))
-                                       for s in job["a"]))
 
 
 def _direct(generators, degrees):
@@ -77,7 +61,7 @@ def _windows(phi, coordinate_seed, values=hilbert_values):
 
 
 def _record(job):
-    phi = _phi(job)
+    phi = job_phi(job)
     seed = check_all(phi, CheckConfig(seed=job["seed"])).coordinate_seed
     windows = _windows(phi, seed)
     direct = _windows(phi, seed, _direct)
@@ -88,7 +72,7 @@ def _record(job):
 
 
 def write_fixture(seed):
-    jobs = _jobs_module()
+    jobs = perfbench_jobs()
     blocks = []
     for workload in jobs.WORKLOADS:
         lines = ["  %s: %s" % (json.dumps(job["name"]),
@@ -108,12 +92,12 @@ CASES = [pytest.param(workload, seed,
 @pytest.mark.parametrize("workload, seed", CASES)
 def test_window_values_match_fixture(workload, seed):
     expected = json.loads(fixture_path(seed).read_text())[workload]
-    jobs = _jobs_module().make_jobs(workload, seed)
+    jobs = perfbench_jobs().make_jobs(workload, seed)
     assert sorted(job["name"] for job in jobs) == sorted(expected)
     for job in jobs:
         want = expected[job["name"]]
         assert job["a"] == want["a"], "perfbench jobs changed: regenerate"
-        got = _windows(_phi(job), want["coordinate_seed"])
+        got = _windows(job_phi(job), want["coordinate_seed"])
         for window in ("b2", "b3", "b5"):
             assert got[window] == want[window], (job["name"], window)
 
