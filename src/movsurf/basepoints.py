@@ -19,14 +19,16 @@ seeded random recombination is applied and only B5/B6 are rerun, B1-B4
 being computed once per check.  A recombination, the coordinate change of
 the report, is four rows of ints T with a'_i = sum_j T[i][j] a_j.
 
-The battery stops after B2 whenever B2 settles the outcome.  B3, B4 and
-B5 read the multiplicity k that B2 certifies, and no coordinate change can
-repair B1 or B2: when B1 fails no window is sampled, and when B2 fails the
-squared-ideal window is not.  The later checks are then reported False
-with the witness {"skipped": "B1 failed"} or {"skipped": "B2 failed"}.
-An input with k = 0 passes on the short path, which needs none of B3-B6:
+The battery stops at the first refusal among B1-B4, since no coordinate
+change can repair one.  B3, B4 and B5 read the multiplicity k that B2
+certifies: when B1 fails no window is sampled, and when B2 fails the
+squared-ideal window is not.  B3 and B4 are decided together, so a refusal
+at either runs no saturation search, abc window or coordinate change.
+The checks not run are reported False with the witness
+{"skipped": "B1 failed"}, "B2 failed", "B3 failed" or "B4 failed".  An
+input with k = 0 passes on the short path, which needs none of B3-B6:
 they are reported None (JSON null, not a failure) with the witness
-{"skipped": "k = 0"}.  A refusal at B3 or B4 keeps its B5/B6 witnesses.
+{"skipped": "k = 0"}.
 
 Degrees of zero-dimensional schemes are read off as stabilized values of the
 Hilbert function dim (R/I)_{d,d'} sampled along a diagonal window, never via
@@ -37,10 +39,12 @@ system (Mourrain, "Isolated points, duality and residues", JPAA 117-118,
 kernel (linalg.integer_kernel) of the generator multiples, built as integer
 rows.  Once every generator fits, I_{d+(1,0)} = s I_d + u I_d, so the dual
 at d + (1,0) is the set of lam with lam o s and lam o u in the dual at d:
-a small kernel on twice the dual's size.  The same holds in t, v, and the
-window reaches each later degree by two such half steps.  A dual of size 0
-stays 0 with no step, since I_d = R_d puts R_{d'} = R_{d'-d} R_d inside
-I_{d'} for every d' >= d.
+a small kernel on twice the dual's size.  Most of its kernel vectors give
+lam o s or lam o u as one old dual vector times an integer, and lam is
+then read off that vector away from the few monomials s or u does not
+divide.  The same holds in t, v, and the window reaches each later degree
+by two such half steps.  A dual of size 0 stays 0 with no step, since
+I_d = R_d puts R_{d'} = R_{d'-d} R_d inside I_{d'} for every d' >= d.
 
 B1 is the one certified rank (linalg.integer_rank) of the battery: of
 the coefficient rows of the a_i.  B5 tests mu*a3 in I = (a0,a1,a2) for
@@ -62,13 +66,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 
 # rank, moving_planes and syz_dim_abc are not called here: perfbench/spans.py
 # installs its probes on them in this module
 from .linalg import (_annihilates, det_integer, integer_kernel,
                      integer_rank, kernel_basis, rank)
-from .ring import bidegree_leq, primitive
+from .ring import bidegree_leq
 from .syzygy import (Parametrization, moving_planes, mult_matrix,
                      multiple_rows, syz_dim_abc)
 
@@ -164,6 +169,13 @@ def _half_step(dual, d, axis):
     maps one to one onto the new dual, so the lifted kernel vectors are
     independent: they are returned as a basis of it, each divided by its
     content.
+
+    The rows make lam(M) the same through x and through y wherever both
+    divide M, so each kernel vector is lifted along a unit side when it
+    has one.  integer_kernel gives a vector that is 0 at every free column
+    but its own, so beta, or else alpha, is often c e_i: then lam(M) is
+    c K_i(M/y) wherever y divides M (c K_i(M/x) wherever x does), and only
+    the other b + 1 or a + 1 monomials take a dot product.
     """
     a, b = d
     block = b + 1
@@ -190,11 +202,36 @@ def _half_step(dual, d, axis):
     lifted = []
     for coeffs in integer_kernel(rows, 2 * h):
         alpha, beta = coeffs[:h], coeffs[h:]
-        lifted.append(primitive([sum(map(mul, alpha, columns[x]))
-                                 if x is not None
-                                 else sum(map(mul, beta, columns[y]))
-                                 for x, y in zip(up, down)]))
+        # beta = c e_i: lam(M) = c K_i(M/y) wherever y divides M, and
+        # alpha . K(M/x) elsewhere; alpha = c e_i: the same with x and y,
+        # alpha and beta swapped
+        if (unit := _unit(beta)) is not None:
+            read, through, other = down, up, alpha
+        elif (unit := _unit(alpha)) is not None:
+            read, through, other = up, down, beta
+        if unit is None:
+            vector = [sum(map(mul, alpha, columns[x])) if x is not None
+                      else sum(map(mul, beta, columns[y]))
+                      for x, y in zip(up, down)]
+        else:
+            i, c = unit
+            old = dual[i]
+            vector = [c * old[r] if r is not None
+                      else sum(map(mul, other, columns[t]))
+                      for r, t in zip(read, through)]
+        g = gcd(*vector)
+        lifted.append([v // g for v in vector] if g > 1 else vector)
     return lifted
+
+
+def _unit(coeffs):
+    """(i, c) when coeffs is c times the i-th unit vector, c != 0; else
+    None."""
+    nonzero = [i for i, c in enumerate(coeffs) if c]
+    if len(nonzero) != 1:
+        return None
+    i, = nonzero
+    return i, coeffs[i]
 
 
 def hilbert_values(generators, degrees, known=None):
@@ -453,12 +490,14 @@ def check_all(phi, config=None):
     """Run B1..B6, retrying with seeded coordinate changes when only the
     position-dependent checks B5/B6 fail.
 
-    The battery ends after B2 when B2 settles the outcome, and no
-    coordinate change is tried.  A refusal at B1 or B2 reports the later
-    checks False with a "skipped" witness.  A parametrization with no base
-    points at all (k = 0) does not need B3-B6: its moving-plane space, of
-    dimension k, is trivial, and the construction goes through, so the
-    report passes on the short path with B3-B6 None and skipped.
+    The battery ends at a refusal among the invariant checks B1-B4, and no
+    coordinate change is tried.  The checks it does not run are reported
+    False with a "skipped" witness: those after a B1 or B2 refusal, and
+    B5/B6 after one at B3 or B4, which are decided together.  A
+    parametrization with no base points at all (k = 0) does not need
+    B3-B6: its moving-plane space, of dimension k, is trivial, and the
+    construction goes through, so the report passes on the short path with
+    B3-B6 None and skipped.
     """
     config = config or CheckConfig()
     if config.window < 2:
@@ -471,8 +510,9 @@ def check_all(phi, config=None):
     verdicts, witnesses, summary = invariant
     k = summary.k if summary else None
     short_path = k == 0
-    if short_path or not verdicts.get("B2"):
-        failure = None if short_path else "B2" if verdicts["B1"] else "B1"
+    # verdicts holds B1 up to the check that ended the invariant part
+    failure = next((name for name, ok in verdicts.items() if not ok), None)
+    if short_path or failure:
         for name in CONDITION_NAMES:
             if name not in verdicts:
                 verdicts[name] = None if short_path else False
@@ -501,7 +541,6 @@ def check_all(phi, config=None):
                                  coordinate_change=change,
                                  coordinate_seed=change_seed,
                                  summary=summary)
-        # only B5/B6 depend on the coordinates
-        if all_passed or not (verdicts["B3"] and verdicts["B4"]):
+        if all_passed:
             return report
     return report

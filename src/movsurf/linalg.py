@@ -160,8 +160,20 @@ def _pack(values, nbytes):
                                        repeat("little"))), "little")
 
 
+# Below this many slots _unpack shifts each slot out; above it, where each
+# shift of the long int costs more than a pass over its bytes, it splits
+# the bytes of the int.  Timed on 12-, 13- and 14-byte slots (CPython
+# 3.11), the two ways cost the same to within 3 % at 64 slots; shifting is
+# 5-35 % faster from 56 slots down, splitting 7-50 % faster from 72 up.
+_SHIFT_SLOTS = 64
+
+
 def _unpack(x, nslots, nbytes):
     """The nslots slot values of a packed int, slot 0 first."""
+    if nslots < _SHIFT_SLOTS:
+        width = 8 * nbytes
+        mask = (1 << width) - 1
+        return [x >> shift & mask for shift in range(0, nslots * width, width)]
     data = x.to_bytes(nslots * nbytes, "little")
     return list(map(int.from_bytes,
                     [data[i:i + nbytes] for i in range(0, len(data), nbytes)],

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import RatMatrix, integer_rank, kernel_basis
-from .ring import clear, monomial_basis
+from .ring import clear
 
 # x_i x_j blocks of the quadric map, in this fixed order
 PROD_ORDER = tuple((i, j) for i in range(4) for j in range(i, 4))
@@ -109,22 +109,29 @@ def multiple_rows(generators, target):
     among them is a relation among the multiples.
     """
     target = (int(target[0]), int(target[1]))
-    row_index = {m: i for i, m in enumerate(monomial_basis(target))}
+    # the target monomial (i, e0 - i, j, e1 - j) sits at position
+    # (e0 - i) * width + (e1 - j), width = e1 + 1; so mono*mu sits at the
+    # position of mono at deg g, taken with that width, plus the offset
+    # of mu at d, which runs through its canonical order row by row
+    width = target[1] + 1
+    full = (target[0] + 1) * width
     coeffs = iter(clear([c for g in generators for c in g.terms.values()])[0])
     rows = []
     for g in generators:
-        d = (target[0] - g.bidegree[0], target[1] - g.bidegree[1])
-        if d[0] < 0 or d[1] < 0:
+        g0, g1 = g.bidegree
+        d0, d1 = target[0] - g0, target[1] - g1
+        if d0 < 0 or d1 < 0:
             raise ValueError("bidegree underflow: generator %s into target %s"
                              % (g.bidegree, target))
         # zip stops at the end of g.terms, so it takes g's coefficients only
-        terms = list(zip(g.terms, coeffs))
-        for mu in monomial_basis(d):
-            row = [0] * len(row_index)
-            for mono, c in terms:
-                row[row_index[(mono[0] + mu[0], mono[1] + mu[1],
-                               mono[2] + mu[2], mono[3] + mu[3])]] = c
-            rows.append(row)
+        terms = [((g0 - mono[0]) * width + g1 - mono[2], c)
+                 for mono, c in zip(g.terms, coeffs)]
+        for shift in range(0, (d0 + 1) * width, width):
+            for at in range(shift, shift + d1 + 1):
+                row = [0] * full
+                for q, c in terms:
+                    row[q + at] = c
+                rows.append(row)
     return rows
 
 

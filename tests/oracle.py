@@ -7,17 +7,23 @@ reduced echelon form modulo a prime on plain lists, the reference for the
 packed linalg._modular_basis.  det_cofactor is memoized minor expansion of
 an MMatrix over XPoly, the reference for the interpolated determinant.
 saturation_by_ranks is the saturation search by two certified ranks per
-power, the reference for the search that walks the inverse system.  The
-tests check the integer core against them; the package does not use them.
+power, the reference for the search that walks the inverse system.
+half_step_by_dots lifts every half-step kernel vector by dot products, the
+reference for basepoints._half_step; multiple_rows_by_index places each
+multiple through a dict of monomials and unpack_bytes splits the bytes of
+a packed int, the references for syzygy.multiple_rows and linalg._unpack.
+The tests check the integer core against them; the package does not use
+them.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 from typing import NamedTuple
 
 from movsurf.basepoints import SaturationResult
-from movsurf.linalg import RatMatrix, integer_rank
-from movsurf.ring import XPoly, bidegree_leq
+from movsurf.linalg import RatMatrix, integer_kernel, integer_rank
+from movsurf.ring import XPoly, bidegree_leq, clear, monomial_basis, primitive
 from movsurf.syzygy import multiple_rows
 
 
@@ -179,3 +185,64 @@ def det_cofactor(M):
         return acc
 
     return minor(0, tuple(range(n)))
+
+
+def half_step_by_dots(dual, d, axis):
+    """basepoints._half_step with every monomial that x divides lifted by
+    the dot product K(M/x) . alpha, every other one by K(M/y) . beta, and
+    the content divided out by ring.primitive."""
+    a, b = d
+    block = b + 1
+    size = (a + 2) * block if axis == 0 else (a + 1) * (b + 2)
+    if axis == 0:
+        up = [q if q < size - block else None for q in range(size)]
+        down = [q - block if q >= block else None for q in range(size)]
+    else:
+        up, down = [], []
+        for q in range(size):
+            blk, r = divmod(q, b + 2)
+            up.append(blk * block + r if r <= b else None)
+            down.append(blk * block + r - 1 if r else None)
+    h = len(dual)
+    columns = [list(column) for column in zip(*dual)]
+    rows = [[*columns[x], *(-c for c in columns[y])]
+            for x, y in zip(up, down) if x is not None and y is not None]
+    rows = list({str(row): row for row in rows if any(row)}.values())
+    lifted = []
+    for coeffs in integer_kernel(rows, 2 * h):
+        alpha, beta = coeffs[:h], coeffs[h:]
+        lifted.append(primitive([sum(map(mul, alpha, columns[x]))
+                                 if x is not None
+                                 else sum(map(mul, beta, columns[y]))
+                                 for x, y in zip(up, down)]))
+    return lifted
+
+
+def multiple_rows_by_index(generators, target):
+    """syzygy.multiple_rows, each multiple placed through a dict from the
+    monomials of the target to their positions."""
+    target = (int(target[0]), int(target[1]))
+    row_index = {m: i for i, m in enumerate(monomial_basis(target))}
+    coeffs = iter(clear([c for g in generators for c in g.terms.values()])[0])
+    rows = []
+    for g in generators:
+        d = (target[0] - g.bidegree[0], target[1] - g.bidegree[1])
+        if d[0] < 0 or d[1] < 0:
+            raise ValueError("bidegree underflow: generator %s into target %s"
+                             % (g.bidegree, target))
+        terms = list(zip(g.terms, coeffs))
+        for mu in monomial_basis(d):
+            row = [0] * len(row_index)
+            for mono, c in terms:
+                row[row_index[(mono[0] + mu[0], mono[1] + mu[1],
+                               mono[2] + mu[2], mono[3] + mu[3])]] = c
+            rows.append(row)
+    return rows
+
+
+def unpack_bytes(x, nslots, nbytes):
+    """linalg._unpack by the bytes of the packed int at every slot count."""
+    data = x.to_bytes(nslots * nbytes, "little")
+    return list(map(int.from_bytes,
+                    [data[i:i + nbytes] for i in range(0, len(data), nbytes)],
+                    repeat("little")))

@@ -19,7 +19,7 @@ from movsurf.syzygy import moving_planes, mult_matrix, syz_dim_abc
 from conftest import (QUARTIC_BP_STRINGS, base_point_free_parametrizations,
                       counted_calls, job_phi, perfbench_jobs, random_bihom,
                       random_parametrization)
-from oracle import saturation_by_ranks, solve_membership
+from oracle import half_step_by_dots, saturation_by_ranks, solve_membership
 
 
 # --- quotient dimensions -----------------------------------------------------
@@ -230,6 +230,75 @@ def test_stepped_values_equal_direct_ranks_on_the_cli_grid(quartic_bp):
              a1 * parse("s"), random_bihom(rng, (0, 3))]
     assert_stepped_equals_direct(mixed, cli_grid(2, 2))
     assert_stepped_equals_direct(mixed[1:], cli_grid(2, 2))
+
+
+# --- the lift of each half step along its unit side ---------------------------
+
+def recorded_half_steps(monkeypatch):
+    """(dual, d, axis, lifted) of each _half_step call while the test runs,
+    and the (alpha, beta) kernel vectors of its consistency rows."""
+    steps, kernels = [], []
+    half_step, kernel = basepoints._half_step, basepoints.integer_kernel
+
+    def stepped(dual, d, axis):
+        lifted = half_step(dual, d, axis)
+        steps.append((dual, d, axis, lifted))
+        return lifted
+
+    def recorded(rows, ncols):
+        vectors = kernel(rows, ncols)
+        kernels.extend((v[:ncols // 2], v[ncols // 2:]) for v in vectors)
+        return vectors
+    monkeypatch.setattr(basepoints, "_half_step", stepped)
+    monkeypatch.setattr(basepoints, "integer_kernel", recorded)
+    return steps, kernels
+
+
+def unit_side(alpha, beta):
+    """(side, c): the half of a kernel vector that is c e_i, beta before
+    alpha as _half_step reads them, or ("neither", None)."""
+    for side, coeffs in (("beta", beta), ("alpha", alpha)):
+        nonzero = [c for c in coeffs if c]
+        if len(nonzero) == 1:
+            return side, nonzero[0]
+    return "neither", None
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_half_steps_match_the_dot_product_lift_on_the_benchmark(monkeypatch,
+                                                                 seed):
+    steps, kernels = recorded_half_steps(monkeypatch)
+    for job in perfbench_jobs().make_jobs("basepoints", seed):
+        check_all(job_phi(job), CheckConfig(seed=job["seed"]))
+    assert len(steps) > 200
+    for dual, d, axis, lifted in steps:
+        assert lifted == half_step_by_dots(dual, d, axis), (d, axis)
+    sides = {unit_side(alpha, beta)[0] for alpha, beta in kernels}
+    assert sides == {"beta", "alpha", "neither"}
+
+
+# (dual, d, axis) of small synthetic duals, not duals of an ideal: the
+# kernel vectors of the first have beta = c e_i with c in {2, 4}, those of
+# the second alpha = c e_i with c = -3 and the last neither
+SYNTHETIC_STEPS = {
+    "beta": ([[0, 2, -1], [2, 0, -2], [1, 0, 0]], (2, 0), 0),
+    "alpha": ([[2, 0, 1, 0], [-2, 0, 2, -2]], (1, 1), 1),
+    "neither": ([[-1, 0, 0, 2, -1, 0], [2, 0, 3, -1, 0, 1],
+                 [1, 3, -1, -2, 2, 0]], (2, 1), 0),
+}
+
+
+@pytest.mark.parametrize("side", SYNTHETIC_STEPS)
+def test_half_step_matches_the_dot_product_lift_on_synthetic_duals(
+        monkeypatch, side):
+    dual, d, axis = SYNTHETIC_STEPS[side]
+    _, kernels = recorded_half_steps(monkeypatch)
+    lifted = basepoints._half_step(dual, d, axis)
+    assert lifted == half_step_by_dots(dual, d, axis)
+    found = [unit_side(alpha, beta) for alpha, beta in kernels]
+    assert side in {s for s, _ in found}
+    if side != "neither":
+        assert any(s == side and abs(c) > 1 for s, c in found)
 
 
 # --- B1 ------------------------------------------------------------------------
@@ -454,7 +523,7 @@ def test_check_all_not_recoverable_failure_returns_immediately():
     assert report.coordinate_change is None
 
 
-# --- the stop at a B1 or B2 refusal -------------------------------------------
+# --- the stop at a B1-B4 refusal -----------------------------------------------
 
 LATER = ("hilbert_dim", "base_point_summary", "saturation_member",
          "syz_dim_abc", "moving_planes", "generic_change")
@@ -462,7 +531,9 @@ LATER = ("hilbert_dim", "base_point_summary", "saturation_member",
 
 def assert_skipped_after(report, failure):
     assert not report.all_passed and report.failure == failure
-    later = ("B1", "B2", "B3", "B4", "B5", "B6")[int(failure[1]):]
+    # B3 and B4 are decided together, so a refusal at either skips B5, B6
+    start = 4 if failure in ("B3", "B4") else int(failure[1])
+    later = ("B1", "B2", "B3", "B4", "B5", "B6")[start:]
     for name in later:
         assert report.verdicts[name] is False
         assert report.witnesses[name] == {"skipped": failure + " failed"}
@@ -541,6 +612,34 @@ def test_check_all_skips_the_squared_window_when_k_exceeds_mn(monkeypatch):
     # the window it skips
     assert basepoints.hilbert_values(
         phi.products(), [(5, 5), (6, 6), (7, 7), (8, 8)]) == [15] * 4
+
+
+# B5/B6 and the coordinate changes that only they could ask for
+POSITIONAL = ("saturation_member", "_abc_scheme_matches", "generic_change")
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+@pytest.mark.parametrize("name", ("fat_point_23", "fat_point_33"))
+def test_check_all_stops_at_a_b3_refusal(monkeypatch, name, seed):
+    job, = [job for job in perfbench_jobs().make_jobs("basepoints", seed)
+            if job["name"] == name]
+    calls = counted_calls(monkeypatch, POSITIONAL)
+    report = check_all(job_phi(job), CheckConfig(seed=job["seed"]))
+    assert calls == {name: [] for name in POSITIONAL}
+    assert_skipped_after(report, "B3")
+    assert report.verdicts["B4"] and report.k == 3
+    assert report.witnesses["B3"]["squared_values"] != [9] * 4
+
+
+def test_check_all_stops_at_a_b4_refusal(monkeypatch, quartic_bp):
+    monkeypatch.setattr(basepoints, "check_regularity",
+                        lambda phi, summary: False)
+    calls = counted_calls(monkeypatch, POSITIONAL)
+    report = check_all(quartic_bp)
+    assert calls == {name: [] for name in POSITIONAL}
+    assert_skipped_after(report, "B4")
+    assert report.verdicts["B3"] and report.k == 1
+    assert report.witnesses["B4"] == {"value_at_start": 1, "k": 1}
 
 
 # --- the stop after B2 at k = 0 ------------------------------------------------

@@ -604,6 +604,22 @@ def test_packed_modular_basis_matches_reference_modulo_3(monkeypatch):
     assert len(seen) > 250
 
 
+def test_unpack_matches_the_bytes_reference():
+    # one slot, slot counts on both sides of the shift/bytes crossover, and
+    # slots at their largest, at zero and at random
+    rng = random.Random(5)
+    cross = linalg._SHIFT_SLOTS
+    for nbytes in (1, 13, 14):
+        top = (1 << 8 * nbytes) - 1
+        for nslots in (1, 2, cross - 1, cross, cross + 1, 81):
+            for values in ([top] * nslots, [0] * nslots,
+                           [top] + [0] * (nslots - 1),
+                           [rng.randint(0, top) for _ in range(nslots)]):
+                x = linalg._pack(values, nbytes)
+                assert linalg._unpack(x, nslots, nbytes) == values
+                assert oracle.unpack_bytes(x, nslots, nbytes) == values
+
+
 def naive_annihilates(rows, vectors):
     return all(not sum(map(mul, row, v)) for v in vectors for row in rows)
 

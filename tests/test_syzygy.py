@@ -8,11 +8,14 @@ from movsurf import (BihomPoly, Parametrization, RatMatrix, check_all,
                      generic_change, moving_planes, moving_quadrics,
                      mult_matrix, parse, rank, ring, syz_dim_abc)
 from movsurf.linalg import kernel_basis
-from movsurf.syzygy import plane_map_matrix, quadric_map_matrix, x_monomial
+from movsurf.ring import bidegree_leq
+from movsurf.syzygy import (multiple_rows, plane_map_matrix,
+                            quadric_map_matrix, x_monomial)
 
-from conftest import (QUARTIC_BP_STRINGS, counted_calls, random_bihom,
-                      random_parametrization, row_surface, substitute)
-from oracle import rref
+from conftest import (QUARTIC_BP_STRINGS, counted_calls, job_phi,
+                      perfbench_jobs, random_bihom, random_parametrization,
+                      row_surface, substitute)
+from oracle import multiple_rows_by_index, rref
 
 
 def test_parametrization_validates_inputs():
@@ -45,6 +48,37 @@ def test_mult_matrix_of_unit_is_identity():
 def test_mult_matrix_bidegree_underflow():
     with pytest.raises(ValueError):
         mult_matrix([parse("s^2*t")], (1, 1))
+
+
+@pytest.mark.parametrize("seed", (0, 1))
+def test_multiple_rows_match_the_index_reference_on_the_benchmark(seed):
+    # the generators at the B2 window start and the products at the B3 one
+    jobs = perfbench_jobs()
+    for workload in jobs.WORKLOADS:
+        for job in jobs.make_jobs(workload, seed):
+            phi = job_phi(job)
+            m, n = phi.m, phi.n
+            for gens, target in ((list(phi.a), (2 * m - 1, 2 * n - 1)),
+                                 (phi.products(), (3 * m - 1, 3 * n - 1))):
+                assert (multiple_rows(gens, target)
+                        == multiple_rows_by_index(gens, target)), job["name"]
+
+
+def test_multiple_rows_match_the_index_reference_on_unequal_bidegrees(
+        quartic_bp):
+    # the generators of several bidegrees of the hilbert-grid window test,
+    # at every degree of a 5 x 5 grid, those that fit there
+    rng = random.Random(11)
+    a0, a1, _, _ = quartic_bp.a
+    mixed = [random_bihom(rng, (1, 2)), a0, random_bihom(rng, (3, 0)),
+             a1 * parse("s"), random_bihom(rng, (0, 3))]
+    for target in [(i, j) for i in range(5) for j in range(5)]:
+        fit = [g for g in mixed if bidegree_leq(g.bidegree, target)]
+        assert (multiple_rows(fit, target)
+                == multiple_rows_by_index(fit, target)), target
+    for build in (multiple_rows, multiple_rows_by_index):
+        with pytest.raises(ValueError, match="underflow"):
+            build(mixed, (2, 3))
 
 
 # --- moving planes -----------------------------------------------------------
