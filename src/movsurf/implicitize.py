@@ -34,9 +34,12 @@ interpolated with integer differences and integer Newton weights, and
 scaled once at the end, so det_interpolation returns det M exactly; it is
 the package's one determinant.  Along each grid line the entries advance by
 integer differences, so each is expanded once per line, not per point.
-Verification clears the denominators of each sample point and of the
-polynomial and tests vanishing over Z, with the polynomial compiled once
-into groups of terms that share their x0, x1 exponents.
+Verification draws each sample point as integer numerators and
+denominators, cross-multiplies them into one integer point of P1 x P1,
+evaluates the four integer forms through one table of parameter monomials
+and tests vanishing over Z.  The polynomial is laid out once for Horner's
+rule in x0 and x1 over groups of terms that share their x0, x1 exponents;
+the determinant's off-grid guard evaluates through the same layout.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .basepoints import CheckConfig, ConditionReport, check_all
 # det_bareiss is not called here: perfbench/spans.py reads it from this module
@@ -325,45 +329,58 @@ def _auto_only(backend):
                          "grid is the only determinant" % backend)
 
 
-def _int_polys(polys):
-    """The polynomials scaled by one common integer that clears all their
-    denominators, as lists of (int coefficient, exponents) pairs; returns
-    (lists, scale)."""
-    ints, den = clear([c for f in polys for c in f.terms.values()])
-    it = iter(ints)
-    return [[(next(it), mono) for mono in f.terms] for f in polys], den
-
-
-def _compile(terms):
+def _horner(terms):
     """An integer polynomial in four variables, given as (coefficient,
-    exponents) pairs, grouped for _int_eval.
+    exponents) pairs, laid out for _horner_eval.
 
-    Returns (top, pairs, groups): top is the largest exponent, pairs lists
-    the distinct exponent pairs (d, e) of the last two variables, and groups
-    holds, per distinct pair (a, b) of the first two, the (coefficient,
-    index into pairs) of its terms.
+    Returns (top, pairs, coeffs, index, levels).  top is the largest
+    exponent of the last two variables and pairs lists their distinct
+    exponent pairs (d, e).  The terms are grouped by the exponents (a, b)
+    of the first two variables: levels runs over a from its largest down to
+    0, and each level over b from its largest at that a down to 0, listing
+    where each group (a, b) ends in coeffs and index, which hold the
+    coefficient of each term and the position of its (d, e) in pairs.
     """
-    index = {}
+    pair_index = {}
     groups = {}
     for c, (a, b, d, e) in terms:
-        groups.setdefault((a, b), []).append(
-            (c, index.setdefault((d, e), len(index))))
-    top = max((max(mono) for _, mono in terms), default=0)
-    return top, list(index), list(groups.items())
+        groups.setdefault(a, {}).setdefault(b, []).append(
+            (c, pair_index.setdefault((d, e), len(pair_index))))
+    coeffs, index, levels = [], [], []
+    for a in range(max(groups, default=-1), -1, -1):
+        level = groups.get(a, {})
+        ends = []
+        for b in range(max(level, default=-1), -1, -1):
+            for c, i in level.get(b, ()):
+                coeffs.append(c)
+                index.append(i)
+            ends.append(len(coeffs))
+        levels.append(ends)
+    top = max((max(pair) for pair in pair_index), default=0)
+    return top, list(pair_index), coeffs, index, levels
 
 
-def _int_eval(poly, point):
-    """Value of a polynomial compiled by _compile at an integer point: one
-    x2^d*x3^e product per distinct (d, e), one coefficient product per term
-    and one x0^a*x1^b product per group, from int power tables."""
-    top, pairs, groups = poly
-    p0, p1, p2, p3 = tables = [[1] * (top + 1) for _ in point]
-    for pw, x in zip(tables, point):
-        for e in range(top):
-            pw[e + 1] = pw[e] * x
+def _horner_eval(poly, point):
+    """Value of a polynomial laid out by _horner at an integer point, by
+    Horner's rule in x0 over the levels and in x1 within each.  Each group
+    is a sum of c*x2^d*x3^e, read from one table of the distinct x2^d*x3^e
+    products."""
+    top, pairs, coeffs, index, levels = poly
+    x0, x1, x2, x3 = point
+    p2, p3 = [1], [1]
+    for _ in range(top):
+        p2.append(p2[-1] * x2)
+        p3.append(p3[-1] * x3)
     w = [p2[d] * p3[e] for d, e in pairs]
-    return sum([p0[a] * p1[b] * sum([c * w[i] for c, i in part])
-                for (a, b), part in groups])
+    terms = list(map(mul, coeffs, map(w.__getitem__, index)))
+    value = start = 0
+    for ends in levels:
+        inner = 0
+        for end in ends:
+            inner = inner * x1 + sum(terms[start:end])
+            start = end
+        value = value * x0 + inner
+    return value
 
 
 class _IntegerRows:
@@ -530,11 +547,11 @@ def det_interpolation(M):
     # guard: cross-check at a few random points off the grid, each cleared
     # to integers; both sides are homogeneous of degree D in the point
     rng = random.Random(1)
-    poly = _compile(terms)
+    poly = _horner(terms)
     for _ in range(3):
         pt, _ = clear([Fraction(rng.randint(-50, 50), rng.randint(1, 7))
                         for _ in range(4)])
-        if _int_eval(poly, pt) != cube * rows.dets(pt, 1)[0]:
+        if _horner_eval(poly, pt) != cube * rows.dets(pt, 1)[0]:
             raise ArithmeticError(
                 "interpolated determinant disagrees with a direct evaluation;"
                 " the determinant degree exceeds %d" % D)
@@ -572,13 +589,15 @@ def normalize(p):
     return XPoly({m: c for (m, _), c in zip(terms, coeffs)})
 
 
-def _sample_point(rng):
-    # a point of P1 x P1 needs (s,u) != (0,0) and (t,v) != (0,0)
+def _draw(rng):
+    """The numerators and denominators (n_i, d_i) of a random point
+    (n0/d0, n1/d1; n2/d2, n3/d3) of P1 x P1, drawn per coordinate as
+    randint(-9, 9) then randint(1, 5), again until (s,u) != (0,0) and
+    (t,v) != (0,0)."""
     while True:
-        pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                   for _ in range(4))
-        if (pt[0] or pt[1]) and (pt[2] or pt[3]):
-            return pt
+        nd = [(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
+        if (nd[0][0] or nd[1][0]) and (nd[2][0] or nd[3][0]):
+            return nd
 
 
 def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
@@ -589,27 +608,34 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
     (c) the monomial x3^(2mn-k) appears with nonzero coefficient (skipped on
     the k = 0 fallback path, where the echelon structure is unavailable).
 
-    The vanishing test runs over Z.  Clearing the denominators of the a_i,
-    of (s,u) and of (t,v) separately scales the bihomogeneous image phi(pt)
-    by a nonzero integer c.  The polynomial's own denominators are cleared
-    once, and its homogeneous part of degree d is weighted by c^(top - d),
-    so the integer value is zero exactly when poly(phi(pt)) is.  `failures`
-    lists the original rational points.
+    The vanishing test runs over Z.  A sample point is drawn as integer
+    pairs (n_i, d_i), and (s,u) = (n0*d1, n1*d0), (t,v) = (n2*d3, n3*d2)
+    is the same point of P1 x P1.  The a_i are cleared once by a common
+    integer den, and their images are four dot products with one table of
+    the (m+1)(n+1) parameter monomials at that point, so phi(pt) is scaled
+    by c = den*(d0*d1)^m*(d2*d3)^n.  The polynomial's own denominators are
+    cleared once, and its homogeneous part of degree d, evaluated by
+    Horner's rule, is weighted by c^(top - d), so the integer value is zero
+    exactly when poly(phi(pt)) is.  `failures` lists the rational points
+    (n0/d0, n1/d1, n2/d2, n3/d3).
     """
     if samples < 1:
         raise ValueError("verification needs at least 1 sample, got %d"
                          % samples)
     rng = random.Random(seed)
+    m, n = phi.m, phi.n
     expected = 2 * phi.mn - k
     # one common factor for all four a_i only scales the image
-    forms, den = _int_polys(phi.a)
-    forms = [_compile(f) for f in forms]
-    (terms,), _ = _int_polys([poly])
-    parts = {}
-    for c, mono in terms:
-        parts.setdefault(sum(mono), []).append((c, mono))
-    parts = {d: _compile(part) for d, part in parts.items()}
+    basis = monomial_basis((m, n))
+    coeffs, den = clear([f.coeff(mono) for f in phi.a for mono in basis])
+    width = len(basis)
+    forms = [coeffs[i:i + width] for i in range(0, 4 * width, width)]
     top = poly.total_degree()
+    parts = {}
+    ints, _ = clear(list(poly.terms.values()))
+    for c, mono in zip(ints, poly.terms):
+        parts.setdefault(sum(mono), []).append((c, mono))
+    parts = [(top - d, _horner(part)) for d, part in parts.items()]
     failures = []
     drawn = 0
     attempts = 0
@@ -618,25 +644,27 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
         if attempts > 100 * samples + 100:
             raise VerificationError("could not sample points off the base "
                                     "locus; the map is degenerate")
-        pt = _sample_point(rng)
-        (s, u), den_su = clear(pt[:2])
-        (t, v), den_tv = clear(pt[2:])
-        image = [_int_eval(f, (s, u, t, v)) for f in forms]
+        nd = _draw(rng)
+        (n0, d0), (n1, d1), (n2, d2), (n3, d3) = nd
+        s, u, t, v = n0 * d1, n1 * d0, n2 * d3, n3 * d2
+        su = [s ** i * u ** (m - i) for i in range(m, -1, -1)]
+        tv = [t ** j * v ** (n - j) for j in range(n, -1, -1)]
+        table = [x * y for x in su for y in tv]
+        image = [sum(map(mul, f, table)) for f in forms]
         if not any(image):
             continue  # base point
         drawn += 1
-        scale = den * den_su ** phi.m * den_tv ** phi.n
-        value = sum(scale ** (top - d) * _int_eval(part, image)
-                    for d, part in parts.items())
-        if value:
-            failures.append(pt)
-    degree_ok = poly.is_homogeneous() and poly.total_degree() == expected
+        scale = den * (d0 * d1) ** m * (d2 * d3) ** n
+        if sum(scale ** power * _horner_eval(part, image)
+               for power, part in parts):
+            failures.append(tuple(Fraction(a, b) for a, b in nd))
+    degree_ok = poly.is_homogeneous() and top == expected
     if check_x3:
         x3_power = "ok" if poly.coeff((0, 0, 0, expected)) else "zero"
     else:
         x3_power = "skipped"
     return VerificationRecord(samples=samples, failures=failures,
-                              vanishing_ok=not failures, degree=poly.total_degree(),
+                              vanishing_ok=not failures, degree=top,
                               expected_degree=expected, degree_ok=degree_ok,
                               x3_power=x3_power)
 

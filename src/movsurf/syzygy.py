@@ -25,10 +25,11 @@ d = 1 for a plane (4mn entries) and d = 2 for a quadric (10mn entries).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .linalg import RatMatrix, integer_rank, kernel_basis
-from .ring import clear
+from .ring import BihomPoly, clear
 
 # x_i x_j blocks of the quadric map, in this fixed order
 PROD_ORDER = tuple((i, j) for i in range(4) for j in range(i, 4))
@@ -78,11 +79,33 @@ class Parametrization:
 
     @cached_property
     def _products(self):
-        return tuple(self.a[i] * self.a[j] for i, j in PROD_ORDER)
+        # the forms cleared once by a common integer den, multiplied on ints
+        # in the loop order of _Poly.__mul__ (so the terms come out in its
+        # order too), and divided by den^2 at the end
+        ints, den = clear([c for f in self.a for c in f.terms.values()])
+        it = iter(ints)
+        forms = [[(mono, next(it)) for mono in f.terms] for f in self.a]
+        square = den * den
+        bidegree = (2 * self.m, 2 * self.n)
+        out = []
+        for i, j in PROD_ORDER:
+            terms = {}
+            for (s1, u1, t1, v1), c1 in forms[i]:
+                for (s2, u2, t2, v2), c2 in forms[j]:
+                    mono = (s1 + s2, u1 + u2, t1 + t2, v1 + v2)
+                    c = terms.get(mono, 0) + c1 * c2
+                    if c:
+                        terms[mono] = c
+                    else:
+                        del terms[mono]
+            out.append(BihomPoly(bidegree, {mono: Fraction(c, square)
+                                            for mono, c in terms.items()}))
+        return tuple(out)
 
     def products(self):
         """The ten pairwise products a_i a_j, i <= j, in block order, as a
-        fresh list; they are computed once per instance."""
+        fresh list; they are computed once per instance, on the integer
+        multiples of the a_i."""
         return list(self._products)
 
     def evaluate(self, point):

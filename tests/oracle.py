@@ -12,16 +12,21 @@ half_step_by_dots lifts every half-step kernel vector by dot products, the
 reference for basepoints._half_step; multiple_rows_by_index places each
 multiple through a dict of monomials and unpack_bytes splits the bytes of
 a packed int, the references for syzygy.multiple_rows and linalg._unpack.
+sample_point draws the rational parameter points of the verification, and
+verification_by_fractions builds its whole record by Fraction arithmetic,
+the reference for the integer implicitize.verify_polynomial.
 The tests check the integer core against them; the package does not use
 them.
 """
 
+import random
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
 from typing import NamedTuple
 
 from movsurf.basepoints import SaturationResult
+from movsurf.implicitize import VerificationRecord
 from movsurf.linalg import RatMatrix, integer_kernel, integer_rank
 from movsurf.ring import XPoly, bidegree_leq, clear, monomial_basis, primitive
 from movsurf.syzygy import multiple_rows
@@ -246,3 +251,41 @@ def unpack_bytes(x, nslots, nbytes):
     return list(map(int.from_bytes,
                     [data[i:i + nbytes] for i in range(0, len(data), nbytes)],
                     repeat("little")))
+
+
+def sample_point(rng):
+    """A random point (s, u, t, v) of P1 x P1, each coordinate
+    Fraction(randint(-9, 9), randint(1, 5)), drawn again until
+    (s,u) != (0,0) and (t,v) != (0,0)."""
+    while True:
+        pt = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                   for _ in range(4))
+        if (pt[0] or pt[1]) and (pt[2] or pt[3]):
+            return pt
+
+
+def verification_by_fractions(poly, phi, k, samples, seed, check_x3=True):
+    """implicitize.verify_polynomial by Fraction arithmetic: phi and then
+    poly evaluated at each sample point off the base locus, and the degrees
+    read off the terms."""
+    rng = random.Random(seed)
+    failures = []
+    drawn = 0
+    while drawn < samples:
+        pt = sample_point(rng)
+        image = phi.evaluate(pt)
+        if not any(image):
+            continue
+        drawn += 1
+        if poly.evaluate(image) != 0:
+            failures.append(pt)
+    expected = 2 * phi.mn - k
+    degrees = {sum(mono) for mono in poly.terms}
+    if not check_x3:
+        x3_power = "skipped"
+    else:
+        x3_power = "ok" if (0, 0, 0, expected) in poly.terms else "zero"
+    return VerificationRecord(
+        samples=samples, failures=failures, vanishing_ok=not failures,
+        degree=max(degrees, default=-1), expected_degree=expected,
+        degree_ok=degrees == {expected}, x3_power=x3_power)

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -12,16 +13,17 @@ from movsurf import (BihomPoly, ConditionError, MMatrix, Parametrization,
                      moving_planes, moving_quadrics, normalize, parse,
                      parse_xpoly, pipeline, quadric_basis_via_projection,
                      VerificationError, verify_polynomial)
-from movsurf.implicitize import (_IntegerRows, _compile, _int_eval,
-                                 _sample_point, det_interpolation,
-                                 select_quadric_rows)
+from movsurf.basepoints import CheckConfig
+from movsurf.implicitize import (_IntegerRows, _horner, _horner_eval,
+                                 det_interpolation, select_quadric_rows)
 from movsurf.syzygy import x_monomial
 
 import oracle
-from conftest import (QUARTIC_BP_STRINGS, assembled_M, load_golden,
-                      nonzero_blocks, random_parametrization, row_surface,
-                      substitute, surface_row, two_base_points, x_multiple)
-from oracle import det_cofactor, rref
+from conftest import (QUARTIC_BP_STRINGS, assembled_M, job_phi, load_golden,
+                      nonzero_blocks, perfbench_jobs, random_parametrization,
+                      row_surface, substitute, surface_row, two_base_points,
+                      x_multiple)
+from oracle import det_cofactor, rref, verification_by_fractions
 
 
 # --- plane echelonization -----------------------------------------------------
@@ -480,18 +482,7 @@ def test_verify_segre_identity(segre):
 
 def _oracle_failures(poly, phi, samples, seed):
     """The sample points at which poly(phi(pt)) != 0, by Fraction arithmetic."""
-    rng = random.Random(seed)
-    failures = []
-    drawn = 0
-    while drawn < samples:
-        pt = _sample_point(rng)
-        image = phi.evaluate(pt)
-        if not any(image):
-            continue
-        drawn += 1
-        if poly.evaluate(image) != 0:
-            failures.append(pt)
-    return failures
+    return verification_by_fractions(poly, phi, 0, samples, seed).failures
 
 
 RATIONAL_SEGRE = ["1/2*s*t", "2/3*s*v - u*t", "u*t", "3/5*u*v + s*t"]
@@ -543,6 +534,65 @@ def test_verify_wrapper_reruns_certificates(quartic_bp):
     assert record.ok and record.samples == 25
 
 
+def _changed(poly):
+    """poly with the coefficient of its leading term raised by 1."""
+    mono, c = poly.sorted_terms()[0]
+    return XPoly({**poly.terms, mono: c + 1})
+
+
+def _benchmark_results(workload, seed):
+    """(job, pipeline result) of each implicit benchmark job, run with the
+    job's seed as the command line runs it."""
+    for job in perfbench_jobs().make_jobs(workload, seed):
+        if job["expect"]["outcome"] != "implicit":
+            continue
+        config = PipelineConfig(check=CheckConfig(seed=job["seed"]),
+                                verify_seed=job["seed"],
+                                assert_one_to_one=job["assert_one_to_one"])
+        yield job, pipeline(job_phi(job), config)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", ["generic", "basepoints"])
+def test_verify_record_matches_fraction_reference_on_the_benchmark(workload,
+                                                                   seed):
+    # fewer samples than the pipeline's 100: the Fraction reference takes
+    # about 0.005 s per sample of a (2,2) output and 0.03 s at (3,3)
+    for job, res in _benchmark_results(workload, seed):
+        samples = 20 if res.phi.mn <= 4 else 5
+        for poly in (res.polynomial, _changed(res.polynomial)):
+            args = (poly, res.phi, res.k, samples, job["seed"],
+                    not res.projection_fallback)
+            record = verify_polynomial(*args)
+            assert record == verification_by_fractions(*args), job["name"]
+            assert record.ok == (poly is res.polynomial)
+
+
+@pytest.mark.parametrize("polystr", [
+    None,                  # the pipeline's output
+    "x0*x2 - x2",          # inhomogeneous, vanishes where u*t*(s*t - 2) = 0
+])
+def test_verify_record_matches_fraction_reference_at_reducing_samples(
+        polystr):
+    phi = Parametrization(1, 1, tuple(parse(s) for s in RATIONAL_SEGRE))
+    output = pipeline(phi).polynomial
+    seed, samples = 4, 100
+    # the first draws of the seed are (numerator, denominator) pairs, and
+    # some of them reduce, like 4/2
+    rng = random.Random(seed)
+    draws = [(rng.randint(-9, 9), rng.randint(1, 5))
+             for _ in range(4 * samples)]
+    assert any(math.gcd(n, d) > 1 for n, d in draws)
+    polys = ([output, _changed(output)] if polystr is None
+             else [parse_xpoly(polystr)])
+    for poly in polys:
+        args = (poly, phi, 0, samples, seed, False)
+        record = verify_polynomial(*args)
+        assert record == verification_by_fractions(*args)
+    if polystr == "x0*x2 - x2":
+        assert 0 < len(record.failures) < samples
+
+
 EVAL_POINTS = [(0, 0, 0, 0), (0, 3, -2, 5), (-4, 0, 7, -1), (2, -3, 0, 0),
                (-1, -1, -1, -1), (5, 7, -6, 3), (-3, 2, 4, -2)]
 
@@ -561,9 +611,9 @@ def eval_polys():
 @pytest.mark.parametrize("index", range(4))
 def test_grouped_evaluation_matches_xpoly_evaluate(index):
     poly = eval_polys()[index]
-    compiled = _compile([(int(c), mono) for mono, c in poly.terms.items()])
+    laid_out = _horner([(int(c), mono) for mono, c in poly.terms.items()])
     for point in EVAL_POINTS:
-        assert _int_eval(compiled, point) == poly.evaluate(point)
+        assert _horner_eval(laid_out, point) == poly.evaluate(point)
 
 
 # --- the full pipeline -------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 from movsurf import (BihomPoly, Parametrization, RatMatrix, check_all,
                      generic_change, moving_planes, moving_quadrics,
                      mult_matrix, parse, rank, ring, syz_dim_abc)
+from movsurf.cli import load_jobspec
 from movsurf.linalg import kernel_basis
 from movsurf.ring import bidegree_leq
 from movsurf.syzygy import (multiple_rows, plane_map_matrix,
@@ -251,3 +253,24 @@ def test_products_are_computed_once_per_parametrization(monkeypatch):
     assert changed.products() == [changed.a[i] * changed.a[j]
                                   for i in range(4) for j in range(i, 4)]
     assert changed.products() != second
+
+
+INPUT_DIR = Path(__file__).resolve().parents[1] / "scripts" / "inputs"
+
+
+def test_products_equal_the_fraction_products():
+    # computed on the integer multiples of the forms; the same polynomials,
+    # terms in the same order, as a_i * a_j on Fractions
+    jobs = perfbench_jobs()
+    phis = [load_jobspec(str(path)).phi
+            for path in sorted(INPUT_DIR.glob("*.json"))]
+    phis += [job_phi(job) for workload in jobs.WORKLOADS for seed in (0, 1)
+             for job in jobs.make_jobs(workload, seed)]
+    phis.append(Parametrization(1, 1, tuple(parse(s) for s in [
+        "1/2*s*t", "2/3*s*v - u*t", "u*t", "3/5*u*v + s*t"])))
+    for phi in phis:
+        expected = [phi.a[i] * phi.a[j] for i in range(4) for j in range(i, 4)]
+        products = phi.products()
+        assert products == expected
+        assert [list(f.terms) for f in products] == \
+            [list(f.terms) for f in expected]
