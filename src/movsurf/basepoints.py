@@ -393,26 +393,20 @@ def _abc_scheme_matches(phi, summary, known=None):
     return stabilized and values[-1] == summary.k, values
 
 
-def generic_change(phi, seed, bound=10, matrix=None):
+def generic_change(phi, seed, bound=10):
     """Recombine (a0..a3) by a seeded random invertible integer matrix T,
     a'_i = sum_j T[i][j] a_j; returns the recombined parametrization and T.
 
-    T is four rows of ints.  Deterministic for a fixed seed.  An explicit
-    matrix, four rows of ints, overrides the draw.
+    T is four rows of ints.  Deterministic for a fixed seed.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    if matrix is None:
-        rng = random.Random(seed)
-        while True:
-            matrix = [[rng.randint(-bound, bound) for _ in range(4)]
-                      for _ in range(4)]
-            if det_integer(matrix):
-                break
-    elif not all(type(x) is int for row in matrix for x in row):
-        raise ValueError("coordinate change matrix must hold ints")
-    elif not det_integer(matrix):
-        raise ValueError("coordinate change matrix is singular")
+    rng = random.Random(seed)
+    while True:
+        matrix = [[rng.randint(-bound, bound) for _ in range(4)]
+                  for _ in range(4)]
+        if det_integer(matrix):
+            break
     new_a = []
     for row in matrix:
         f = phi.a[0].scale(row[0])

@@ -13,22 +13,26 @@ field.  The integer fields must be JSON integers (not true or false, not
 1.7 or "2"), assert_one_to_one must be JSON true or false, and a must be a
 JSON list of strings.
 
-Each subcommand takes only the flags it reads: --input, --json and --output
-everywhere, --seed, --sat-bound and --window on check, implicitize and
-verify, --samples and --force on implicitize and verify.  Seven flags can be
-preset through an environment variable: MOVSURF_JSON, MOVSURF_OUTPUT,
-MOVSURF_SEED, MOVSURF_SAT_BOUND, MOVSURF_WINDOW, MOVSURF_SAMPLES and
-MOVSURF_FORCE; --input and hilbert's --d1, --d2 and --squared have none.
-Explicit flags win over the environment, and a preset is read only by a
-subcommand that has its flag, when the flag is absent.  Exit codes: 0
-success, 1 condition or verification failure, 2 input error (an unreadable
-or malformed job file, an option value that is not a number or out of
-range, from a flag or from the environment, with a bad preset named by its
-variable, or an --output file that cannot be written), 141 (128 + SIGPIPE)
-when standard output closes before the report is written, with no
-traceback.  The presets of --json and --force accept 1/true/yes/on and
-0/false/no/off or empty, in any case.  Any other exception is an internal
-error and propagates with its traceback.
+--input names the job file.  The other options are the rows of OPTIONS:
+each row gives a flag, the subcommands that have it, its type, its
+default, its lowest value and its help.  --json and --output are on every
+subcommand, --seed, --sat-bound and --window on check, implicitize and
+verify, and --samples and --force on implicitize and verify; a flag the
+subcommand does not have is a usage error.  Each option can be preset by
+MOVSURF_ and its name in capitals (MOVSURF_SAT_BOUND for --sat-bound),
+which a subcommand reads only when it has the flag and the flag is absent.
+The presets of the switches --json and --force take 1/true/yes/on or
+0/false/no/off or empty, in any case.  --input and hilbert's --d1, --d2
+and --squared have no preset.
+
+Exit codes: 0 success, 1 condition or verification failure, 2 input error
+(an unreadable or malformed job file, an option value that is not a number,
+or for a switch's preset not one of those booleans, or that is below its
+lowest, from a flag or from a preset, with a bad preset named by its
+variable, or an --output file that cannot be written), 141 (128 +
+SIGPIPE) when standard output closes before the report is written, with no
+traceback.  Any other exception is an internal error and propagates with
+its traceback.
 """
 
 from __future__ import annotations
@@ -56,10 +60,11 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PIPE = 141
 
-# the subcommands that run the condition battery, and those that also run
-# the pipeline
+# the subcommands, those that run the condition battery, and those that
+# also run the pipeline
 BATTERY_COMMANDS = ("check", "implicitize", "verify")
 PIPELINE_COMMANDS = ("implicitize", "verify")
+ALL_COMMANDS = BATTERY_COMMANDS + ("hilbert",)
 
 
 class InputError(Exception):
@@ -76,67 +81,36 @@ class JobSpec:
     assert_one_to_one: bool
 
 
-class _Preset(str):
-    """A flag's raw preset string, which remembers its variable's name."""
-
-    def __new__(cls, value, variable):
-        preset = super().__new__(cls, value)
-        preset.variable = variable
-        return preset
-
-
-def _env(name, fallback):
-    """The raw environment preset of a flag, or fallback.
-
-    A preset string goes to argparse as the default, which converts it with
-    the flag's type only when the flag is absent; a bad value then exits 2
-    with a usage error that names the variable, and an explicit flag still
-    wins over it.
-    """
-    variable = ENV_PREFIX + name
-    if variable in os.environ:
-        return _Preset(os.environ[variable], variable)
-    return fallback
-
-
-def _invalid(kind, text):
-    """The usage error of a bad flag value, naming the variable of a bad
-    preset."""
-    source = " (from %s)" % text.variable if isinstance(text, _Preset) else ""
-    return argparse.ArgumentTypeError(
-        "invalid %s value: %r%s" % (kind, str(text), source))
-
-
-def _int(text):
-    """argparse type of the integer flags."""
-    try:
-        return int(text)
-    except ValueError:
-        raise _invalid("int", text)
-
-
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False, "": False}
 
 
-def _bool(text):
-    """argparse type of the preset of a boolean flag, case-insensitive."""
-    try:
-        return _BOOLEANS[text.lower()]
-    except KeyError:
-        raise _invalid("boolean", text)
+def boolean(text):
+    """The value of a switch's preset, case-insensitive.  A bad preset's
+    usage error names the type by its __name__, as "boolean"."""
+    return _BOOLEANS[text.lower()]
 
 
-class _Switch(argparse.Action):
-    """A flag that takes no value and sets True.  Its default, False or a
-    preset string, is converted with _bool only when the flag is absent."""
-
-    def __init__(self, option_strings, dest, default=False, help=None):
-        super().__init__(option_strings, dest, nargs=0, default=default,
-                         type=_bool, help=help)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, True)
+# The options that take a preset, one row each, in the order of --help:
+# the flag, the subcommands that have it, its type (boolean for a switch,
+# which takes no value), its default, its lowest value (None for no bound)
+# and its help.  The preset of --sat-bound is MOVSURF_SAT_BOUND, and so on.
+OPTIONS = (
+    ("--json", ALL_COMMANDS, boolean, False, None,
+     "emit a machine-readable JSON report"),
+    ("--seed", BATTERY_COMMANDS, int, None, None,
+     "seed for coordinate changes and sampling"),
+    ("--sat-bound", BATTERY_COMMANDS, int, None, 0,
+     "saturation search bound (default 2*max(m,n)+2)"),
+    ("--window", BATTERY_COMMANDS, int, CheckConfig.window, 2,
+     "diagonal sampling window for stabilization"),
+    ("--samples", PIPELINE_COMMANDS, int, PipelineConfig.samples, 1,
+     "number of exact vanishing samples"),
+    ("--force", PIPELINE_COMMANDS, boolean, False, None,
+     "emit results even when checks fail"),
+    ("--output", ALL_COMMANDS, str, None, None,
+     "write the report to a file instead of stdout"),
+)
 
 
 def build_parser():
@@ -147,35 +121,24 @@ def build_parser():
                     "moving quadrics")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("check", "run the base-point condition battery"),
-            ("implicitize", "compute the implicit equation"),
-            ("verify", "compute and verify the implicit equation"),
-            ("hilbert", "tabulate quotient dimensions over a bidegree rectangle")):
+    for name, help_text in zip(ALL_COMMANDS, (
+            "run the base-point condition battery",
+            "compute the implicit equation",
+            "compute and verify the implicit equation",
+            "tabulate quotient dimensions over a bidegree rectangle")):
         p = sub.add_parser(name, help=help_text)
+        # a bad preset is a usage error of the subcommand
+        p.set_defaults(parser=p)
         p.add_argument("--input", required=True, help="JSON job file")
-        p.add_argument("--json", action=_Switch, default=_env("JSON", False),
-                       help="emit a machine-readable JSON report")
-        if name in BATTERY_COMMANDS:
-            p.add_argument("--seed", type=_int,
-                           default=_env("SEED", None),
-                           help="seed for coordinate changes and sampling")
-            p.add_argument("--sat-bound", type=_int,
-                           default=_env("SAT_BOUND", None),
-                           help="saturation search bound "
-                                "(default 2*max(m,n)+2)")
-            p.add_argument("--window", type=_int,
-                           default=_env("WINDOW", CheckConfig.window),
-                           help="diagonal sampling window for stabilization")
-        if name in PIPELINE_COMMANDS:
-            p.add_argument("--samples", type=_int,
-                           default=_env("SAMPLES", PipelineConfig.samples),
-                           help="number of exact vanishing samples")
-            p.add_argument("--force", action=_Switch,
-                           default=_env("FORCE", False),
-                           help="emit results even when checks fail")
-        p.add_argument("--output", default=_env("OUTPUT", None),
-                       help="write the report to a file instead of stdout")
+        # every option is None when absent, and _fill_options sets it
+        for flag, commands, kind, _, _, text in OPTIONS:
+            if name not in commands:
+                continue
+            if kind is boolean:
+                p.add_argument(flag, action="store_true", default=None,
+                               help=text)
+            else:
+                p.add_argument(flag, type=kind, help=text)
         if name == "hilbert":
             p.add_argument("--d1", default=None,
                            help="first-degree range LO:HI (default 0:2m)")
@@ -186,23 +149,29 @@ def build_parser():
     return top
 
 
-def _check_args(args):
-    """Reject out-of-range values of the options the command has.
-
-    argparse does not check ranges, so every value is checked here, as it
-    is read.
-    """
-    if args.command in BATTERY_COMMANDS:
-        if args.window < 2:
-            raise InputError("--window/%sWINDOW must be at least 2, got %d"
-                             % (ENV_PREFIX, args.window))
-        if args.sat_bound is not None and args.sat_bound < 0:
-            raise InputError("--sat-bound/%sSAT_BOUND must be at least 0, "
-                             "got %d" % (ENV_PREFIX, args.sat_bound))
-    if args.command in PIPELINE_COMMANDS and args.samples < 1:
-        raise InputError("--samples/%sSAMPLES must be at least 1, got %d"
-                         % (ENV_PREFIX, args.samples))
-    _check_output(args.output)
+def _fill_options(args):
+    """Set each option of the subcommand that was not given to its preset,
+    or else to its default, and reject a value below the option's lowest,
+    from the flag or from the preset."""
+    for flag, commands, kind, default, lowest, _ in OPTIONS:
+        if args.command not in commands:
+            continue
+        dest = flag[2:].replace("-", "_")
+        variable = ENV_PREFIX + dest.upper()
+        value = getattr(args, dest)
+        if value is None and variable in os.environ:
+            text = os.environ[variable]
+            try:
+                value = kind(text)
+            except (KeyError, ValueError):
+                args.parser.error("argument %s: invalid %s value: %r (from %s)"
+                                  % (flag, kind.__name__, text, variable))
+        if value is None:
+            value = default
+        if lowest is not None and value is not None and value < lowest:
+            raise InputError("%s/%s must be at least %d, got %d"
+                             % (flag, variable, lowest, value))
+        setattr(args, dest, value)
 
 
 def _check_output(path):
@@ -334,10 +303,11 @@ def emit(args, text):
         print(text, flush=True)
 
 
-def render_report(args, payload, human_lines):
-    if args.json:
-        return json.dumps(payload, indent=2, sort_keys=True)
-    return "\n".join(human_lines)
+def _timed(f, *args):
+    """f(*args) and the seconds it took."""
+    t0 = time.perf_counter()
+    value = f(*args)
+    return value, time.perf_counter() - t0
 
 
 def _check_config(spec, args):
@@ -368,65 +338,50 @@ def _human_conditions(report):
     return lines
 
 
+# Each command returns (passed, seconds, body, lines): whether it passed,
+# the time of its computation, the --json report under the common header,
+# and the human report.
+
+
+def _battery_body(report):
+    return {"conditions": conditions_block(report),
+            "coordinate_change": change_block(report)}
+
+
 def cmd_check(spec, args):
-    t0 = time.perf_counter()
-    report = check_all(spec.phi, _check_config(spec, args))
-    elapsed = time.perf_counter() - t0
-    payload = {
-        "schema": 1,
-        "command": "check",
-        "m": spec.m, "n": spec.n, "a": spec.a, "seed": spec.seed,
-        "conditions": conditions_block(report),
-        "coordinate_change": change_block(report),
-        "timings": {"total_s": elapsed},
-    }
-    emit(args, render_report(args, payload, _human_conditions(report)))
-    return EXIT_OK if report.all_passed else EXIT_FAIL
+    report, elapsed = _timed(check_all, spec.phi, _check_config(spec, args))
+    return (report.all_passed, elapsed, _battery_body(report),
+            _human_conditions(report))
 
 
 def _run_pipeline(spec, args):
-    config = _pipeline_config(spec, args)
-    t0 = time.perf_counter()
-    result = pipeline(spec.phi, config)
-    elapsed = time.perf_counter() - t0
-    return result, elapsed
-
-
-def _result_payload(spec, args, result, elapsed, command):
+    """The pipeline's result, its time, and the --json body of both
+    pipeline commands."""
+    result, elapsed = _timed(pipeline, spec.phi, _pipeline_config(spec, args))
     record = result.verification
-    payload = {
-        "schema": 1,
-        "command": command,
-        "m": spec.m, "n": spec.n, "a": spec.a, "seed": spec.seed,
-        "conditions": conditions_block(result.report),
-        "coordinate_change": change_block(result.report),
-        "implicit": {
-            "polynomial": result.polynomial.render(),
-            "degree": result.degree,
-            "k": result.k,
-            "term_count": len(result.polynomial.terms),
-            "backend": result.backend,
-            "projection_fallback": result.projection_fallback,
-            "pivots": _jsonable(result.pivots),
-        },
-        "verification": {
-            "samples": record.samples,
-            "failures": _jsonable(record.failures),
-            "vanishing_ok": record.vanishing_ok,
-            "degree": record.degree,
-            "expected_degree": record.expected_degree,
-            "degree_ok": record.degree_ok,
-            "x3_power": record.x3_power,
-            "ok": record.ok,
-        },
-        "timings": {"total_s": elapsed},
-    }
-    return payload
+    body = dict(_battery_body(result.report), implicit={
+        "polynomial": result.polynomial.render(),
+        "degree": result.degree,
+        "k": result.k,
+        "term_count": len(result.polynomial.terms),
+        "backend": result.backend,
+        "projection_fallback": result.projection_fallback,
+        "pivots": _jsonable(result.pivots),
+    }, verification={
+        "samples": record.samples,
+        "failures": _jsonable(record.failures),
+        "vanishing_ok": record.vanishing_ok,
+        "degree": record.degree,
+        "expected_degree": record.expected_degree,
+        "degree_ok": record.degree_ok,
+        "x3_power": record.x3_power,
+        "ok": record.ok,
+    })
+    return result, elapsed, body
 
 
 def cmd_implicitize(spec, args):
-    result, elapsed = _run_pipeline(spec, args)
-    payload = _result_payload(spec, args, result, elapsed, "implicitize")
+    result, elapsed, body = _run_pipeline(spec, args)
     lines = _human_conditions(result.report)
     lines.append("")
     lines.append("|M| = %s" % result.polynomial.render())
@@ -437,13 +392,11 @@ def cmd_implicitize(spec, args):
     lines.append("verification: %s (%d samples, x3 power %s)"
                  % ("PASS" if record.ok else "FAIL", record.samples,
                     record.x3_power))
-    emit(args, render_report(args, payload, lines))
-    return EXIT_OK if record.ok else EXIT_FAIL
+    return record.ok, elapsed, body, lines
 
 
 def cmd_verify(spec, args):
-    result, elapsed = _run_pipeline(spec, args)
-    payload = _result_payload(spec, args, result, elapsed, "verify")
+    result, elapsed, body = _run_pipeline(spec, args)
     record = result.verification
     lines = []
     lines.append("polynomial: %s" % result.polynomial.render())
@@ -455,8 +408,7 @@ def cmd_verify(spec, args):
                     "PASS" if record.degree_ok else "FAIL"))
     lines.append("x3 power: %s" % record.x3_power)
     lines.append("verification: %s" % ("PASS" if record.ok else "FAIL"))
-    emit(args, render_report(args, payload, lines))
-    return EXIT_OK if record.ok else EXIT_FAIL
+    return record.ok, elapsed, body, lines
 
 
 def _parse_range(text, fallback):
@@ -476,19 +428,14 @@ def cmd_hilbert(spec, args):
     d1 = _parse_range(args.d1, (0, 2 * spec.m))
     d2 = _parse_range(args.d2, (0, 2 * spec.n))
     gens = list(spec.phi.products()) if args.squared else list(spec.phi.a)
-    t0 = time.perf_counter()
     degrees = [(i, j) for i in range(d1[0], d1[1] + 1)
                for j in range(d2[0], d2[1] + 1)]
-    table = dict(zip(degrees, hilbert_values(gens, degrees)))
-    elapsed = time.perf_counter() - t0
-    payload = {
-        "schema": 1,
-        "command": "hilbert",
-        "m": spec.m, "n": spec.n, "a": spec.a, "seed": spec.seed,
+    values, elapsed = _timed(hilbert_values, gens, degrees)
+    table = dict(zip(degrees, values))
+    body = {
         "squared": bool(args.squared),
         "d1": list(d1), "d2": list(d2),
         "table": {"%d,%d" % key: val for key, val in table.items()},
-        "timings": {"total_s": elapsed},
     }
     lines = ["quotient dimensions%s:" % (" (squared ideal)" if args.squared else "")]
     header = "d1\\d2 " + " ".join("%5d" % j for j in range(d2[0], d2[1] + 1))
@@ -496,8 +443,7 @@ def cmd_hilbert(spec, args):
     for i in range(d1[0], d1[1] + 1):
         lines.append("%5d " % i + " ".join(
             "%5d" % table[(i, j)] for j in range(d2[0], d2[1] + 1)))
-    emit(args, render_report(args, payload, lines))
-    return EXIT_OK
+    return True, elapsed, body, lines
 
 
 COMMANDS = {
@@ -509,17 +455,19 @@ COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _check_args(args)
+        _fill_options(args)
+        _check_output(args.output)
         spec = load_jobspec(args.input,
                             seed_override=getattr(args, "seed", None))
-    except InputError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        return COMMANDS[args.command](spec, args)
+        passed, elapsed, body, lines = COMMANDS[args.command](spec, args)
+        payload = dict(body, schema=1, command=args.command, m=spec.m,
+                       n=spec.n, a=spec.a, seed=spec.seed,
+                       timings={"total_s": elapsed})
+        emit(args, json.dumps(payload, indent=2, sort_keys=True)
+             if args.json else "\n".join(lines))
+        return EXIT_OK if passed else EXIT_FAIL
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -419,27 +418,6 @@ def test_generic_change_deterministic(quartic_bp):
     p1, T1 = generic_change(quartic_bp, seed=42)
     p2, T2 = generic_change(quartic_bp, seed=42)
     assert T1 == T2 and p1.a == p2.a
-
-
-def test_generic_change_identity_override(quartic_bp):
-    phi, T = generic_change(quartic_bp, seed=0,
-                            matrix=[[int(i == j) for j in range(4)]
-                                    for i in range(4)])
-    assert phi.a == quartic_bp.a
-
-
-def test_generic_change_rejects_singular_matrix(quartic_bp):
-    with pytest.raises(ValueError):
-        generic_change(quartic_bp, seed=0,
-                       matrix=[[1, 1, 0, 0], [2, 2, 0, 0],
-                               [0, 0, 1, 0], [0, 0, 0, 1]])
-
-
-def test_generic_change_rejects_a_fraction_matrix(quartic_bp):
-    # det_integer divides exactly only over the integers
-    half = [[Fraction(int(i == j), 2) for j in range(4)] for i in range(4)]
-    with pytest.raises(ValueError, match="ints"):
-        generic_change(quartic_bp, seed=0, matrix=half)
 
 
 def test_generic_change_restores_b5_b6_on_most_seeds(quartic_bp):
@@ -902,4 +880,10 @@ def test_coordinate_change_is_four_int_rows(quartic_bp):
     assert det_integer(T) != 0
     changed, drawn = generic_change(quartic_bp, 7)
     assert all(type(x) is int for row in drawn for x in row)
-    assert generic_change(quartic_bp, 0, matrix=drawn)[0] == changed
+    # a'_i = sum_j T[i][j] a_j, coefficient by coefficient
+    for row, new in zip(drawn, changed.a):
+        want = {}
+        for c, a in zip(row, quartic_bp.a):
+            for mono, coeff in a.terms.items():
+                want[mono] = want.get(mono, 0) + c * coeff
+        assert dict(new.terms) == {k: v for k, v in want.items() if v}

@@ -490,6 +490,65 @@ def test_flag_beats_env(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["verification"]["samples"] == 11
 
 
+def test_output_preset_writes_the_report_to_its_file(tmp_path, monkeypatch,
+                                                     capsys):
+    out = tmp_path / "preset.json"
+    monkeypatch.setenv("MOVSURF_OUTPUT", str(out))
+    inp = write_job(tmp_path, SEGRE_JOB)
+    assert main(["check", "--input", inp, "--json"]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["command"] == "check"
+
+
+def test_unwritable_output_preset_fails_before_the_command_runs(
+        tmp_path, capsys, monkeypatch):
+    refuse_to_run(monkeypatch)
+    out = tmp_path / "missing" / "out.json"
+    monkeypatch.setenv("MOVSURF_OUTPUT", str(out))
+    inp = write_job(tmp_path, QUARTIC_JOB)
+    assert main(["check", "--input", inp]) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: cannot write %s" % out)
+
+
+def b2_window(tmp_path, *extra):
+    code, report = run_json(tmp_path, "check", QUARTIC_JOB, *extra)
+    assert code == 0
+    return report["conditions"]["witnesses"]["B2"]["window"]
+
+
+def test_window_preset_sets_the_b2_window_and_the_flag_beats_it(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv("MOVSURF_WINDOW", "4")
+    assert b2_window(tmp_path) == [[d, d] for d in range(3, 8)]
+    assert b2_window(tmp_path, "--window", "3") == [[d, d]
+                                                    for d in range(3, 7)]
+
+
+def test_sat_bound_preset_sets_the_b5_search_and_the_flag_beats_it(
+        tmp_path, monkeypatch):
+    # the verdict depends on the bound: the quartic's a3 is a member of
+    # the saturation only at power 2
+    monkeypatch.setenv("MOVSURF_SAT_BOUND", "1")
+    code, report = run_json(tmp_path, "check", QUARTIC_JOB)
+    assert code == 1 and report["conditions"]["failure"] == "B5"
+    code, report = run_json(tmp_path, "check", QUARTIC_JOB,
+                            "--sat-bound", "2")
+    assert code == 0 and report["conditions"]["all_passed"] is True
+
+
+@pytest.mark.parametrize("var, value", [("MOVSURF_WINDOW", "1"),
+                                        ("MOVSURF_SAT_BOUND", "-1")])
+def test_out_of_range_battery_preset_exits_2(tmp_path, capsys, monkeypatch,
+                                             var, value):
+    refuse_to_run(monkeypatch)
+    monkeypatch.setenv(var, value)
+    inp = write_job(tmp_path, SEGRE_JOB)
+    assert main(["check", "--input", inp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and var in err
+
+
 def test_json_determinism_excluding_timings(tmp_path):
     inp = write_job(tmp_path, QUARTIC_JOB)
     blobs = []

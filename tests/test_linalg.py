@@ -605,13 +605,12 @@ def test_packed_modular_basis_matches_reference_modulo_3(monkeypatch):
 
 
 def test_unpack_matches_the_bytes_reference():
-    # one slot, slot counts on both sides of the shift/bytes crossover, and
-    # slots at their largest, at zero and at random
+    # one slot, up to 128 slots, and slots at their largest, at zero and at
+    # random
     rng = random.Random(5)
-    cross = linalg._SHIFT_SLOTS
     for nbytes in (1, 13, 14):
         top = (1 << 8 * nbytes) - 1
-        for nslots in (1, 2, cross - 1, cross, cross + 1, 81):
+        for nslots in (1, 2, 63, 64, 65, 81, 128):
             for values in ([top] * nslots, [0] * nslots,
                            [top] + [0] * (nslots - 1),
                            [rng.randint(0, top) for _ in range(nslots)]):
