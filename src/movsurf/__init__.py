@@ -14,12 +14,11 @@ from .basepoints import (BasePointSummary, CheckConfig, ConditionReport,
                          SaturationResult, base_point_summary, check_all,
                          check_independence, check_regularity, generic_change,
                          hilbert_dim, hilbert_values, saturation_member)
-from .implicitize import (ColumnIndexSet, ConditionError, ImplicitResult,
-                          MMatrix, PipelineConfig, VerificationError,
+from .implicitize import (ConditionError, ImplicitResult, MMatrix,
+                          PipelineConfig, VerificationError,
                           VerificationRecord, assemble_M, compose_linear,
                           det_poly, echelon_plane_basis, normalize, pipeline,
-                          quadric_basis_via_projection, verify,
-                          verify_polynomial)
+                          quadric_basis_via_projection, verify_polynomial)
 from .linalg import KernelBasis, RatMatrix, det_bareiss, kernel_basis, rank
 from .ring import (BihomPoly, MixedBidegreeError, ParseError, XPoly,
                    coeff_vector, monomial_basis, parse, parse_xpoly)

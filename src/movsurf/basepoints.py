@@ -7,8 +7,9 @@ must pass six checks, reported as B1..B6:
   B2  the common zero scheme of (a0..a3) is finite, of total degree k <= mn;
   B3  every base point is a local complete intersection, detected through the
       stabilized codimension of the squared ideal being exactly 3k;
-  B4  the quotient dimension at bidegree (2m-1, 2n-1) already equals k, so the
-      Hilbert function has stabilized at the start of the sampling window;
+  B4  the quotient dimension at bidegree (2m-1, 2n-1) equals k.  B2 reads k
+      at that window start, so today B4 passes whenever B2 does (ROADMAP
+      item 4);
   B5  (a0,a1,a2) cut out the same finite scheme and a3 is a saturation member
       of the ideal they generate;
   B6  a0, a1, a2 admit no syzygy at bidegree (m-1, n-1).
@@ -121,13 +122,28 @@ class ConditionReport:
     verdicts: dict
     witnesses: dict
     k: int
-    short_path: bool
-    all_passed: bool
-    failure: str
     phi: Parametrization            # the parametrization the verdicts describe
     coordinate_change: list = None  # four rows of ints, see generic_change
     coordinate_seed: int = None
     summary: BasePointSummary = None  # None when B1 fails
+
+    @property
+    def short_path(self):
+        """No base points: B3-B6 are not needed."""
+        return self.k == 0
+
+    @property
+    def failure(self):
+        """The first check that failed, or None; a skipped check (None)
+        is not a failure."""
+        return next((name for name in CONDITION_NAMES
+                     if self.verdicts.get(name) is False), None)
+
+    @property
+    def all_passed(self):
+        """The short path passes too: it reports B1 and B2 True and the
+        checks it skips None."""
+        return self.failure is None
 
 
 def hilbert_dim(generators, d):
@@ -503,21 +519,19 @@ def check_all(phi, config=None):
     invariant = _invariant_conditions(phi, config)
     verdicts, witnesses, summary = invariant
     k = summary.k if summary else None
-    short_path = k == 0
     # verdicts holds B1 up to the check that ended the invariant part
-    failure = next((name for name, ok in verdicts.items() if not ok), None)
-    if short_path or failure:
+    report = ConditionReport(verdicts=verdicts, witnesses=witnesses, k=k,
+                             phi=phi, summary=summary)
+    if report.short_path or report.failure:
+        skipped = ("k = 0" if report.short_path
+                   else "%s failed" % report.failure)
         for name in CONDITION_NAMES:
             if name not in verdicts:
-                verdicts[name] = None if short_path else False
-                witnesses[name] = {"skipped": "k = 0" if short_path
-                                   else "%s failed" % failure}
-        if short_path:
+                verdicts[name] = None if report.short_path else False
+                witnesses[name] = {"skipped": skipped}
+        if report.short_path:
             witnesses["short_path"] = {"moving_plane_dim": k}
-        return ConditionReport(
-            verdicts=verdicts, witnesses=witnesses, k=k,
-            short_path=short_path, all_passed=short_path, failure=failure,
-            phi=phi, summary=summary)
+        return report
 
     phi_cur, change, change_seed = phi, None, None
     for attempt in range(CHANGE_ATTEMPTS + 1):
@@ -526,15 +540,10 @@ def check_all(phi, config=None):
             phi_cur, change = generic_change(phi, change_seed,
                                              bound=config.coord_bound)
         verdicts, witnesses = _evaluate_conditions(phi_cur, config, invariant)
-        all_passed = all(verdicts.values())
-        failure = None if all_passed else next(
-            name for name in CONDITION_NAMES if not verdicts[name])
         report = ConditionReport(verdicts=verdicts, witnesses=witnesses, k=k,
-                                 short_path=False, all_passed=all_passed,
-                                 failure=failure, phi=phi_cur,
-                                 coordinate_change=change,
+                                 phi=phi_cur, coordinate_change=change,
                                  coordinate_seed=change_seed,
                                  summary=summary)
-        if all_passed:
+        if report.all_passed:
             return report
     return report

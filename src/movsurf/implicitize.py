@@ -24,7 +24,12 @@ construction falls back to an arbitrary canonical basis of the mn moving
 quadrics, which is all that case needs.
 
 The determinant and the verification run on Python ints.  Each row of M is
-scaled once to integer coefficients.  Before the grid, the plane rows and the
+scaled once to integer coefficients, and every term of a plane row must have
+degree 1 and every term of a quadric row degree 2, or ArithmeticError is
+raised before the grid.  Then det M is zero or a form of degree
+D = 2mn - k, which its values on the principal lattice {i + j + l <= D}
+determine (Chung-Yao, SIAM J. Numer. Anal. 14, 1977), so the interpolation
+is exact with no further check.  Before the grid, the plane rows and the
 quadric rows, each group on its own, are replaced by an LLL-reduced basis of
 the saturation of their integer lattice (the integer vectors in their
 rational span), which makes the coefficients small; this multiplies det M by
@@ -38,8 +43,7 @@ Verification draws each sample point as integer numerators and
 denominators, cross-multiplies them into one integer point of P1 x P1,
 evaluates the four integer forms through one table of parameter monomials
 and tests vanishing over Z.  The polynomial is laid out once for Horner's
-rule in x0 and x1 over groups of terms that share their x0, x1 exponents;
-the determinant's off-grid guard evaluates through the same layout.
+rule in x0 and x1 over groups of terms that share their x0, x1 exponents.
 """
 
 from __future__ import annotations
@@ -92,25 +96,18 @@ class PipelineConfig:
 
     def __post_init__(self):
         _auto_only(self.det_backend)
-
-
-@dataclass
-class ColumnIndexSet:
-    """The quadric-map coordinates the projection keeps.
-
-    `distinguished` lists mn + 3k of the 10mn coordinates, each a
-    (parameter monomial, x monomial) pair.
-    """
-    distinguished: list
+        _at_least_one_sample(self.samples)
 
 
 @dataclass
 class MMatrix:
-    size: int
     entries: list                  # size x size nested lists of XPoly
     linear_rows: int               # k plane rows, then size-k quadric rows
     col_monomials: list            # parameter monomials indexing the columns
-    row_labels: list
+
+    @property
+    def size(self):
+        return len(self.entries)
 
     def row_degrees(self):
         return [1] * self.linear_rows + [2] * (self.size - self.linear_rows)
@@ -218,7 +215,8 @@ def echelon_plane_basis(planes, working_bidegree):
 
 
 def distinguished_columns(pivots, working_bidegree):
-    """The mn + 3k projection coordinates."""
+    """The mn + 3k of the 10mn quadric-map coordinates that the projection
+    keeps, each a (parameter monomial, x monomial) pair."""
     basis = monomial_basis(working_bidegree)
     mono_index = {(m[0], m[2]): i for i, m in enumerate(basis)}
     chosen = []
@@ -227,7 +225,7 @@ def distinguished_columns(pivots, working_bidegree):
             chosen.append((basis[mono_index[(alpha, beta)]], x_monomial(j, 3)))
     for mono in basis:
         chosen.append((mono, X3SQ))
-    return ColumnIndexSet(distinguished=chosen)
+    return chosen
 
 
 def quadric_basis_via_projection(phi, pivots, quadrics=None):
@@ -235,14 +233,14 @@ def quadric_basis_via_projection(phi, pivots, quadrics=None):
     columns, one per column.
 
     Returns (elements, columns, fallback).  elements[i] projects to the unit
-    vector on columns.distinguished[i]: the elements are the reduced row
-    echelon form of the quadric basis with the distinguished columns ordered
-    first, in their listed order.  With base points (k > 0) a singular
-    projection, seen as a pivot outside the distinguished columns, means an
-    upstream condition was certified wrongly and raises; without base points
-    it falls back to the plain canonical kernel basis (fallback=True),
-    keeping the construction available for quadrics like the Segre one that
-    have no pure-square component.
+    vector on columns[i]: the elements are the reduced row echelon form of
+    the quadric basis with the distinguished columns ordered first, in their
+    listed order.  With base points (k > 0) a singular projection, seen as a
+    pivot outside the distinguished columns, means an upstream condition was
+    certified wrongly and raises; without base points it falls back to the
+    plain canonical kernel basis (fallback=True), keeping the construction
+    available for quadrics like the Segre one that have no pure-square
+    component.
     """
     if quadrics is None:
         quadrics = moving_quadrics(phi)
@@ -253,8 +251,7 @@ def quadric_basis_via_projection(phi, pivots, quadrics=None):
             "moving-quadric space has dimension %d, expected mn + 3k = %d"
             % (quadrics.dim, expected))
     columns = distinguished_columns(pivots, phi.working_bidegree)
-    _, elements = _unit_basis(quadrics.elements, columns.distinguished,
-                              phi.working_bidegree)
+    _, elements = _unit_basis(quadrics.elements, columns, phi.working_bidegree)
     if elements is None:
         if k > 0:
             raise ConditionError(
@@ -297,10 +294,7 @@ def assemble_M(planes, quadric_rows, pivots, working_bidegree):
 
     rows = [entries(p) for p in planes.elements]
     rows += [entries(q) for q in quadric_rows]
-    labels = ["plane %d" % (i + 1) for i in range(k)]
-    labels += ["quadric %s" % (basis[i],) for i in rest_idx]
-    return MMatrix(size=mn, entries=rows, linear_rows=k,
-                   col_monomials=col_monomials, row_labels=labels)
+    return MMatrix(entries=rows, linear_rows=k, col_monomials=col_monomials)
 
 
 def select_quadric_rows(elements, columns, pivots, working_bidegree, fallback):
@@ -309,7 +303,7 @@ def select_quadric_rows(elements, columns, pivots, working_bidegree, fallback):
         return list(elements)
     pivot_pairs = set(pivots)
     out = []
-    for pos, (mono, xm) in enumerate(columns.distinguished):
+    for pos, (mono, xm) in enumerate(columns):
         if xm != X3SQ:
             continue
         if (mono[0], mono[2]) in pivot_pairs:
@@ -329,88 +323,43 @@ def _auto_only(backend):
                          "grid is the only determinant" % backend)
 
 
-def _horner(terms):
-    """An integer polynomial in four variables, given as (coefficient,
-    exponents) pairs, laid out for _horner_eval.
-
-    Returns (top, pairs, coeffs, index, levels).  top is the largest
-    exponent of the last two variables and pairs lists their distinct
-    exponent pairs (d, e).  The terms are grouped by the exponents (a, b)
-    of the first two variables: levels runs over a from its largest down to
-    0, and each level over b from its largest at that a down to 0, listing
-    where each group (a, b) ends in coeffs and index, which hold the
-    coefficient of each term and the position of its (d, e) in pairs.
-    """
-    pair_index = {}
-    groups = {}
-    for c, (a, b, d, e) in terms:
-        groups.setdefault(a, {}).setdefault(b, []).append(
-            (c, pair_index.setdefault((d, e), len(pair_index))))
-    coeffs, index, levels = [], [], []
-    for a in range(max(groups, default=-1), -1, -1):
-        level = groups.get(a, {})
-        ends = []
-        for b in range(max(level, default=-1), -1, -1):
-            for c, i in level.get(b, ()):
-                coeffs.append(c)
-                index.append(i)
-            ends.append(len(coeffs))
-        levels.append(ends)
-    top = max((max(pair) for pair in pair_index), default=0)
-    return top, list(pair_index), coeffs, index, levels
-
-
-def _horner_eval(poly, point):
-    """Value of a polynomial laid out by _horner at an integer point, by
-    Horner's rule in x0 over the levels and in x1 within each.  Each group
-    is a sum of c*x2^d*x3^e, read from one table of the distinct x2^d*x3^e
-    products."""
-    top, pairs, coeffs, index, levels = poly
-    x0, x1, x2, x3 = point
-    p2, p3 = [1], [1]
-    for _ in range(top):
-        p2.append(p2[-1] * x2)
-        p3.append(p3[-1] * x3)
-    w = [p2[d] * p3[e] for d, e in pairs]
-    terms = list(map(mul, coeffs, map(w.__getitem__, index)))
-    value = start = 0
-    for ends in levels:
-        inner = 0
-        for end in ends:
-            inner = inner * x1 + sum(terms[start:end])
-            start = end
-        value = value * x0 + inner
-    return value
-
-
 class _IntegerRows:
     """The rows of M as integer vectors, reduced, for the grid.
 
-    Each row is scaled to integer coefficients and read as a vector over
-    the (column, monomial) pairs of its group, the linear rows or the
-    quadratic rows.  Within each group the vectors are replaced by an
-    LLL-reduced basis of the saturation of their lattice, the integer
-    vectors in their rational span, which makes the coefficients small.
-    The old rows are C times the new ones for an integer matrix C, so by
-    multilinearity det M is `ratio` times the determinant of the new rows
-    at any point; det C is the quotient of the two groups' minors at the
-    saturation's pivot columns.  A group of dependent rows makes det M
-    zero and is kept as it is.  Entries are compiled to (coefficient,
-    monomial index) pairs over the distinct monomials of M.
+    Every term of the first M.linear_rows rows must have degree 1 and every
+    term of the others degree 2, or ArithmeticError names the declared and
+    the found degree; so det M is zero or a form of degree
+    sum(M.row_degrees()), which is what makes the grid exact.  Each row is
+    scaled to integer coefficients and read as a vector over the (column,
+    monomial) pairs of its group, the linear rows or the quadratic rows.
+    Within each group the vectors are replaced by an LLL-reduced basis of
+    the saturation of their lattice, the integer vectors in their rational
+    span, which makes the coefficients small.  The old rows are C times the
+    new ones for an integer matrix C, so by multilinearity det M is `ratio`
+    times the determinant of the new rows at any point; det C is the
+    quotient of the two groups' minors at the saturation's pivot columns.
+    A group of dependent rows makes det M zero and is kept as it is.
+    Entries are compiled to (coefficient, monomial index) pairs over the
+    distinct monomials of M.
 
     Every entry is a form of degree at most 2, so on a line along x2 it is
     e0 + e1*x2 + e2*x2**2.  dets computes (e0, e1, e2) once per line and
     per entry, from one x0^a*x1^b*x3^e product per monomial, and then
-    advances every entry by two integer additions per step; the grid and
-    its off-grid guard both evaluate through it.
+    advances every entry by two integer additions per step.
     """
 
     def __init__(self, M):
         index = {}
         self.rows = []
         self.ratio = Fraction(1)
-        for group in (M.entries[:M.linear_rows], M.entries[M.linear_rows:]):
+        for degree, group in ((1, M.entries[:M.linear_rows]),
+                              (2, M.entries[M.linear_rows:])):
             monos = sorted({m for row in group for e in row for m in e.terms})
+            found = {sum(m) for m in monos} - {degree}
+            if found:
+                raise ArithmeticError(
+                    "a row of M declared of degree %d has a term of degree %d"
+                    % (degree, max(found)))
             coords = [(c, m) for c in range(M.size) for m in monos]
             vecs = []
             for row in group:
@@ -517,7 +466,9 @@ def det_interpolation(M):
     triangular data suffices.  Expanding with the integer weights
     D!/a! * prod_{p<a}(y - p) keeps everything in Z, and a single
     multiplication by the rows' ratio over (D!)^3 at the end returns det M
-    exactly.  The off-grid guard evaluates the same reduced rows.
+    exactly.  The degree bound is certified, not assumed: _IntegerRows
+    raises ArithmeticError before the grid when an entry's terms do not all
+    have their row's degree, so the result needs no check off the grid.
     """
     D = sum(M.row_degrees())
     if M.size == 0:
@@ -541,22 +492,9 @@ def det_interpolation(M):
 
     _sweep(values, D, expand)
     # values now holds (D!)^3 / ratio times the coefficients of det M
-    terms = [(v, (a, b, c, D - a - b - c))
-             for (a, b, c), v in values.items() if v]
-    cube = factorial(D) ** 3
-    # guard: cross-check at a few random points off the grid, each cleared
-    # to integers; both sides are homogeneous of degree D in the point
-    rng = random.Random(1)
-    poly = _horner(terms)
-    for _ in range(3):
-        pt, _ = clear([Fraction(rng.randint(-50, 50), rng.randint(1, 7))
-                        for _ in range(4)])
-        if _horner_eval(poly, pt) != cube * rows.dets(pt, 1)[0]:
-            raise ArithmeticError(
-                "interpolated determinant disagrees with a direct evaluation;"
-                " the determinant degree exceeds %d" % D)
-    ratio = rows.ratio / cube
-    return XPoly({mono: v * ratio for v, mono in terms})
+    ratio = rows.ratio / factorial(D) ** 3
+    return XPoly({(a, b, c, D - a - b - c): v * ratio
+                  for (a, b, c), v in values.items() if v})
 
 
 def det_poly(M, backend="auto"):
@@ -589,6 +527,66 @@ def normalize(p):
     return XPoly({m: c for (m, _), c in zip(terms, coeffs)})
 
 
+def _horner(terms):
+    """An integer polynomial in four variables, given as (coefficient,
+    exponents) pairs, laid out for _horner_eval.
+
+    Returns (top, pairs, coeffs, index, levels).  top is the largest
+    exponent of the last two variables and pairs lists their distinct
+    exponent pairs (d, e).  The terms are grouped by the exponents (a, b)
+    of the first two variables: levels runs over a from its largest down to
+    0, and each level over b from its largest at that a down to 0, listing
+    where each group (a, b) ends in coeffs and index, which hold the
+    coefficient of each term and the position of its (d, e) in pairs.
+    """
+    pair_index = {}
+    groups = {}
+    for c, (a, b, d, e) in terms:
+        groups.setdefault(a, {}).setdefault(b, []).append(
+            (c, pair_index.setdefault((d, e), len(pair_index))))
+    coeffs, index, levels = [], [], []
+    for a in range(max(groups, default=-1), -1, -1):
+        level = groups.get(a, {})
+        ends = []
+        for b in range(max(level, default=-1), -1, -1):
+            for c, i in level.get(b, ()):
+                coeffs.append(c)
+                index.append(i)
+            ends.append(len(coeffs))
+        levels.append(ends)
+    top = max((max(pair) for pair in pair_index), default=0)
+    return top, list(pair_index), coeffs, index, levels
+
+
+def _horner_eval(poly, point):
+    """Value of a polynomial laid out by _horner at an integer point, by
+    Horner's rule in x0 over the levels and in x1 within each.  Each group
+    is a sum of c*x2^d*x3^e, read from one table of the distinct x2^d*x3^e
+    products."""
+    top, pairs, coeffs, index, levels = poly
+    x0, x1, x2, x3 = point
+    p2, p3 = [1], [1]
+    for _ in range(top):
+        p2.append(p2[-1] * x2)
+        p3.append(p3[-1] * x3)
+    w = [p2[d] * p3[e] for d, e in pairs]
+    terms = list(map(mul, coeffs, map(w.__getitem__, index)))
+    value = start = 0
+    for ends in levels:
+        inner = 0
+        for end in ends:
+            inner = inner * x1 + sum(terms[start:end])
+            start = end
+        value = value * x0 + inner
+    return value
+
+
+def _at_least_one_sample(samples):
+    if samples < 1:
+        raise ValueError("verification needs at least 1 sample, got %d"
+                         % samples)
+
+
 def _draw(rng):
     """The numerators and denominators (n_i, d_i) of a random point
     (n0/d0, n1/d1; n2/d2, n3/d3) of P1 x P1, drawn per coordinate as
@@ -619,9 +617,7 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
     exactly when poly(phi(pt)) is.  `failures` lists the rational points
     (n0/d0, n1/d1, n2/d2, n3/d3).
     """
-    if samples < 1:
-        raise ValueError("verification needs at least 1 sample, got %d"
-                         % samples)
+    _at_least_one_sample(samples)
     rng = random.Random(seed)
     m, n = phi.m, phi.n
     expected = 2 * phi.mn - k
@@ -667,13 +663,6 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
                               vanishing_ok=not failures, degree=top,
                               expected_degree=expected, degree_ok=degree_ok,
                               x3_power=x3_power)
-
-
-def verify(result, phi, samples=100, seed=0):
-    """Re-run the verification certificates for a pipeline result."""
-    return verify_polynomial(result.polynomial, phi, result.k,
-                             samples=samples, seed=seed,
-                             check_x3=not result.projection_fallback)
 
 
 def compose_linear(poly, T):

@@ -78,13 +78,13 @@ def test_projection_quartic_pivot_multiples_are_plane_multiples(quartic_bp):
     elements, columns, fallback = quadric_basis_via_projection(quartic_bp, pivots)
     assert not fallback
     assert len(elements) == 7
-    assert len(columns.distinguished) == 7
+    assert len(columns) == 7
     p1 = ech.elements[0]
 
     # the first three distinguished columns are (pivot, x_j*x3), j = 0..2;
     # their preimages are exactly the x_j multiples of the echelon plane
     for j in range(3):
-        assert columns.distinguished[j][1] == x_monomial(j, 3)
+        assert columns[j][1] == x_monomial(j, 3)
         assert (nonzero_blocks(elements[j], (1, 1))
                 == x_multiple(p1, j, (1, 1)))
     # the preimage of the pivot square column is a plane multiple only up to
@@ -93,9 +93,9 @@ def test_projection_quartic_pivot_multiples_are_plane_multiples(quartic_bp):
     # pivot square, so the exact relation is
     #     Q_pivot_sq = x3*P1 + x0*P1 - Q_ut_sq
     pivot_mono = (1, 0, 1, 0)
-    pos = columns.distinguished.index((pivot_mono, x_monomial(3, 3)))
+    pos = columns.index((pivot_mono, x_monomial(3, 3)))
     assert substitute(elements[pos], quartic_bp).is_zero()
-    ut_pos = columns.distinguished.index(((0, 1, 1, 0), x_monomial(3, 3)))
+    ut_pos = columns.index(((0, 1, 1, 0), x_monomial(3, 3)))
     terms = [(row_surface(elements[pos], (1, 1)), 1),
              (x_multiple(p1, 3, (1, 1)), -1),
              (x_multiple(p1, 0, (1, 1)), -1),
@@ -136,7 +136,7 @@ def test_projection_generic_k0_keeps_square_pattern():
     elements, columns, fallback = quadric_basis_via_projection(phi, [])
     assert not fallback
     assert len(elements) == phi.mn
-    for q, (mono, xm) in zip(elements, columns.distinguished):
+    for q, (mono, xm) in zip(elements, columns):
         assert xm == x_monomial(3, 3)
         x3sq = row_surface(q, phi.working_bidegree)[x_monomial(3, 3)]
         assert x3sq.terms == {mono: 1}
@@ -165,7 +165,7 @@ def test_projection_singular_raises_with_base_points_and_falls_back_without(
         phi, [], quadrics=quadrics)
     assert fallback
     assert elements == quadrics.elements
-    assert len(columns.distinguished) == phi.mn
+    assert len(columns) == phi.mn
 
 
 @pytest.mark.parametrize("which", ["quartic", "two_base_points",
@@ -197,12 +197,12 @@ def test_bases_match_fraction_rref_reference(quartic_bp, which):
 
     elements, columns, fallback = quadric_basis_via_projection(phi, pivots)
     assert not fallback
-    assert len(elements) == len(columns.distinguished) == phi.mn + 3 * len(pivots)
+    assert len(elements) == len(columns) == phi.mn + 3 * len(pivots)
     for i, q in enumerate(elements):
         assert substitute(q, phi).is_zero()
         surface = row_surface(q, wdeg)
         assert [surface[xm].coeff(mono)
-                for mono, xm in columns.distinguished] == [
+                for mono, xm in columns] == [
                     int(i == j) for j in range(len(elements))]
 
 
@@ -255,8 +255,8 @@ def _diag_matrix(entries):
             for i in range(n)]
     degs = [e.total_degree() for e in entries]
     linear = sum(1 for d in degs if d == 1)
-    return MMatrix(size=n, entries=rows, linear_rows=linear,
-                   col_monomials=list(range(n)), row_labels=["d"] * n)
+    return MMatrix(entries=rows, linear_rows=linear,
+                   col_monomials=list(range(n)))
 
 
 def test_det_of_diagonal_matrix():
@@ -283,8 +283,8 @@ def test_det_backends_agree_on_random_homogeneous_matrices():
             rows.append([XPoly({m: Fraction(rng.randint(-6, 6), rng.choice(dens))
                                 for m in monos if rng.random() < 0.7})
                          for _ in range(n)])
-        M = MMatrix(size=n, entries=rows, linear_rows=linear,
-                    col_monomials=list(range(n)), row_labels=["r"] * n)
+        M = MMatrix(entries=rows, linear_rows=linear,
+                    col_monomials=list(range(n)))
         assert det_cofactor(M) == det_interpolation(M)
 
 
@@ -292,8 +292,8 @@ def test_det_interpolation_through_row_swaps_and_zero_columns():
     rows = [["x0", "2/3*x2", "1/2*x1 + x3"],
             ["1/5*x0 + x3", "x2", "x1"],
             ["x1*x3", "x0*x2", "3/7*x0^2 - x3^2"]]
-    M = MMatrix(size=3, entries=[[parse_xpoly(e) for e in row] for row in rows],
-                linear_rows=2, col_monomials=[0, 1, 2], row_labels=["r"] * 3)
+    M = MMatrix(entries=[[parse_xpoly(e) for e in row] for row in rows],
+                linear_rows=2, col_monomials=[0, 1, 2])
     # at x0 = 0 the first pivot is zero and Bareiss swaps rows; at x2 = 0
     # the whole second column vanishes and Bareiss stops on a zero column
     assert M.evaluate((0, 1, 1, 1))[0, 0] == 0
@@ -308,13 +308,30 @@ def test_det_interpolation_guard_catches_underdeclared_degrees():
     rows = [["x0^2 + x1*x3", "x2^2"], ["x1^2", "x3^2 - x0*x2"]]
     entries = [[parse_xpoly(e) for e in row] for row in rows]
     # declaring the quadratic rows linear makes D = 2 instead of 4
-    M = MMatrix(size=2, entries=entries, linear_rows=2, col_monomials=[0, 1],
-                row_labels=["r"] * 2)
+    M = MMatrix(entries=entries, linear_rows=2, col_monomials=[0, 1])
     with pytest.raises(ArithmeticError):
         det_interpolation(M)
-    honest = MMatrix(size=2, entries=entries, linear_rows=0,
-                     col_monomials=[0, 1], row_labels=["r"] * 2)
+    honest = MMatrix(entries=entries, linear_rows=0, col_monomials=[0, 1])
     assert det_interpolation(honest) == det_cofactor(honest)
+
+
+@pytest.mark.parametrize("rows, linear, declared, found", [
+    ([["x2^3"]], 0, 2, 3),
+    ([["x0 + x3^2"]], 1, 1, 2),
+    ([["x0^2 + x1*x3", "x2^2"], ["x1^2", "x3^2 - x0*x2"]], 2, 1, 2),
+], ids=["cubic", "nonhomogeneous", "underdeclared"])
+def test_degree_check_fails_before_the_grid(rows, linear, declared, found,
+                                            monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the grid ran on a malformed M")
+
+    monkeypatch.setattr(_IntegerRows, "dets", no_grid)
+    M = MMatrix(entries=[[parse_xpoly(e) for e in row] for row in rows],
+                linear_rows=linear, col_monomials=list(range(len(rows))))
+    with pytest.raises(ArithmeticError,
+                       match="declared of degree %d has a term of degree %d"
+                       % (declared, found)):
+        det_interpolation(M)
 
 
 @pytest.fixture(scope="module")
@@ -357,9 +374,8 @@ def test_dependent_quadric_rows_give_a_zero_determinant(quartic_bp,
     M = assembled_M(quartic_bp)
     entries = [list(row) for row in M.entries]
     entries[3] = [e.scale(Fraction(3, 2)) for e in entries[2]]
-    dependent = MMatrix(size=4, entries=entries, linear_rows=1,
-                        col_monomials=M.col_monomials,
-                        row_labels=M.row_labels)
+    dependent = MMatrix(entries=entries, linear_rows=1,
+                        col_monomials=M.col_monomials)
     assert det_interpolation(dependent).is_zero()
     assert det_cofactor(dependent).is_zero()
 
@@ -527,11 +543,20 @@ def test_verify_rejects_fewer_than_one_sample(quartic_bp, samples):
         verify_polynomial(golden, quartic_bp, k=1, samples=samples)
 
 
-def test_verify_wrapper_reruns_certificates(quartic_bp):
-    from movsurf import verify
-    res = pipeline(quartic_bp)
-    record = verify(res, quartic_bp, samples=25, seed=99)
-    assert record.ok and record.samples == 25
+@pytest.mark.parametrize("samples", [0, -4])
+def test_pipeline_config_rejects_fewer_than_one_sample(quartic_bp, samples,
+                                                       monkeypatch):
+    built = []
+    integer_rows = _IntegerRows
+
+    def counted(M):
+        built.append(M)
+        return integer_rows(M)
+
+    monkeypatch.setattr(implicitize, "_IntegerRows", counted)
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        pipeline(quartic_bp, PipelineConfig(samples=samples))
+    assert built == []
 
 
 def _changed(poly):
