@@ -16,11 +16,11 @@ from .basepoints import (BasePointSummary, CheckConfig, ConditionReport,
                          hilbert_dim, hilbert_values, saturation_member)
 from .implicitize import (ConditionError, ImplicitResult, MMatrix,
                           PipelineConfig, VerificationError,
-                          VerificationRecord, assemble_M, compose_linear,
-                          det_poly, echelon_plane_basis, normalize, pipeline,
+                          VerificationRecord, assemble_M, det_poly,
+                          echelon_plane_basis, normalize, pipeline,
                           quadric_basis_via_projection, verify_polynomial)
 from .linalg import KernelBasis, RatMatrix, det_bareiss, kernel_basis, rank
 from .ring import (BihomPoly, MixedBidegreeError, ParseError, XPoly,
-                   coeff_vector, monomial_basis, parse, parse_xpoly)
+                   monomial_basis, parse, parse_xpoly)
 from .syzygy import (Parametrization, SyzygyBasis, moving_planes,
                      moving_quadrics, mult_matrix, syz_dim_abc)

@@ -63,7 +63,6 @@ from .ring import XPoly, clear, content_normalize, monomial_basis
 from .syzygy import (Parametrization, SyzygyBasis, X_MONOMIALS, moving_planes,
                      moving_quadrics, x_monomial)
 
-X3 = x_monomial(3)
 X3SQ = x_monomial(3, 3)
 
 
@@ -153,38 +152,25 @@ class ImplicitResult:
 # changes of basis
 
 
-def _x_blocks(row, mn):
-    """The x-monomials of the mn-column blocks of a plane row (4mn entries)
-    or a quadric row (10mn entries)."""
-    return X_MONOMIALS[1 if len(row) == 4 * mn else 2]
-
-
-def _unit_basis(rows, chosen, wdeg):
+def _unit_basis(rows, first, width):
     """The reduced row echelon basis of the span of the coefficient `rows`,
-    with the coordinates `chosen`, (parameter monomial, x monomial) pairs,
-    ordered first.
+    of `width` entries each, with the positions `first` ordered first.
 
-    Returns (pivots, basis): pivots are the positions in `chosen` of the
-    unit columns, one per basis element, and basis holds the unit rows in
-    the column order of `rows`.  basis is None when the chosen coordinates
-    have rank below len(rows), so that some pivot would lie outside them.
+    Returns (pivots, basis): pivots are the indices in `first` of the unit
+    columns, one per basis element, and basis holds the unit rows in the
+    column order of `rows`.  basis is None when the positions `first` have
+    rank below len(rows), so that some pivot would lie outside them.
     """
-    mono_basis = monomial_basis(wdeg)
-    mn = len(mono_basis)
-    flat = {(mono, xm): b * mn + i
-            for b, xm in enumerate(_x_blocks(rows[0], mn))
-            for i, mono in enumerate(mono_basis)}
-    first = [flat[c] for c in chosen]
     taken = set(first)
-    order = first + [j for j in range(len(flat)) if j not in taken]
+    order = first + [j for j in range(width) if j not in taken]
     pivots, echelon = reduced_echelon([[v[j] for j in order] for v in rows],
-                                      len(order))
+                                      width)
     pivots = [p for p in pivots if p < len(first)]
     if len(pivots) < len(rows):
         return pivots, None
     units = []
     for p, row in zip(pivots, echelon):
-        vec = [None] * len(order)
+        vec = [None] * width
         for j, x in zip(order, row):
             vec[j] = Fraction(x, row[p])
         units.append(vec)
@@ -200,16 +186,15 @@ def echelon_plane_basis(planes, working_bidegree):
     when the x3 block has rank below the basis dimension, which contradicts
     the no-syzygy condition on a0, a1, a2.
     """
-    k = planes.dim
-    if k == 0:
-        return SyzygyBasis([]), []
     basis = monomial_basis(working_bidegree)
-    pivot_cols, elements = _unit_basis(
-        planes.elements, [(mono, X3) for mono in basis], working_bidegree)
+    mn = len(basis)
+    # x3 is the last of the four blocks of X_MONOMIALS[1]
+    pivot_cols, elements = _unit_basis(planes.elements,
+                                       list(range(3 * mn, 4 * mn)), 4 * mn)
     if elements is None:
         raise ConditionError(
             "x3 block of the moving planes has rank %d < %d; "
-            "a0,a1,a2 admit a syzygy" % (len(pivot_cols), k))
+            "a0,a1,a2 admit a syzygy" % (len(pivot_cols), planes.dim))
     pivots = [(basis[c][0], basis[c][2]) for c in pivot_cols]
     return SyzygyBasis(elements), pivots
 
@@ -218,14 +203,10 @@ def distinguished_columns(pivots, working_bidegree):
     """The mn + 3k of the 10mn quadric-map coordinates that the projection
     keeps, each a (parameter monomial, x monomial) pair."""
     basis = monomial_basis(working_bidegree)
-    mono_index = {(m[0], m[2]): i for i, m in enumerate(basis)}
-    chosen = []
-    for alpha, beta in pivots:
-        for j in range(3):
-            chosen.append((basis[mono_index[(alpha, beta)]], x_monomial(j, 3)))
-    for mono in basis:
-        chosen.append((mono, X3SQ))
-    return chosen
+    pairs = [(m[0], m[2]) for m in basis]
+    chosen = [(basis[pairs.index(pivot)], x_monomial(j, 3))
+              for pivot in pivots for j in range(3)]
+    return chosen + [(mono, X3SQ) for mono in basis]
 
 
 def quadric_basis_via_projection(phi, pivots, quadrics=None):
@@ -250,8 +231,12 @@ def quadric_basis_via_projection(phi, pivots, quadrics=None):
         raise ConditionError(
             "moving-quadric space has dimension %d, expected mn + 3k = %d"
             % (quadrics.dim, expected))
+    basis = monomial_basis(phi.working_bidegree)
+    mn = len(basis)
     columns = distinguished_columns(pivots, phi.working_bidegree)
-    _, elements = _unit_basis(quadrics.elements, columns, phi.working_bidegree)
+    first = [X_MONOMIALS[2].index(xm) * mn + basis.index(mono)
+             for mono, xm in columns]
+    _, elements = _unit_basis(quadrics.elements, first, 10 * mn)
     if elements is None:
         if k > 0:
             raise ConditionError(
@@ -278,38 +263,28 @@ def assemble_M(planes, quadric_rows, pivots, working_bidegree):
     if k + len(quadric_rows) != mn:
         raise ValueError("need %d rows, got %d plane + %d quadric"
                          % (mn, k, len(quadric_rows)))
-    pivot_idx = []
-    mono_index = {(m[0], m[2]): i for i, m in enumerate(basis)}
-    for alpha, beta in pivots:
-        pivot_idx.append(mono_index[(alpha, beta)])
-    rest_idx = [i for i in range(mn) if i not in set(pivot_idx)]
-    col_order = pivot_idx + rest_idx
-    col_monomials = [basis[i] for i in col_order]
+    pairs = [(m[0], m[2]) for m in basis]
+    pivot_idx = [pairs.index(pivot) for pivot in pivots]
+    col_order = pivot_idx + [i for i in range(mn) if i not in pivot_idx]
 
-    def entries(row):
+    def entries(row, xmonos):
         # the entry at parameter monomial i: position i of each x block
-        blocks = list(enumerate(_x_blocks(row, mn)))
-        return [XPoly({xm: row[b * mn + i] for b, xm in blocks})
+        return [XPoly({xm: row[b * mn + i] for b, xm in enumerate(xmonos)})
                 for i in col_order]
 
-    rows = [entries(p) for p in planes.elements]
-    rows += [entries(q) for q in quadric_rows]
-    return MMatrix(entries=rows, linear_rows=k, col_monomials=col_monomials)
+    rows = [entries(p, X_MONOMIALS[1]) for p in planes.elements]
+    rows += [entries(q, X_MONOMIALS[2]) for q in quadric_rows]
+    return MMatrix(entries=rows, linear_rows=k,
+                   col_monomials=[basis[i] for i in col_order])
 
 
 def select_quadric_rows(elements, columns, pivots, working_bidegree, fallback):
-    """The mn - k quadric rows that enter M (all rows when falling back)."""
-    if fallback:
-        return list(elements)
-    pivot_pairs = set(pivots)
-    out = []
-    for pos, (mono, xm) in enumerate(columns):
-        if xm != X3SQ:
-            continue
-        if (mono[0], mono[2]) in pivot_pairs:
-            continue
-        out.append(elements[pos])
-    return out
+    """The mn - k quadric rows that enter M: the elements whose column is
+    the x3^2 column of a non-pivot monomial.  On the fallback path (k = 0)
+    every column is an x3^2 column, so every row enters.  working_bidegree
+    and fallback are unused; the benchmark passes them positionally."""
+    return [e for e, (mono, xm) in zip(elements, columns)
+            if xm == X3SQ and (mono[0], mono[2]) not in pivots]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +301,7 @@ def _auto_only(backend):
 class _IntegerRows:
     """The rows of M as integer vectors, reduced, for the grid.
 
-    Every term of the first M.linear_rows rows must have degree 1 and every
+    M must be square, or ValueError names its shape.  Every term of the first M.linear_rows rows must have degree 1 and every
     term of the others degree 2, or ArithmeticError names the declared and
     the found degree; so det M is zero or a form of degree
     sum(M.row_degrees()), which is what makes the grid exact.  Each row is
@@ -349,6 +324,10 @@ class _IntegerRows:
     """
 
     def __init__(self, M):
+        for row in M.entries:
+            if len(row) != M.size:
+                raise ValueError("determinant of a non-square %d x %d matrix"
+                                 % (M.size, len(row)))
         index = {}
         self.rows = []
         self.ratio = Fraction(1)
@@ -663,27 +642,6 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
                               vanishing_ok=not failures, degree=top,
                               expected_degree=expected, degree_ok=degree_ok,
                               x3_power=x3_power)
-
-
-def compose_linear(poly, T):
-    """Substitute x_i -> sum_j T[i][j] x_j.
-
-    With a coordinate change x' = T x applied to the parametrization, the
-    transformed equation composed with T is an equation for the original
-    surface.
-    """
-    subs = []
-    for i in range(4):
-        subs.append(XPoly({x_monomial(j): T[i][j] for j in range(4)
-                           if T[i][j]}))
-    out = XPoly.zero()
-    for mono, c in poly.terms.items():
-        term = XPoly.monomial((0, 0, 0, 0), c)
-        for i, e in enumerate(mono):
-            for _ in range(e):
-                term = term * subs[i]
-        out = out + term
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,6 @@ class RatMatrix:
         self.cols = ncols
         self.entries = entries
 
-    @classmethod
-    def identity(cls, n):
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 

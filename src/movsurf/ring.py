@@ -331,8 +331,6 @@ def _parse_terms(text, variables):
             pass
         elif sc.eat("-"):
             sign = -1
-        elif not first and sc.peek():
-            raise ParseError("expected '+' or '-'", sc.pos)
         if not sc.peek():
             if first:
                 raise ParseError("empty polynomial", sc.pos)
@@ -418,19 +416,7 @@ def parse_xpoly(text):
 
 
 # ---------------------------------------------------------------------------
-# vector interface
-
-
-def coeff_vector(f, basis):
-    """Coefficients of f on an explicit monomial basis, as a list.
-
-    The basis must carry f's declared bidegree (checked on the first
-    basis element).
-    """
-    if basis and monomial_bidegree(basis[0]) != f.bidegree:
-        raise ValueError("bidegree mismatch: basis %s vs polynomial %s"
-                         % (monomial_bidegree(basis[0]), f.bidegree))
-    return [f.terms.get(m, Fraction(0)) for m in basis]
+# clearing denominators
 
 
 def clear(values):

@@ -15,6 +15,10 @@ a packed int, the references for syzygy.multiple_rows and linalg._unpack.
 sample_point draws the rational parameter points of the verification, and
 verification_by_fractions builds its whole record by Fraction arithmetic,
 the reference for the integer implicitize.verify_polynomial.
+identity, coeff_vector and compose_linear are the small constructions the
+tests build their expectations with: the identity RatMatrix, the
+coefficients of a polynomial on a monomial basis, and an equation pulled
+back through a coordinate change.
 The tests check the integer core against them; the package does not use
 them.
 """
@@ -28,8 +32,9 @@ from typing import NamedTuple
 from movsurf.basepoints import SaturationResult
 from movsurf.implicitize import VerificationRecord
 from movsurf.linalg import RatMatrix, integer_kernel, integer_rank
-from movsurf.ring import XPoly, bidegree_leq, clear, monomial_basis, primitive
-from movsurf.syzygy import multiple_rows
+from movsurf.ring import (XPoly, bidegree_leq, clear, monomial_basis,
+                         monomial_bidegree, primitive)
+from movsurf.syzygy import multiple_rows, x_monomial
 
 
 class RrefResult(NamedTuple):
@@ -289,3 +294,41 @@ def verification_by_fractions(poly, phi, k, samples, seed, check_x3=True):
         samples=samples, failures=failures, vanishing_ok=not failures,
         degree=max(degrees, default=-1), expected_degree=expected,
         degree_ok=degrees == {expected}, x3_power=x3_power)
+
+
+def identity(n):
+    """The n x n identity RatMatrix."""
+    return RatMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def coeff_vector(f, basis):
+    """Coefficients of f on an explicit monomial basis, as a list.
+
+    The basis must carry f's declared bidegree (checked on the first
+    basis element).
+    """
+    if basis and monomial_bidegree(basis[0]) != f.bidegree:
+        raise ValueError("bidegree mismatch: basis %s vs polynomial %s"
+                         % (monomial_bidegree(basis[0]), f.bidegree))
+    return [f.terms.get(m, Fraction(0)) for m in basis]
+
+
+def compose_linear(poly, T):
+    """Substitute x_i -> sum_j T[i][j] x_j.
+
+    With a coordinate change x' = T x applied to the parametrization, the
+    transformed equation composed with T is an equation for the original
+    surface.
+    """
+    subs = []
+    for i in range(4):
+        subs.append(XPoly({x_monomial(j): T[i][j] for j in range(4)
+                           if T[i][j]}))
+    out = XPoly.zero()
+    for mono, c in poly.terms.items():
+        term = XPoly.monomial((0, 0, 0, 0), c)
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                term = term * subs[i]
+        out = out + term
+    return out

@@ -12,13 +12,14 @@ from movsurf.basepoints import (SaturationResult, _evaluate_conditions,
                                 _invariant_conditions, independence_witness)
 from movsurf.cli import load_jobspec
 from movsurf.linalg import det_integer
-from movsurf.ring import bidegree_leq, coeff_vector, monomial_basis
+from movsurf.ring import bidegree_leq, monomial_basis
 from movsurf.syzygy import moving_planes, mult_matrix, syz_dim_abc
 
 from conftest import (QUARTIC_BP_STRINGS, base_point_free_parametrizations,
                       counted_calls, job_phi, perfbench_jobs, random_bihom,
                       random_parametrization)
-from oracle import half_step_by_dots, saturation_by_ranks, solve_membership
+from oracle import (coeff_vector, half_step_by_dots, saturation_by_ranks,
+                    solve_membership)
 
 
 # --- quotient dimensions -----------------------------------------------------

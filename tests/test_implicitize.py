@@ -7,7 +7,7 @@ import pytest
 
 from movsurf import (BihomPoly, ConditionError, MMatrix, Parametrization,
                      PipelineConfig, RatMatrix, SyzygyBasis, XPoly,
-                     assemble_M, coeff_vector, compose_linear, det_bareiss,
+                     assemble_M, det_bareiss,
                      det_poly, implicitize,
                      echelon_plane_basis, generic_change, monomial_basis,
                      moving_planes, moving_quadrics, normalize, parse,
@@ -23,7 +23,8 @@ from conftest import (QUARTIC_BP_STRINGS, assembled_M, job_phi, load_golden,
                       nonzero_blocks, perfbench_jobs, random_parametrization,
                       row_surface, substitute, surface_row, two_base_points,
                       x_multiple)
-from oracle import det_cofactor, rref, verification_by_fractions
+from oracle import (coeff_vector, compose_linear, det_cofactor, rref,
+                    verification_by_fractions)
 
 
 # --- plane echelonization -----------------------------------------------------
@@ -140,6 +141,30 @@ def test_projection_generic_k0_keeps_square_pattern():
         assert xm == x_monomial(3, 3)
         x3sq = row_surface(q, phi.working_bidegree)[x_monomial(3, 3)]
         assert x3sq.terms == {mono: 1}
+
+
+@pytest.mark.parametrize("swaps", ["tv", "su tv"],
+                         ids=["t-v", "s-u-and-t-v"])
+def test_plane_pivot_off_the_first_monomial(swaps):
+    # swapping t and v (and s and u) reparametrizes P1 x P1, so the surface
+    # and its equation stay the quartic's, but the plane pivot moves from
+    # s*t to s*v, which is not the first monomial of bidegree (1, 1)
+    table = {}
+    for a, b in swaps.split():
+        table.update({a: b, b: a})
+    strings = [s.translate(str.maketrans(table)) for s in QUARTIC_BP_STRINGS]
+    phi = Parametrization(2, 2, tuple(parse(s, bidegree=(2, 2))
+                                      for s in strings))
+    res = pipeline(phi)
+    assert res.pivots == [(1, 0)] and res.coordinate_change is None
+    assert res.verification.ok
+    golden = parse_xpoly(load_golden("quartic_base_point_implicit.txt"))
+    assert res.polynomial == golden
+    M = assembled_M(phi)
+    assert M.linear_rows == 1 and M.col_monomials[0] == (1, 0, 0, 1)
+    assert M.entries[0][0].coeff(x_monomial(3)) == 1
+    for i in range(1, M.size):
+        assert M.entries[i][i].coeff(x_monomial(3, 3)) == 1
 
 
 def test_projection_dimension_mismatch_raises(quartic_bp):
@@ -331,6 +356,22 @@ def test_degree_check_fails_before_the_grid(rows, linear, declared, found,
     with pytest.raises(ArithmeticError,
                        match="declared of degree %d has a term of degree %d"
                        % (declared, found)):
+        det_interpolation(M)
+
+
+@pytest.mark.parametrize("rows", [
+    [["x0", "x1"]],
+    [["x0"], ["x1"]],
+], ids=["long-row", "short-rows"])
+def test_non_square_M_fails_before_the_grid(rows, monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("the grid ran on a non-square M")
+
+    monkeypatch.setattr(_IntegerRows, "dets", no_grid)
+    M = MMatrix(entries=[[parse_xpoly(e) for e in row] for row in rows],
+                linear_rows=len(rows), col_monomials=list(range(len(rows))))
+    with pytest.raises(ValueError,
+                       match="non-square %d x %d" % (len(rows), len(rows[0]))):
         det_interpolation(M)
 
 

@@ -11,13 +11,13 @@ from movsurf import (BihomPoly, Parametrization, RatMatrix, det_bareiss,
                      generic_change, kernel_basis, linalg, rank)
 from movsurf.linalg import (det_integer, echelon, integer_kernel,
                             integer_rank, lll, reduced_echelon, saturation)
-from movsurf.ring import clear, coeff_vector, content_normalize, monomial_basis
+from movsurf.ring import clear, content_normalize, monomial_basis
 from movsurf.syzygy import (mult_matrix, multiple_rows, plane_map_matrix,
                             quadric_map_matrix)
 
 import oracle
 from conftest import counted_calls, random_parametrization, two_base_points
-from oracle import rref, solve_membership
+from oracle import coeff_vector, identity, rref, solve_membership
 
 
 # --- independent oracles (textbook, no shared code with the package) --------
@@ -58,7 +58,7 @@ def random_matrix(rng, rows, cols, bound=6):
 # --- rref --------------------------------------------------------------------
 
 def test_rref_identity():
-    I = RatMatrix.identity(3)
+    I = identity(3)
     R, pivots, T = rref(I)
     assert R == I and T == I and pivots == [0, 1, 2]
 
@@ -113,7 +113,7 @@ def test_rref_idempotent_and_permutation_invariant(seed):
 # --- kernels -----------------------------------------------------------------
 
 def test_kernel_of_identity_is_trivial():
-    assert kernel_basis(RatMatrix.identity(4)).dim == 0
+    assert kernel_basis(identity(4)).dim == 0
 
 
 def test_kernel_of_row_vector():
@@ -149,7 +149,7 @@ def test_rank_nullity_on_200_matrices():
 # --- membership solves -------------------------------------------------------
 
 def test_solve_membership_identity():
-    A = RatMatrix.identity(3)
+    A = identity(3)
     b = [Fraction(5), Fraction(-2), Fraction(7, 3)]
     assert solve_membership(A, b) == b
 
@@ -161,7 +161,7 @@ def test_solve_membership_not_in_span():
 
 def test_solve_membership_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve_membership(RatMatrix.identity(2), [Fraction(1)])
+        solve_membership(identity(2), [Fraction(1)])
 
 
 @given(st.integers(0, 10**6))
@@ -178,7 +178,7 @@ def test_solve_membership_consistent_system(seed):
 # --- determinants ------------------------------------------------------------
 
 def test_det_identity_and_2x2():
-    assert det_bareiss(RatMatrix.identity(5)) == 1
+    assert det_bareiss(identity(5)) == 1
     rng = random.Random(3)
     for _ in range(20):
         a, b, c, d = (Fraction(rng.randint(-9, 9), rng.randint(1, 3))

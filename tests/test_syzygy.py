@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from movsurf import (BihomPoly, Parametrization, RatMatrix, check_all,
+from movsurf import (BihomPoly, Parametrization, check_all,
                      generic_change, moving_planes, moving_quadrics,
                      mult_matrix, parse, rank, ring, syz_dim_abc)
 from movsurf.cli import load_jobspec
@@ -17,7 +17,7 @@ from movsurf.syzygy import (multiple_rows, plane_map_matrix,
 from conftest import (QUARTIC_BP_STRINGS, counted_calls, job_phi,
                       perfbench_jobs, random_bihom, random_parametrization,
                       row_surface, substitute)
-from oracle import multiple_rows_by_index, rref
+from oracle import identity, multiple_rows_by_index, rref
 
 
 def test_parametrization_validates_inputs():
@@ -44,7 +44,7 @@ def test_quadric_map_shape_quartic(quartic_bp):
 def test_mult_matrix_of_unit_is_identity():
     one = BihomPoly.monomial((0, 0, 0, 0))
     A = mult_matrix([one], (1, 1))
-    assert A == RatMatrix.identity(4)
+    assert A == identity(4)
 
 
 def test_mult_matrix_bidegree_underflow():
@@ -110,7 +110,7 @@ def test_quartic_moving_plane_matches_known_element(quartic_bp):
 
 def test_segre_has_no_moving_planes(segre):
     assert moving_planes(segre).dim == 0
-    assert plane_map_matrix(segre) == RatMatrix.identity(4)
+    assert plane_map_matrix(segre) == identity(4)
 
 
 @given(st.integers(0, 10**5))
