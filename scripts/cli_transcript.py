@@ -56,9 +56,8 @@ JOBS.update(("field%d.json" % i, dict(SEGRE, **{field: value}))
 BUNDLED = sorted(p.name for p in (ROOT / "scripts" / "inputs").glob("*.json"))
 
 # the value and the lowest of every option that takes a number
-NUMBERS = {"--seed": None, "--sat-bound": 0, "--window": 2, "--samples": 1}
-PRESETS = ("JSON", "OUTPUT", "SEED", "SAT_BOUND", "WINDOW", "SAMPLES",
-           "FORCE")
+NUMBERS = {"--seed": None, "--sat-bound": 0, "--window": 2}
+PRESETS = ("JSON", "OUTPUT", "SEED", "SAT_BOUND", "WINDOW", "FORCE")
 
 
 def invocations():
@@ -135,11 +134,6 @@ def invocations():
              ({"MOVSURF_WINDOW": "4"}, quartic + ["--json", "--window", "3"]),
              ({"MOVSURF_SAT_BOUND": "1"}, quartic),
              ({"MOVSURF_SAT_BOUND": "1"}, quartic + ["--sat-bound", "2"]),
-             ({"MOVSURF_SAMPLES": "7"},
-              ["implicitize", "--input", "quartic.json", "--json"]),
-             ({"MOVSURF_SAMPLES": "7"},
-              ["implicitize", "--input", "quartic.json", "--json",
-               "--samples", "11"]),
              ({"MOVSURF_SEED": "5"}, ["hilbert", "--input",
                                       "segre_seed3.json", "--json"]),
              ({"MOVSURF_SEED": "5"}, ["check", "--input",

@@ -3,7 +3,8 @@
 
 Draws random bidegree-(m,n) quadruples, runs the condition battery and the
 pipeline on those that qualify, and reports degrees, term counts, timings and
-verification outcomes.  Useful for eyeballing scaling behaviour.
+verification outcomes (the certificate that the rows of M follow phi, with
+the degree and x3-power checks).  Useful for eyeballing scaling behaviour.
 
     python scripts/random_surfaces.py --bidegree 2 2 --count 5 --seed 0
 """
@@ -17,9 +18,8 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from movsurf import (BihomPoly, Parametrization, PipelineConfig,
-                     ConditionError, VerificationError, monomial_basis,
-                     pipeline)
+from movsurf import (BihomPoly, Parametrization, ConditionError,
+                     VerificationError, monomial_basis, pipeline)
 
 
 def random_poly(rng, bidegree, bound=5):
@@ -39,12 +39,10 @@ def main():
                     metavar=("M", "N"))
     ap.add_argument("--count", type=int, default=5)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--samples", type=int, default=100)
     args = ap.parse_args()
     m, n = args.bidegree
 
     rng = random.Random(args.seed)
-    config = PipelineConfig(samples=args.samples)
     print("%4s %6s %4s %7s %7s %9s" % (
         "idx", "k", "deg", "terms", "verify", "secs"))
     done = 0
@@ -55,7 +53,7 @@ def main():
                                           for _ in range(4)))
         t0 = time.perf_counter()
         try:
-            result = pipeline(phi, config)
+            result = pipeline(phi)
         except (ConditionError, VerificationError) as exc:
             print("%4d  skipped: %s" % (attempt, str(exc)[:60]))
             continue

@@ -17,10 +17,10 @@ JSON list of strings.
 each row gives a flag, the subcommands that have it, its type, its
 default, its lowest value and its help.  --json and --output are on every
 subcommand, --seed, --sat-bound and --window on check, implicitize and
-verify, and --samples and --force on implicitize and verify; a flag the
-subcommand does not have is a usage error.  Each option can be preset by
-MOVSURF_ and its name in capitals (MOVSURF_SAT_BOUND for --sat-bound),
-which a subcommand reads only when it has the flag and the flag is absent.
+verify, and --force on implicitize and verify; a flag the subcommand does
+not have is a usage error.  Each option can be preset by MOVSURF_ and its
+name in capitals (MOVSURF_SAT_BOUND for --sat-bound), which a subcommand
+reads only when it has the flag and the flag is absent.
 The presets of the switches --json and --force take 1/true/yes/on or
 0/false/no/off or empty, in any case.  --input and hilbert's --d1, --d2
 and --squared have no preset.
@@ -99,13 +99,11 @@ OPTIONS = (
     ("--json", ALL_COMMANDS, boolean, False, None,
      "emit a machine-readable JSON report"),
     ("--seed", BATTERY_COMMANDS, int, None, None,
-     "seed for coordinate changes and sampling"),
+     "seed for coordinate changes"),
     ("--sat-bound", BATTERY_COMMANDS, int, None, 0,
      "saturation search bound (default 2*max(m,n)+2)"),
     ("--window", BATTERY_COMMANDS, int, CheckConfig.window, 2,
      "diagonal sampling window for stabilization"),
-    ("--samples", PIPELINE_COMMANDS, int, PipelineConfig.samples, 1,
-     "number of exact vanishing samples"),
     ("--force", PIPELINE_COMMANDS, boolean, False, None,
      "emit results even when checks fail"),
     ("--output", ALL_COMMANDS, str, None, None,
@@ -317,8 +315,6 @@ def _check_config(spec, args):
 
 def _pipeline_config(spec, args):
     return PipelineConfig(check=_check_config(spec, args),
-                          samples=args.samples,
-                          verify_seed=spec.seed,
                           force=args.force,
                           assert_one_to_one=spec.assert_one_to_one)
 
@@ -368,8 +364,6 @@ def _run_pipeline(spec, args):
         "projection_fallback": result.projection_fallback,
         "pivots": _jsonable(result.pivots),
     }, verification={
-        "samples": record.samples,
-        "failures": _jsonable(record.failures),
         "vanishing_ok": record.vanishing_ok,
         "degree": record.degree,
         "expected_degree": record.expected_degree,
@@ -378,6 +372,11 @@ def _run_pipeline(spec, args):
         "ok": record.ok,
     })
     return result, elapsed, body
+
+
+def _follows(record):
+    return "the rows of M %s phi" % (
+        "follow" if record.vanishing_ok else "do not follow")
 
 
 def cmd_implicitize(spec, args):
@@ -389,8 +388,8 @@ def cmd_implicitize(spec, args):
                  % (result.degree, result.k, len(result.polynomial.terms),
                     result.backend))
     record = result.verification
-    lines.append("verification: %s (%d samples, x3 power %s)"
-                 % ("PASS" if record.ok else "FAIL", record.samples,
+    lines.append("verification: %s (%s, x3 power %s)"
+                 % ("PASS" if record.ok else "FAIL", _follows(record),
                     record.x3_power))
     return record.ok, elapsed, body, lines
 
@@ -400,9 +399,9 @@ def cmd_verify(spec, args):
     record = result.verification
     lines = []
     lines.append("polynomial: %s" % result.polynomial.render())
-    lines.append("vanishing: %s (%d exact samples, %d failures)"
+    lines.append("vanishing: %s (%s)"
                  % ("PASS" if record.vanishing_ok else "FAIL",
-                    record.samples, len(record.failures)))
+                    _follows(record)))
     lines.append("degree: %d expected %d -> %s"
                  % (record.degree, record.expected_degree,
                     "PASS" if record.degree_ok else "FAIL"))

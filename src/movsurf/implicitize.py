@@ -39,11 +39,12 @@ interpolated with integer differences and integer Newton weights, and
 scaled once at the end, so det_interpolation returns det M exactly; it is
 the package's one determinant.  Along each grid line the entries advance by
 integer differences, so each is expanded once per line, not per point.
-Verification draws each sample point as integer numerators and
-denominators, cross-multiplies them into one integer point of P1 x P1,
-evaluates the four integer forms through one table of parameter monomials
-and tests vanishing over Z.  The polynomial is laid out once for Horner's
-rule in x0 and x1 over groups of terms that share their x0, x1 exponents.
+Verification is a certificate on the same reduced rows: each is laid out
+again as a coefficient row of a moving plane or quadric and must lie in the
+kernel of its multiplication map, checked over Z.  The rows of M then follow
+phi, so det M vanishes on the image (Sederberg-Chen 1995; Cox 2001), and
+with the exact grid so does the returned polynomial.  The sampled check
+verify_polynomial stays for the benchmark and as a cross-check in the tests.
 """
 
 from __future__ import annotations
@@ -57,11 +58,11 @@ from operator import mul
 from .basepoints import CheckConfig, ConditionReport, check_all
 # det_bareiss is not called here: perfbench/spans.py reads it from this module
 # to install its grid-point counter, while the grid itself calls det_integer
-from .linalg import (RatMatrix, det_bareiss, det_integer, lll, reduced_echelon,
-                     saturation)
+from .linalg import (RatMatrix, _annihilates, det_bareiss, det_integer, lll,
+                     reduced_echelon, saturation)
 from .ring import XPoly, clear, content_normalize, monomial_basis
 from .syzygy import (Parametrization, SyzygyBasis, X_MONOMIALS, moving_planes,
-                     moving_quadrics, x_monomial)
+                     moving_quadrics, multiple_rows, x_monomial)
 
 X3SQ = x_monomial(3, 3)
 
@@ -83,9 +84,12 @@ class VerificationError(RuntimeError):
 @dataclass(frozen=True)
 class PipelineConfig:
     """`det_backend` accepts only "auto" and raises ValueError otherwise.
-    It stays only for the benchmark's calls, and goes with `samples` and
-    `verify_seed` once the benchmark reads the library's stage records
-    (ROADMAP items 1 and 3)."""
+    `samples` (at least 1, or ValueError) and `verify_seed` are validated
+    but not read: pipeline() verifies by certificate, not by sampling.  All
+    three stay only because perfbench/run.py passes them and
+    perfbench/spans.py hands `samples` and `verify_seed` to
+    verify_polynomial; they go once the benchmark reads the library's stage
+    records (ROADMAP items 1 and 3)."""
     check: CheckConfig = CheckConfig()
     det_backend: str = "auto"
     samples: int = 100
@@ -119,13 +123,16 @@ class MMatrix:
 
 @dataclass
 class VerificationRecord:
-    samples: int
-    failures: list
+    """vanishing_ok is the certificate that the rows of M follow phi on a
+    pipeline record.  Only the sampled verify_polynomial sets samples and
+    failures, the nonvanishing sample points."""
     vanishing_ok: bool
     degree: int
     expected_degree: int
     degree_ok: bool
     x3_power: str                  # "ok" | "zero" | "skipped"
+    samples: int = None
+    failures: list = None
 
     @property
     def ok(self):
@@ -315,7 +322,8 @@ class _IntegerRows:
     quotient of the two groups' minors at the saturation's pivot columns.
     A group of dependent rows makes det M zero and is kept as it is.
     Entries are compiled to (coefficient, monomial index) pairs over the
-    distinct monomials of M.
+    distinct monomials of M; `groups` keeps each group's degree, its
+    (column, monomial) pairs and its vectors, which `follows` reads.
 
     Every entry is a form of degree at most 2, so on a line along x2 it is
     e0 + e1*x2 + e2*x2**2.  dets computes (e0, e1, e2) once per line and
@@ -330,7 +338,10 @@ class _IntegerRows:
                                  % (M.size, len(row)))
         index = {}
         self.rows = []
+        self.groups = []
         self.ratio = Fraction(1)
+        self.degree = sum(M.row_degrees())
+        self.col_monomials = M.col_monomials
         for degree, group in ((1, M.entries[:M.linear_rows]),
                               (2, M.entries[M.linear_rows:])):
             monos = sorted({m for row in group for e in row for m in e.terms})
@@ -353,6 +364,7 @@ class _IntegerRows:
                     det_integer([[v[p] for p in sat.pivots]
                                  for v in reduced]))
                 vecs = reduced
+            self.groups.append((degree, coords, vecs))
             for v in vecs:
                 row = [[] for _ in range(M.size)]
                 for (c, m), x in zip(coords, v):
@@ -387,6 +399,37 @@ class _IntegerRows:
                 vals = [v + d for v, d in zip(vals, d1s)]
                 d1s = [d + dd for d, dd in zip(d1s, d2s)]
         return out
+
+    def follows(self, phi):
+        """Whether every row follows phi, checked over Z.
+
+        A row of degree d is laid out as a coefficient row of a moving plane
+        (d = 1) or quadric (d = 2): position b*mn + i holds its coefficient
+        of the x-monomial X_MONOMIALS[d][b] in the column of the i-th
+        parameter monomial of bidegree (m-1, n-1).  It follows phi when it
+        lies in the kernel of the plane or quadric map, whose columns
+        multiple_rows gives; one _annihilates per group checks that.  Then
+        the rows at phi(s,t) times the column monomials at (s,t) give 0, and
+        the column monomials never vanish together on P1 x P1, so det of the
+        rows, and det M with it, vanishes on the image of phi.
+        """
+        basis = monomial_basis(phi.working_bidegree)
+        mn = len(basis)
+        column = [basis.index(mono) for mono in self.col_monomials]
+        for degree, coords, vecs in self.groups:
+            if not vecs:
+                continue
+            # a row is 0 off these positions, so the map's columns are read
+            # at them only
+            at = [X_MONOMIALS[degree].index(m) * mn + column[c]
+                  for c, m in coords]
+            generators = phi.a if degree == 1 else phi.products()
+            target = ((degree + 1) * phi.m - 1, (degree + 1) * phi.n - 1)
+            columns = zip(*multiple_rows(generators, target))
+            if not _annihilates([[col[p] for p in at] for col in columns],
+                                vecs):
+                return False
+        return True
 
 
 def _forward_diffs(line):
@@ -449,10 +492,14 @@ def det_interpolation(M):
     raises ArithmeticError before the grid when an entry's terms do not all
     have their row's degree, so the result needs no check off the grid.
     """
-    D = sum(M.row_degrees())
     if M.size == 0:
         return XPoly.monomial((0, 0, 0, 0))
-    rows = _IntegerRows(M)
+    return _grid_det(_IntegerRows(M))
+
+
+def _grid_det(rows):
+    """det M from the _IntegerRows of M, by the grid of det_interpolation."""
+    D = rows.degree
     values = {}
     for i in range(D + 1):
         for j in range(D + 1 - i):
@@ -577,8 +624,27 @@ def _draw(rng):
             return nd
 
 
+def _record(poly, phi, k, check_x3, vanishing_ok, **sampled):
+    """The VerificationRecord of poly with the given vanishing verdict, and
+    the checks that poly is homogeneous of total degree 2mn - k and that
+    x3^(2mn-k) has a nonzero coefficient (skipped when not check_x3)."""
+    expected = 2 * phi.mn - k
+    top = poly.total_degree()
+    degree_ok = poly.is_homogeneous() and top == expected
+    if check_x3:
+        x3_power = "ok" if poly.coeff((0, 0, 0, expected)) else "zero"
+    else:
+        x3_power = "skipped"
+    return VerificationRecord(vanishing_ok=vanishing_ok, degree=top,
+                              expected_degree=expected, degree_ok=degree_ok,
+                              x3_power=x3_power, **sampled)
+
+
 def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
-    """Check the three certificates of a claimed implicit equation.
+    """Check the three certificates of a claimed implicit equation by
+    sampling.  pipeline() does not call it: it stays because
+    perfbench/spans.py (`recompose`) times it, and the tests use it as a
+    cross-check of the exact certificate.
 
     (a) it vanishes exactly at `samples` seeded random parameter points that
         avoid the base locus, (b) it is homogeneous of total degree 2mn - k,
@@ -599,7 +665,6 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
     _at_least_one_sample(samples)
     rng = random.Random(seed)
     m, n = phi.m, phi.n
-    expected = 2 * phi.mn - k
     # one common factor for all four a_i only scales the image
     basis = monomial_basis((m, n))
     coeffs, den = clear([f.coeff(mono) for f in phi.a for mono in basis])
@@ -633,15 +698,8 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
         if sum(scale ** power * _horner_eval(part, image)
                for power, part in parts):
             failures.append(tuple(Fraction(a, b) for a, b in nd))
-    degree_ok = poly.is_homogeneous() and top == expected
-    if check_x3:
-        x3_power = "ok" if poly.coeff((0, 0, 0, expected)) else "zero"
-    else:
-        x3_power = "skipped"
-    return VerificationRecord(samples=samples, failures=failures,
-                              vanishing_ok=not failures, degree=top,
-                              expected_degree=expected, degree_ok=degree_ok,
-                              x3_power=x3_power)
+    return _record(poly, phi, k, check_x3, not failures, samples=samples,
+                   failures=failures)
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +713,9 @@ def pipeline(phi, config=None, report=None):
     polynomial whose verification failed, unless config.force is set.  When a
     coordinate change was needed, the returned polynomial describes the
     transformed parametrization and the change is reported alongside.
+
+    The grid and the vanishing certificate (_IntegerRows.follows) read one
+    _IntegerRows of M; nothing is sampled.
     """
     config = config or PipelineConfig()
     if report is None:
@@ -684,14 +745,14 @@ def pipeline(phi, config=None, report=None):
                                        phi_run.working_bidegree, fallback)
     M = assemble_M(echelon, quadric_rows, pivots, phi_run.working_bidegree)
 
-    raw = det_poly(M, config.det_backend)
+    rows = _IntegerRows(M)
+    raw = _grid_det(rows)
     if raw.is_zero():
         raise ConditionError("det M is identically zero; the construction "
                              "does not apply", report=report)
     poly = normalize(raw)
 
-    record = verify_polynomial(poly, phi_run, k, samples=config.samples,
-                               seed=config.verify_seed, check_x3=not fallback)
+    record = _record(poly, phi_run, k, not fallback, rows.follows(phi_run))
     result = ImplicitResult(polynomial=poly, degree=poly.total_degree(), k=k,
                             backend="interp", pivots=pivots,
                             projection_fallback=fallback,
@@ -701,8 +762,9 @@ def pipeline(phi, config=None, report=None):
                             phi=phi_run)
     if not record.ok and not config.force:
         raise VerificationError(
-            "verification failed: %d nonvanishing samples, degree %d vs %d, "
-            "x3 power %s" % (len(record.failures), record.degree,
+            "verification failed: the rows of M %s phi, degree %d vs %d, "
+            "x3 power %s" % ("follow" if record.vanishing_ok
+                             else "do not follow", record.degree,
                              record.expected_degree, record.x3_power),
             record=record)
     return result

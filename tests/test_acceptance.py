@@ -13,11 +13,11 @@ from fractions import Fraction
 
 import pytest
 
-from movsurf import (Parametrization, PipelineConfig, base_point_summary,
-                     check_all, check_regularity, hilbert_dim, kernel_basis,
+from movsurf import (Parametrization, base_point_summary, check_all,
+                     check_regularity, hilbert_dim, kernel_basis,
                      moving_planes, moving_quadrics, normalize, parse,
                      parse_xpoly, pipeline, rank, saturation_member,
-                     syz_dim_abc)
+                     syz_dim_abc, verify_polynomial)
 from movsurf.cli import main
 from movsurf.syzygy import plane_map_matrix, quadric_map_matrix
 
@@ -126,11 +126,13 @@ def test_criterion_5_no_base_point_path(segre):
 
         instances = base_point_free_parametrizations(10, 2, 2, start_seed=100)
         for seed, phi in instances:
-            r = pipeline(phi, PipelineConfig(samples=100))
+            r = pipeline(phi)
             assert r.k == 0
             assert r.degree == 8 == 2 * phi.mn
+            # the certificate, and 100 samples as a cross-check
             assert r.verification.vanishing_ok
-            assert not r.verification.failures
+            assert verify_polynomial(r.polynomial, r.phi, r.k, samples=100,
+                                     check_x3=not r.projection_fallback).ok
     _report(5, "Segre gives x0*x3 - x1*x2 (certified by 1-dimensional "
                "interpolation kernel); 10 seeded base-point-free (2,2) "
                "instances all give verified degree-8 equations")
@@ -164,7 +166,7 @@ def test_criterion_6_property_suites(quartic_bp, segre):
         oracle_matches = 0
         for phi in det_instances:
             try:
-                res = pipeline(phi, PipelineConfig(samples=5))
+                res = pipeline(phi)
             except Exception:
                 continue
             M = assembled_M(res.phi)
@@ -192,9 +194,10 @@ def test_criterion_6_property_suites(quartic_bp, segre):
         vanish_instances = [quartic_bp, segre] + \
             [phi for _, phi in base_point_free_parametrizations(3, 2, 2, 900)]
         for phi in vanish_instances:
-            res = pipeline(phi, PipelineConfig(samples=100))
+            res = pipeline(phi)
             assert res.verification.vanishing_ok
-            assert res.verification.failures == []
+            assert verify_polynomial(res.polynomial, res.phi, res.k,
+                                     samples=100).failures == []
     _report(6, "syzygy identities + rank-nullity on 50 instances, "
                "determinant equal to the cofactor oracle on %d instances, "
                "RREF properties on 30 matrices, exact vanishing with 100 "

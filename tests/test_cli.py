@@ -185,7 +185,9 @@ def test_verify_command(tmp_path):
     code, report = run_json(tmp_path, "verify", QUARTIC_JOB)
     assert code == 0
     assert report["verification"]["vanishing_ok"] is True
-    assert report["verification"]["failures"] == []
+    # the certificate draws no samples, so none are reported
+    assert "samples" not in report["verification"]
+    assert "failures" not in report["verification"]
 
 
 def test_hilbert_quartic(tmp_path):
@@ -357,7 +359,6 @@ def test_bad_window_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, name", [
-    ("--samples", "0", "samples"), ("--samples", "-4", "samples"),
     ("--sat-bound", "-1", "sat-bound")])
 def test_out_of_range_option_exits_2(tmp_path, capsys, flag, value, name):
     inp = write_job(tmp_path, QUARTIC_JOB)
@@ -366,25 +367,30 @@ def test_out_of_range_option_exits_2(tmp_path, capsys, flag, value, name):
     assert "input error" in err and name in err
 
 
-@pytest.mark.parametrize("var, value", [("MOVSURF_SAMPLES", "0")])
-def test_out_of_range_environment_default_exits_2(tmp_path, capsys,
-                                                  monkeypatch, var, value):
-    monkeypatch.setenv(var, value)
+@pytest.mark.parametrize("command", ["check", "implicitize", "verify",
+                                     "hilbert"])
+def test_samples_is_a_usage_error_on_every_subcommand(tmp_path, capsys,
+                                                      monkeypatch, command):
+    # verification is a certificate and draws no samples: the flag is gone,
+    # and its old preset is ignored whatever its value
     inp = write_job(tmp_path, QUARTIC_JOB)
-    assert main(["verify", "--input", inp]) == 2
-    assert var in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", inp, "--samples", "3"])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+    for value in ("0", "x"):
+        monkeypatch.setenv("MOVSURF_SAMPLES", value)
+        assert main([command, "--input", inp]) == 0
 
 
-@pytest.mark.parametrize("var", ["MOVSURF_SEED", "MOVSURF_SAMPLES",
-                                 "MOVSURF_WINDOW", "MOVSURF_SAT_BOUND"])
+@pytest.mark.parametrize("var", ["MOVSURF_SEED", "MOVSURF_WINDOW",
+                                 "MOVSURF_SAT_BOUND"])
 def test_non_integer_environment_value_exits_2(tmp_path, capsys, monkeypatch,
                                                var):
     monkeypatch.setenv(var, "x")
     inp = write_job(tmp_path, SEGRE_JOB)
-    # each case runs under a command that reads the variable
-    command = "verify" if var == "MOVSURF_SAMPLES" else "check"
     with pytest.raises(SystemExit) as exc:
-        main([command, "--input", inp])
+        main(["check", "--input", inp])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "invalid int value: 'x'" in err
@@ -472,22 +478,22 @@ def test_condition_failure_implicitize_exits_1(tmp_path, capsys):
 
 
 def test_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("MOVSURF_SAMPLES", "7")
+    monkeypatch.setenv("MOVSURF_SEED", "7")
     inp = write_job(tmp_path, QUARTIC_JOB)
     out = tmp_path / "env.json"
     code = main(["implicitize", "--input", inp, "--json",
                  "--output", str(out)])
     assert code == 0
-    assert json.loads(out.read_text())["verification"]["samples"] == 7
+    assert json.loads(out.read_text())["seed"] == 7
 
 
 def test_flag_beats_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("MOVSURF_SAMPLES", "7")
+    monkeypatch.setenv("MOVSURF_SEED", "7")
     inp = write_job(tmp_path, QUARTIC_JOB)
     out = tmp_path / "env.json"
-    main(["implicitize", "--input", inp, "--json", "--samples", "11",
+    main(["implicitize", "--input", inp, "--json", "--seed", "11",
           "--output", str(out)])
-    assert json.loads(out.read_text())["verification"]["samples"] == 11
+    assert json.loads(out.read_text())["seed"] == 11
 
 
 def test_output_preset_writes_the_report_to_its_file(tmp_path, monkeypatch,

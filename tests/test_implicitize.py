@@ -13,16 +13,17 @@ from movsurf import (BihomPoly, ConditionError, MMatrix, Parametrization,
                      moving_planes, moving_quadrics, normalize, parse,
                      parse_xpoly, pipeline, quadric_basis_via_projection,
                      VerificationError, verify_polynomial)
+from movsurf import linalg
 from movsurf.basepoints import CheckConfig
 from movsurf.implicitize import (_IntegerRows, _horner, _horner_eval,
                                  det_interpolation, select_quadric_rows)
-from movsurf.syzygy import x_monomial
+from movsurf.syzygy import X_MONOMIALS, x_monomial
 
 import oracle
-from conftest import (QUARTIC_BP_STRINGS, assembled_M, job_phi, load_golden,
-                      nonzero_blocks, perfbench_jobs, random_parametrization,
-                      row_surface, substitute, surface_row, two_base_points,
-                      x_multiple)
+from conftest import (QUARTIC_BP_STRINGS, assembled_M, counted_calls,
+                      job_phi, load_golden, nonzero_blocks, perfbench_jobs,
+                      random_parametrization, row_surface, substitute,
+                      surface_row, two_base_points, x_multiple)
 from oracle import (coeff_vector, compose_linear, det_cofactor, rref,
                     verification_by_fractions)
 
@@ -426,7 +427,7 @@ def test_dependent_quadric_rows_give_a_zero_determinant(quartic_bp,
 
     monkeypatch.setattr(implicitize, "select_quadric_rows", dependent_rows)
     with pytest.raises(ConditionError, match="identically zero"):
-        pipeline(quartic_bp, PipelineConfig(samples=5))
+        pipeline(quartic_bp)
 
 
 def test_det_poly_runs_the_grid_at_sizes_one_and_two(segre, monkeypatch):
@@ -613,7 +614,6 @@ def _benchmark_results(workload, seed):
         if job["expect"]["outcome"] != "implicit":
             continue
         config = PipelineConfig(check=CheckConfig(seed=job["seed"]),
-                                verify_seed=job["seed"],
                                 assert_one_to_one=job["assert_one_to_one"])
         yield job, pipeline(job_phi(job), config)
 
@@ -714,7 +714,7 @@ def test_pipeline_deterministic_across_backends(quartic_bp):
 def test_pipeline_random_base_point_free_22():
     rng = random.Random(7)
     phi = random_parametrization(rng, 2, 2)
-    res = pipeline(phi, PipelineConfig(samples=50))
+    res = pipeline(phi)
     assert res.k == 0
     assert res.degree == 8 == 2 * phi.mn
     assert res.verification.ok
@@ -733,7 +733,7 @@ def test_pipeline_forced_run_on_degenerate_input(quartic_bp):
     # x0 = x3 and the determinant is that plane to the mn-th power
     a0, a1, a2, _ = quartic_bp.a
     phi = Parametrization(2, 2, (a0, a1, a2, a0))
-    res = pipeline(phi, PipelineConfig(force=True, samples=20))
+    res = pipeline(phi, PipelineConfig(force=True))
     assert res.k == 4
     assert res.polynomial == parse_xpoly(
         "x0^4 - 4*x0^3*x3 + 6*x0^2*x3^2 - 4*x0*x3^3 + x3^4")
@@ -763,7 +763,7 @@ def test_pipeline_two_base_points_mixed_rows():
     for f in phi.a:
         assert f.evaluate((0, 1, 0, 1)) == 0
         assert f.evaluate((1, 0, 1, 0)) == 0
-    res = pipeline(phi, PipelineConfig(samples=60))
+    res = pipeline(phi)
     assert res.k == 2
     assert res.degree == 6 == 2 * phi.mn - res.k
     assert len(res.pivots) == 2
@@ -777,7 +777,7 @@ def test_pipeline_degenerate_k_equals_mn():
     # base points: k = mn = 2, so M consists entirely of linear rows
     a = (parse("s*t^2"), parse("s*t*v"), parse("u*t*v"), parse("u*v^2"))
     phi = Parametrization(1, 2, a)
-    res = pipeline(phi, PipelineConfig(samples=30))
+    res = pipeline(phi)
     assert res.k == 2 == phi.mn
     assert res.degree == 2 * phi.mn - res.k == 2
     assert res.verification.ok
@@ -796,4 +796,117 @@ def test_pipeline_runs_without_fraction_gauss_jordan(quartic_bp, monkeypatch):
 
     monkeypatch.setattr(oracle, "_eliminate", refuse)
     for phi in (quartic_bp, two_base_points()):
-        assert pipeline(phi, PipelineConfig(samples=30)).verification.ok
+        assert pipeline(phi).verification.ok
+
+
+# --- the vanishing certificate -----------------------------------------------------
+
+def _perturb_a_reduced_row(monkeypatch):
+    # add 1 to the first LLL-reduced row of each group at a column off the
+    # saturation's pivots, where the ratio of det M to the reduced
+    # determinant is read
+    pivots = []
+
+    def saturation(rows, ncols):
+        sat = linalg.saturation(rows, ncols)
+        pivots.append(set(sat.pivots))
+        return sat
+
+    def lll(rows):
+        out = linalg.lll(rows)
+        if out:
+            out[0][min(set(range(len(out[0]))) - pivots[-1])] += 1
+        return out
+
+    monkeypatch.setattr(implicitize, "saturation", saturation)
+    monkeypatch.setattr(implicitize, "lll", lll)
+
+
+def _reverse_x_blocks(monkeypatch):
+    def reversed_blocks(*args):
+        M = assemble_M(*args)
+        entries = []
+        for row, degree in zip(M.entries, M.row_degrees()):
+            blocks = X_MONOMIALS[degree]
+            entries.append([XPoly({blocks[-1 - blocks.index(m)]: c
+                                   for m, c in e.terms.items()})
+                            for e in row])
+        return MMatrix(entries=entries, linear_rows=M.linear_rows,
+                       col_monomials=M.col_monomials)
+
+    monkeypatch.setattr(implicitize, "assemble_M", reversed_blocks)
+
+
+def _rotate_column_monomials(monkeypatch):
+    def rotated(*args):
+        M = assemble_M(*args)
+        return MMatrix(entries=M.entries, linear_rows=M.linear_rows,
+                       col_monomials=M.col_monomials[1:] + M.col_monomials[:1])
+
+    monkeypatch.setattr(implicitize, "assemble_M", rotated)
+
+
+def _check_against_another_phi(monkeypatch):
+    # phi with a0 and a1 swapped
+    follows = _IntegerRows.follows
+
+    def swapped(self, phi):
+        a0, a1, a2, a3 = phi.a
+        return follows(self, Parametrization(phi.m, phi.n, (a1, a0, a2, a3)))
+
+    monkeypatch.setattr(_IntegerRows, "follows", swapped)
+
+
+MUTATIONS = [_perturb_a_reduced_row, _reverse_x_blocks,
+             _rotate_column_monomials, _check_against_another_phi]
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS,
+                         ids=[f.__name__[1:] for f in MUTATIONS])
+@pytest.mark.parametrize("which", ["quartic", "two_base_points",
+                                   "generic_22"])
+def test_certificate_fails_under_a_mutation(quartic_bp, monkeypatch, which,
+                                            mutate):
+    # k = 1 and k = 2 have both row groups, k = 0 only quadric rows
+    phi = {"quartic": quartic_bp, "two_base_points": two_base_points(),
+           "generic_22": random_parametrization(random.Random(7), 2, 2)
+           }[which]
+    mutate(monkeypatch)
+    with pytest.raises(VerificationError) as info:
+        pipeline(phi)
+    assert not info.value.record.vanishing_ok
+    assert "do not follow phi" in str(info.value)
+    res = pipeline(phi, PipelineConfig(force=True))
+    assert not res.verification.vanishing_ok
+    assert not res.verification.ok
+
+
+def test_pipeline_certifies_without_sampling(quartic_bp, monkeypatch):
+    calls = counted_calls(monkeypatch, ["verify_polynomial", "_horner_eval",
+                                        "_IntegerRows"], module=implicitize)
+    assert pipeline(quartic_bp).verification.ok
+    assert {name: len(args) for name, args in calls.items()} == {
+        "verify_polynomial": 0, "_horner_eval": 0, "_IntegerRows": 1}
+
+
+@pytest.mark.parametrize("which, golden", [
+    ("quartic", "quartic_base_point_implicit.txt"),
+    ("segre", "segre_implicit.txt")])
+def test_certificate_and_sampling_agree_on_the_goldens(quartic_bp, segre,
+                                                       which, golden):
+    phi = quartic_bp if which == "quartic" else segre
+    res = pipeline(phi)
+    assert res.polynomial == parse_xpoly(load_golden(golden))
+    assert res.verification.vanishing_ok and res.verification.ok
+    assert verify_polynomial(res.polynomial, res.phi, res.k,
+                             check_x3=not res.projection_fallback).ok
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("workload", ["generic", "basepoints"])
+def test_certificate_and_sampling_agree_on_the_benchmark(workload, seed):
+    for job, res in _benchmark_results(workload, seed):
+        assert res.verification.vanishing_ok, job["name"]
+        assert verify_polynomial(res.polynomial, res.phi, res.k, 100,
+                                 job["seed"],
+                                 not res.projection_fallback).ok, job["name"]
