@@ -359,10 +359,21 @@ def test_bad_window_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, name", [
+    ("--samples", "0", "samples"), ("--samples", "-4", "samples"),
     ("--sat-bound", "-1", "sat-bound")])
 def test_out_of_range_option_exits_2(tmp_path, capsys, flag, value, name):
     inp = write_job(tmp_path, QUARTIC_JOB)
-    assert main(["verify", "--input", inp, flag, value]) == 2
+    argv = ["verify", "--input", inp, flag, value]
+    if flag == "--samples":
+        # verification draws no samples, so the option is gone and argparse
+        # rejects every value of it, in range or not, as a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: %s %s" % (flag, value) in err
+        return
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert "input error" in err and name in err
 
