@@ -36,7 +36,7 @@ rational span), which makes the coefficients small; this multiplies det M by
 a known rational factor.  At every size of M, det of the reduced rows is
 evaluated on an integer grid by fraction-free Bareiss elimination,
 interpolated with integer differences and integer Newton weights, and
-scaled once at the end, so det_interpolation returns det M exactly; it is
+scaled once at the end, so det_poly returns det M exactly; it is
 the package's one determinant.  Along each grid line the entries advance by
 integer differences, so each is expanded once per line, not per point.
 Verification is a certificate on the same reduced rows: each is laid out
@@ -472,33 +472,8 @@ def _sweep(values, D, transform):
                     values[key] = v
 
 
-def det_interpolation(M):
-    """Evaluate det M on a triangular integer grid and interpolate, over Z.
-
-    det M is homogeneous of degree D = (number of linear rows) + 2*(number of
-    quadratic rows), so its dehomogenization at x3 = 1 has total degree <= D
-    in (x0, x1, x2) and is pinned down by its values on the principal lattice
-    {(i, j, l) : i + j + l <= D}.
-
-    The grid runs on the reduced integer rows of _IntegerRows, and every
-    grid value is an integer Bareiss determinant of them.  Forward
-    differences along each axis in turn give a! b! c! times the coefficients
-    in the tensor Newton basis; coefficients of combined order above D vanish
-    for a polynomial of total degree <= D, which is exactly why the
-    triangular data suffices.  Expanding with the integer weights
-    D!/a! * prod_{p<a}(y - p) keeps everything in Z, and a single
-    multiplication by the rows' ratio over (D!)^3 at the end returns det M
-    exactly.  The degree bound is certified, not assumed: _IntegerRows
-    raises ArithmeticError before the grid when an entry's terms do not all
-    have their row's degree, so the result needs no check off the grid.
-    """
-    if M.size == 0:
-        return XPoly.monomial((0, 0, 0, 0))
-    return _grid_det(_IntegerRows(M))
-
-
 def _grid_det(rows):
-    """det M from the _IntegerRows of M, by the grid of det_interpolation."""
+    """det M from the _IntegerRows of M, by the grid of det_poly."""
     D = rows.degree
     values = {}
     for i in range(D + 1):
@@ -524,8 +499,26 @@ def _grid_det(rows):
 
 
 def det_poly(M, backend="auto"):
-    """Exact determinant of an MMatrix as an XPoly: det_interpolation at
-    every size.
+    """Exact determinant of an MMatrix as an XPoly, by evaluating det M on a
+    triangular integer grid and interpolating, over Z, at every size.
+
+    det M is homogeneous of degree D = (number of linear rows) + 2*(number of
+    quadratic rows), so its dehomogenization at x3 = 1 has total degree <= D
+    in (x0, x1, x2) and is pinned down by its values on the principal lattice
+    {(i, j, l) : i + j + l <= D}.
+
+    The grid runs on the reduced integer rows of _IntegerRows, and every
+    grid value is an integer Bareiss determinant of them.  Forward
+    differences along each axis in turn give a! b! c! times the coefficients
+    in the tensor Newton basis; coefficients of combined order above D vanish
+    for a polynomial of total degree <= D, which is exactly why the
+    triangular data suffices.  Expanding with the integer weights
+    D!/a! * prod_{p<a}(y - p) keeps everything in Z, and a single
+    multiplication by the rows' ratio over (D!)^3 at the end returns det M
+    exactly.  The degree bound is certified, not assumed: _IntegerRows
+    raises ArithmeticError before the grid when an entry's terms do not all
+    have their row's degree, so the result needs no check off the grid.
+    The empty matrix has determinant 1.
 
     `backend` accepts only "auto" and raises ValueError otherwise.  It stays
     only for the benchmark's calls, and goes with PipelineConfig.det_backend
@@ -533,7 +526,9 @@ def det_poly(M, backend="auto"):
     and 3).
     """
     _auto_only(backend)
-    return det_interpolation(M)
+    if M.size == 0:
+        return XPoly.monomial((0, 0, 0, 0))
+    return _grid_det(_IntegerRows(M))
 
 
 # ---------------------------------------------------------------------------
@@ -551,60 +546,6 @@ def normalize(p):
     terms = p.sorted_terms()
     coeffs = content_normalize([c for _, c in terms])
     return XPoly({m: c for (m, _), c in zip(terms, coeffs)})
-
-
-def _horner(terms):
-    """An integer polynomial in four variables, given as (coefficient,
-    exponents) pairs, laid out for _horner_eval.
-
-    Returns (top, pairs, coeffs, index, levels).  top is the largest
-    exponent of the last two variables and pairs lists their distinct
-    exponent pairs (d, e).  The terms are grouped by the exponents (a, b)
-    of the first two variables: levels runs over a from its largest down to
-    0, and each level over b from its largest at that a down to 0, listing
-    where each group (a, b) ends in coeffs and index, which hold the
-    coefficient of each term and the position of its (d, e) in pairs.
-    """
-    pair_index = {}
-    groups = {}
-    for c, (a, b, d, e) in terms:
-        groups.setdefault(a, {}).setdefault(b, []).append(
-            (c, pair_index.setdefault((d, e), len(pair_index))))
-    coeffs, index, levels = [], [], []
-    for a in range(max(groups, default=-1), -1, -1):
-        level = groups.get(a, {})
-        ends = []
-        for b in range(max(level, default=-1), -1, -1):
-            for c, i in level.get(b, ()):
-                coeffs.append(c)
-                index.append(i)
-            ends.append(len(coeffs))
-        levels.append(ends)
-    top = max((max(pair) for pair in pair_index), default=0)
-    return top, list(pair_index), coeffs, index, levels
-
-
-def _horner_eval(poly, point):
-    """Value of a polynomial laid out by _horner at an integer point, by
-    Horner's rule in x0 over the levels and in x1 within each.  Each group
-    is a sum of c*x2^d*x3^e, read from one table of the distinct x2^d*x3^e
-    products."""
-    top, pairs, coeffs, index, levels = poly
-    x0, x1, x2, x3 = point
-    p2, p3 = [1], [1]
-    for _ in range(top):
-        p2.append(p2[-1] * x2)
-        p3.append(p3[-1] * x3)
-    w = [p2[d] * p3[e] for d, e in pairs]
-    terms = list(map(mul, coeffs, map(w.__getitem__, index)))
-    value = start = 0
-    for ends in levels:
-        inner = 0
-        for end in ends:
-            inner = inner * x1 + sum(terms[start:end])
-            start = end
-        value = value * x0 + inner
-    return value
 
 
 def _at_least_one_sample(samples):
@@ -657,10 +598,10 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
     integer den, and their images are four dot products with one table of
     the (m+1)(n+1) parameter monomials at that point, so phi(pt) is scaled
     by c = den*(d0*d1)^m*(d2*d3)^n.  The polynomial's own denominators are
-    cleared once, and its homogeneous part of degree d, evaluated by
-    Horner's rule, is weighted by c^(top - d), so the integer value is zero
-    exactly when poly(phi(pt)) is.  `failures` lists the rational points
-    (n0/d0, n1/d1, n2/d2, n3/d3).
+    cleared once.  Each term is summed directly from tables of the powers
+    of the four image coordinates and of c, a term of degree d weighted by
+    c^(top - d), so the integer value is zero exactly when poly(phi(pt))
+    is.  `failures` lists the rational points (n0/d0, n1/d1, n2/d2, n3/d3).
     """
     _at_least_one_sample(samples)
     rng = random.Random(seed)
@@ -671,11 +612,9 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
     width = len(basis)
     forms = [coeffs[i:i + width] for i in range(0, 4 * width, width)]
     top = poly.total_degree()
-    parts = {}
     ints, _ = clear(list(poly.terms.values()))
-    for c, mono in zip(ints, poly.terms):
-        parts.setdefault(sum(mono), []).append((c, mono))
-    parts = [(top - d, _horner(part)) for d, part in parts.items()]
+    terms = [(c, a, b, d, e, top - a - b - d - e)
+             for c, (a, b, d, e) in zip(ints, poly.terms)]
     failures = []
     drawn = 0
     attempts = 0
@@ -695,8 +634,10 @@ def verify_polynomial(poly, phi, k, samples=100, seed=0, check_x3=True):
             continue  # base point
         drawn += 1
         scale = den * (d0 * d1) ** m * (d2 * d3) ** n
-        if sum(scale ** power * _horner_eval(part, image)
-               for power, part in parts):
+        p0, p1, p2, p3, ps = ([x ** i for i in range(top + 1)]
+                              for x in (*image, scale))
+        if sum(c * p0[a] * p1[b] * p2[d] * p3[e] * ps[w]
+               for c, a, b, d, e, w in terms):
             failures.append(tuple(Fraction(a, b) for a, b in nd))
     return _record(poly, phi, k, check_x3, not failures, samples=samples,
                    failures=failures)

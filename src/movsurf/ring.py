@@ -11,6 +11,9 @@ arithmetic never mixes them.  One term order, graded lex on the exponent
 tuples, sorts both (s > u > t > v, x0 > x1 > x2 > x3).  `clear` is the
 one routine that scales ints and Fractions to integers by the lcm of their
 denominators, and `primitive` the one that also divides out their gcd.
+The product of two polynomials is the package's one product of forms: it
+clears both factors by one common denominator, multiplies on ints and
+divides once at the end.
 Everything here is an immutable value; all operations are pure and exact.
 """
 
@@ -147,16 +150,21 @@ class _Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._same_ring(other, "multiply")
+        ints, den = clear([*self.terms.values(), *other.terms.values()])
+        left = list(zip(self.terms, ints))
+        right = list(zip(other.terms, ints[len(left):]))
         terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                c = terms.get(m, 0) + c1 * c2
+        for (a1, b1, c1, d1), x in left:
+            for (a2, b2, c2, d2), y in right:
+                m = (a1 + a2, b1 + b2, c1 + c2, d1 + d2)
+                c = terms.get(m, 0) + x * y
                 if c:
                     terms[m] = c
                 else:
                     del terms[m]
-        return type(self)(*self._product_grading(other), terms)
+        square = den * den
+        return type(self)(*self._product_grading(other),
+                          {m: Fraction(c, square) for m, c in terms.items()})
 
     __rmul__ = __mul__
 

@@ -4,8 +4,11 @@ rref and solve_membership eliminate over the rationals with immediate pivot
 normalization, the textbook way, independently of the integer echelon and
 the certified rank of movsurf.linalg.  modular_basis is the row-by-row
 reduced echelon form modulo a prime on plain lists, the reference for the
-packed linalg._modular_basis.  det_cofactor is memoized minor expansion of
-an MMatrix over XPoly, the reference for the interpolated determinant.
+packed linalg._modular_basis.  product_by_fractions multiplies two
+polynomials term by term on their Fraction coefficients, the reference for
+the integer product of ring.  det_cofactor is memoized minor expansion of
+an MMatrix over XPoly with that product, the reference for the
+interpolated determinant.
 saturation_by_ranks is the saturation search by two certified ranks per
 power, the reference for the search that walks the inverse system.
 half_step_by_dots lifts every half-step kernel vector by dot products, the
@@ -170,6 +173,22 @@ def saturation_by_ranks(f, generators, max_power):
     return SaturationResult(member=False, bound_reached=True)
 
 
+def product_by_fractions(f, g):
+    """f * g by Fraction arithmetic, term by term in the order of f's terms
+    and then g's, so the terms of the result come in the order of the
+    integer product's."""
+    terms = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+            c = terms.get(m, 0) + c1 * c2
+            if c:
+                terms[m] = c
+            else:
+                del terms[m]
+    return type(f)(*f._product_grading(g), terms)
+
+
 def det_cofactor(M):
     """Minor expansion along rows, memoized on (row, remaining columns)."""
     n = M.size
@@ -189,7 +208,7 @@ def det_cofactor(M):
             if e.is_zero():
                 continue
             sub = minor(r + 1, cols[:pos] + cols[pos + 1:])
-            term = e * sub
+            term = product_by_fractions(e, sub)
             acc = acc + (-term if pos % 2 else term)
         memo[key] = acc
         return acc

@@ -15,8 +15,7 @@ from movsurf import (BihomPoly, ConditionError, MMatrix, Parametrization,
                      VerificationError, verify_polynomial)
 from movsurf import linalg
 from movsurf.basepoints import CheckConfig
-from movsurf.implicitize import (_IntegerRows, _horner, _horner_eval,
-                                 det_interpolation, select_quadric_rows)
+from movsurf.implicitize import _IntegerRows, select_quadric_rows
 from movsurf.syzygy import X_MONOMIALS, x_monomial
 
 import oracle
@@ -311,7 +310,7 @@ def test_det_backends_agree_on_random_homogeneous_matrices():
                          for _ in range(n)])
         M = MMatrix(entries=rows, linear_rows=linear,
                     col_monomials=list(range(n)))
-        assert det_cofactor(M) == det_interpolation(M)
+        assert det_cofactor(M) == det_poly(M)
 
 
 def test_det_interpolation_through_row_swaps_and_zero_columns():
@@ -325,7 +324,7 @@ def test_det_interpolation_through_row_swaps_and_zero_columns():
     assert M.evaluate((0, 1, 1, 1))[0, 0] == 0
     assert M.evaluate((0, 1, 1, 1))[1, 0] != 0
     assert [row[1] for row in M.evaluate((1, 1, 0, 1)).entries] == [0, 0, 0]
-    det = det_interpolation(M)
+    det = det_poly(M)
     assert det == det_cofactor(M)
     assert not det.is_zero()
 
@@ -336,9 +335,9 @@ def test_det_interpolation_guard_catches_underdeclared_degrees():
     # declaring the quadratic rows linear makes D = 2 instead of 4
     M = MMatrix(entries=entries, linear_rows=2, col_monomials=[0, 1])
     with pytest.raises(ArithmeticError):
-        det_interpolation(M)
+        det_poly(M)
     honest = MMatrix(entries=entries, linear_rows=0, col_monomials=[0, 1])
-    assert det_interpolation(honest) == det_cofactor(honest)
+    assert det_poly(honest) == det_cofactor(honest)
 
 
 @pytest.mark.parametrize("rows, linear, declared, found", [
@@ -357,7 +356,7 @@ def test_degree_check_fails_before_the_grid(rows, linear, declared, found,
     with pytest.raises(ArithmeticError,
                        match="declared of degree %d has a term of degree %d"
                        % (declared, found)):
-        det_interpolation(M)
+        det_poly(M)
 
 
 @pytest.mark.parametrize("rows", [
@@ -373,14 +372,14 @@ def test_non_square_M_fails_before_the_grid(rows, monkeypatch):
                 linear_rows=len(rows), col_monomials=list(range(len(rows))))
     with pytest.raises(ValueError,
                        match="non-square %d x %d" % (len(rows), len(rows[0]))):
-        det_interpolation(M)
+        det_poly(M)
 
 
 @pytest.fixture(scope="module")
 def generic_33():
     """M of a seeded generic (3,3) input, and its interpolated determinant."""
     M = assembled_M(random_parametrization(random.Random(0), 3, 3))
-    return M, det_interpolation(M)
+    return M, det_poly(M)
 
 
 def test_det_interpolation_is_exact_at_3_3(generic_33):
@@ -418,7 +417,7 @@ def test_dependent_quadric_rows_give_a_zero_determinant(quartic_bp,
     entries[3] = [e.scale(Fraction(3, 2)) for e in entries[2]]
     dependent = MMatrix(entries=entries, linear_rows=1,
                         col_monomials=M.col_monomials)
-    assert det_interpolation(dependent).is_zero()
+    assert det_poly(dependent).is_zero()
     assert det_cofactor(dependent).is_zero()
 
     def dependent_rows(*args):
@@ -430,16 +429,22 @@ def test_dependent_quadric_rows_give_a_zero_determinant(quartic_bp,
         pipeline(quartic_bp)
 
 
+def test_det_poly_of_the_empty_matrix_is_one():
+    M = MMatrix(entries=[], linear_rows=0, col_monomials=[])
+    assert det_poly(M) == det_cofactor(M) == XPoly.monomial((0, 0, 0, 0))
+
+
 def test_det_poly_runs_the_grid_at_sizes_one_and_two(segre, monkeypatch):
     two_to_one = Parametrization(2, 1, tuple(parse(s) for s in (
         "s^2*t", "s^2*v", "u^2*t", "u^2*v")))
     calls = []
+    grid_det = implicitize._grid_det
 
-    def counted(M):
-        calls.append(M.size)
-        return det_interpolation(M)
+    def counted(rows):
+        calls.append(len(rows.rows))
+        return grid_det(rows)
 
-    monkeypatch.setattr(implicitize, "det_interpolation", counted)
+    monkeypatch.setattr(implicitize, "_grid_det", counted)
     for phi, size in ((segre, 1), (two_to_one, 2)):
         M = assembled_M(phi)
         assert M.size == size
@@ -547,6 +552,7 @@ RATIONAL_SEGRE = ["1/2*s*t", "2/3*s*v - u*t", "u*t", "3/5*u*v + s*t"]
 
 
 @pytest.mark.parametrize("polystr", [
+    "0",                                        # the zero polynomial
     "x0^7 + x1^7",                              # wrong, integer
     "2/3*x0*x3 - 5/7*x1*x2",                    # wrong, non-integer
     "x0 - 1",                                   # inhomogeneous
@@ -657,29 +663,6 @@ def test_verify_record_matches_fraction_reference_at_reducing_samples(
         assert record == verification_by_fractions(*args)
     if polystr == "x0*x2 - x2":
         assert 0 < len(record.failures) < samples
-
-
-EVAL_POINTS = [(0, 0, 0, 0), (0, 3, -2, 5), (-4, 0, 7, -1), (2, -3, 0, 0),
-               (-1, -1, -1, -1), (5, 7, -6, 3), (-3, 2, 4, -2)]
-
-
-def eval_polys():
-    rng = random.Random(6)
-    dense = XPoly({(a, b, d, e): rng.randint(-20, 20)
-                   for a in range(3) for b in range(3)
-                   for d in range(3) for e in range(3)})
-    return [XPoly.zero(), XPoly.monomial((0, 0, 0, 0), -7),
-            parse_xpoly("x2*x3^2 + x2*x3 - 2*x2 + x0*x2^2*x3 - 5*x1^3*x3^4"
-                        " + 3*x0^2*x1 - 4*x1*x3 + 6"),
-            dense]
-
-
-@pytest.mark.parametrize("index", range(4))
-def test_grouped_evaluation_matches_xpoly_evaluate(index):
-    poly = eval_polys()[index]
-    laid_out = _horner([(int(c), mono) for mono, c in poly.terms.items()])
-    for point in EVAL_POINTS:
-        assert _horner_eval(laid_out, point) == poly.evaluate(point)
 
 
 # --- the full pipeline -------------------------------------------------------------
@@ -882,11 +865,11 @@ def test_certificate_fails_under_a_mutation(quartic_bp, monkeypatch, which,
 
 
 def test_pipeline_certifies_without_sampling(quartic_bp, monkeypatch):
-    calls = counted_calls(monkeypatch, ["verify_polynomial", "_horner_eval",
-                                        "_IntegerRows"], module=implicitize)
+    calls = counted_calls(monkeypatch, ["verify_polynomial", "_IntegerRows"],
+                          module=implicitize)
     assert pipeline(quartic_bp).verification.ok
     assert {name: len(args) for name, args in calls.items()} == {
-        "verify_polynomial": 0, "_horner_eval": 0, "_IntegerRows": 1}
+        "verify_polynomial": 0, "_IntegerRows": 1}
 
 
 @pytest.mark.parametrize("which, golden", [

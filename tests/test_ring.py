@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from movsurf import (BihomPoly, MixedBidegreeError, ParseError, XPoly,
                      monomial_basis, parse, parse_xpoly)
@@ -10,7 +10,7 @@ from movsurf.ring import (SUV_VARS, X_VARS, clear, content_normalize,
                           primitive)
 
 from conftest import random_bihom
-from oracle import coeff_vector
+from oracle import coeff_vector, product_by_fractions
 
 
 # --- parsing ---------------------------------------------------------------
@@ -118,6 +118,31 @@ def test_mul_with_zero_keeps_summed_bidegree():
 
 def test_mul_simple_monomials():
     assert parse("s*t") * parse("u*v") == parse("s*u*t*v")
+
+
+COEFFS = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+RATIONAL_BIHOM = st.tuples(st.integers(0, 2), st.integers(0, 2)).flatmap(
+    lambda d: st.dictionaries(st.sampled_from(monomial_basis(d)), COEFFS,
+                              max_size=9).map(lambda t: BihomPoly(d, t)))
+# any exponents: XPoly factors need not be homogeneous
+RATIONAL_XPOLY = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 4), COEFFS,
+                                 max_size=8).map(XPoly)
+
+
+@given(st.one_of(st.tuples(RATIONAL_BIHOM, RATIONAL_BIHOM),
+                 st.tuples(RATIONAL_XPOLY, RATIONAL_XPOLY)))
+@example((BihomPoly.zero((1, 1)), parse("1/2*s*t - 2/3*u*v")))
+@example((parse("-3/4"), parse("1/2*s*t - 2/3*u*v")))
+@example((XPoly.monomial((0, 0, 0, 0), Fraction(-5, 6)),
+          parse_xpoly("1/2*x0*x3 - x1 + 2/7")))
+@example((parse_xpoly("x0 - 1/3"), XPoly.zero()))
+def test_mul_matches_the_fraction_reference(factors):
+    # the integer product: the same polynomial, terms in the same order, as
+    # the term-by-term product on Fractions
+    f, g = factors
+    got, expected = f * g, product_by_fractions(f, g)
+    assert got == expected
+    assert list(got.terms) == list(expected.terms)
 
 
 @given(bihom_strategy(), bihom_strategy(),

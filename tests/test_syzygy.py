@@ -17,7 +17,8 @@ from movsurf.syzygy import (multiple_rows, plane_map_matrix,
 from conftest import (QUARTIC_BP_STRINGS, counted_calls, job_phi,
                       perfbench_jobs, random_bihom, random_parametrization,
                       row_surface, substitute)
-from oracle import identity, multiple_rows_by_index, rref
+from oracle import (identity, multiple_rows_by_index, product_by_fractions,
+                    rref)
 
 
 def test_parametrization_validates_inputs():
@@ -260,7 +261,7 @@ INPUT_DIR = Path(__file__).resolve().parents[1] / "scripts" / "inputs"
 
 def test_products_equal_the_fraction_products():
     # computed on the integer multiples of the forms; the same polynomials,
-    # terms in the same order, as a_i * a_j on Fractions
+    # terms in the same order, as the Fraction products of the reference
     jobs = perfbench_jobs()
     phis = [load_jobspec(str(path)).phi
             for path in sorted(INPUT_DIR.glob("*.json"))]
@@ -269,7 +270,8 @@ def test_products_equal_the_fraction_products():
     phis.append(Parametrization(1, 1, tuple(parse(s) for s in [
         "1/2*s*t", "2/3*s*v - u*t", "u*t", "3/5*u*v + s*t"])))
     for phi in phis:
-        expected = [phi.a[i] * phi.a[j] for i in range(4) for j in range(i, 4)]
+        expected = [product_by_fractions(phi.a[i], phi.a[j])
+                    for i in range(4) for j in range(i, 4)]
         products = phi.products()
         assert products == expected
         assert [list(f.terms) for f in products] == \
