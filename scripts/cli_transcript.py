@@ -14,8 +14,13 @@ command-line behaviour of two trees byte for byte:
 
 The list covers the invocations of tests/test_cli.py and
 tests/test_cli_json.py, the help of every subcommand, a bad and an
-out-of-range value of every option from its flag and from its preset, and
-every preset on a subcommand that lacks its flag.
+out-of-range value of every option from its flag and from its preset,
+every preset on a subcommand that lacks its flag, and the removed verify
+subcommand.
+
+No invocation may end in a traceback, since the exit codes of the README
+are 0, 1, 2 and 141 only; so a transcript that holds "Traceback" shows a
+fault.
 """
 
 import json
@@ -28,7 +33,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-COMMANDS = ("check", "implicitize", "verify", "hilbert")
+COMMANDS = ("check", "implicitize", "hilbert")
 QUARTIC = {"m": 2, "n": 2, "seed": 0, "assert_one_to_one": True,
            "a": ["u^2*t*v + s^2*t*v", "u^2*t^2 + s*u*v^2",
                  "s^2*v^2 + s^2*t^2", "s^2*t*v"]}
@@ -45,6 +50,9 @@ JOBS = {
     "bad_poly.json": dict(QUARTIC, a=["s*t + + u*v", "s*t", "s*v", "u*v"]),
     "three.json": {"m": 1, "n": 1, "a": ["s*t", "s*v", "u*t"]},
     "unknown.json": dict(SEGRE, assert_one_to_on=False),
+    # not UTF-8, and nested past the parser's recursion limit
+    "not_utf8.json": b"\xff\xfe{",
+    "deep.json": b"[" * 200000 + b"]" * 200000,
 }
 # a job field of the wrong JSON type
 BAD_FIELDS = (("m", 1.7), ("m", True), ("n", "2"), ("seed", "abc"),
@@ -85,11 +93,13 @@ def invocations():
     for bad in ("x", "3", "2:1", "-1:2"):
         runs.append(({}, ["hilbert", "--input", "segre.json", "--d1", bad]))
     # input errors
-    for job in ["bad_poly.json", "three.json", "unknown.json", "nope.json"] \
+    for job in ["bad_poly.json", "three.json", "unknown.json", "nope.json",
+                "not_utf8.json", "deep.json"] \
             + ["field%d.json" % i for i in range(len(BAD_FIELDS))]:
         for command in COMMANDS:
             runs.append(({}, [command, "--input", job]))
     runs.append(({}, ["check"]))
+    runs.append(({}, ["verify", "--input", "segre.json"]))
     runs.append(({}, ["implicitize", "--input", "segre.json",
                       "--det-backend", "both"]))
     runs.append(({"MOVSURF_DET_BACKEND": "lu"},
@@ -144,8 +154,8 @@ def invocations():
     runs += [({}, ["check", "--input", "segre.json", "--window", "1",
                    "--sat-bound", "-1"]),
              ({"MOVSURF_SEED": "x"}, ["check"]),
-             ({"MOVSURF_SAMPLES": "x"}, ["verify", "--input", "segre.json",
-                                         "--window", "1"]),
+             ({"MOVSURF_SAMPLES": "x"}, ["implicitize", "--input",
+                                         "segre.json", "--window", "1"]),
              ({"MOVSURF_OUTPUT": "missing/out.json"},
               ["check", "--input", "segre.json", "--window", "1"])]
     return runs
@@ -171,7 +181,10 @@ def setup(work):
     """The job files, the bundled inputs, and a file a report must not
     touch."""
     for name, payload in JOBS.items():
-        (work / name).write_text(json.dumps(payload))
+        if isinstance(payload, bytes):
+            (work / name).write_bytes(payload)
+        else:
+            (work / name).write_text(json.dumps(payload))
     (work / "inputs").mkdir()
     for name in BUNDLED:
         shutil.copy(ROOT / "scripts" / "inputs" / name, work / "inputs")

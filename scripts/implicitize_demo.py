@@ -44,8 +44,9 @@ def main():
         print("  degree %d = 2*%d - %d, %d terms, verified: %s  (%.2fs)"
               % (result.degree, phi.mn, result.k,
                  len(result.polynomial.terms), result.verification.ok, elapsed))
-        if result.coordinate_change is not None:
-            print("  coordinate change applied (seed %d)" % result.coordinate_seed)
+        if result.report.coordinate_change is not None:
+            print("  coordinate change applied (seed %d)"
+                  % result.report.coordinate_seed)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,9 @@
 """Batch command line interface.
 
-Four subcommands operate on a JSON job file:
+Three subcommands operate on a JSON job file:
 
     movsurf check        --input job.json     condition battery only
-    movsurf implicitize  --input job.json     full pipeline, prints |M|
-    movsurf verify       --input job.json     pipeline + verification record
+    movsurf implicitize  --input job.json     full pipeline, |M| verified
     movsurf hilbert      --input job.json     quotient-dimension table
 
 Job file schema: {"m": int, "n": int, "a": [4 polynomial strings],
@@ -16,23 +15,23 @@ JSON list of strings.
 --input names the job file.  The other options are the rows of OPTIONS:
 each row gives a flag, the subcommands that have it, its type, its
 default, its lowest value and its help.  --json and --output are on every
-subcommand, --seed, --sat-bound and --window on check, implicitize and
-verify, and --force on implicitize and verify; a flag the subcommand does
-not have is a usage error.  Each option can be preset by MOVSURF_ and its
-name in capitals (MOVSURF_SAT_BOUND for --sat-bound), which a subcommand
-reads only when it has the flag and the flag is absent.
+subcommand, --seed, --sat-bound and --window on check and implicitize,
+and --force on implicitize; a flag the subcommand does not have is a usage
+error.  Each option can be preset by MOVSURF_ and its name in capitals
+(MOVSURF_SAT_BOUND for --sat-bound), which a subcommand reads only when it
+has the flag and the flag is absent.
 The presets of the switches --json and --force take 1/true/yes/on or
 0/false/no/off or empty, in any case.  --input and hilbert's --d1, --d2
 and --squared have no preset.
 
 Exit codes: 0 success, 1 condition or verification failure, 2 input error
-(an unreadable or malformed job file, an option value that is not a number,
-or for a switch's preset not one of those booleans, or that is below its
-lowest, from a flag or from a preset, with a bad preset named by its
-variable, or an --output file that cannot be written), 141 (128 +
-SIGPIPE) when standard output closes before the report is written, with no
-traceback.  Any other exception is an internal error and propagates with
-its traceback.
+(an unreadable, undecodable or malformed job file, an option value that
+is not a number, or for a switch's preset not one of those booleans, or
+that is below its lowest, from a flag or from a preset, with a bad preset
+named by its variable, or an --output file that cannot be written), 141
+(128 + SIGPIPE) when standard output closes before the report is written,
+with no traceback.  Any other exception is an internal error and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -60,10 +59,8 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_PIPE = 141
 
-# the subcommands, those that run the condition battery, and those that
-# also run the pipeline
-BATTERY_COMMANDS = ("check", "implicitize", "verify")
-PIPELINE_COMMANDS = ("implicitize", "verify")
+# the subcommands, and those that run the condition battery
+BATTERY_COMMANDS = ("check", "implicitize")
 ALL_COMMANDS = BATTERY_COMMANDS + ("hilbert",)
 
 
@@ -73,8 +70,6 @@ class InputError(Exception):
 
 @dataclass
 class JobSpec:
-    m: int
-    n: int
     a: list
     phi: Parametrization
     seed: int
@@ -104,7 +99,7 @@ OPTIONS = (
      "saturation search bound (default 2*max(m,n)+2)"),
     ("--window", BATTERY_COMMANDS, int, CheckConfig.window, 2,
      "diagonal sampling window for stabilization"),
-    ("--force", PIPELINE_COMMANDS, boolean, False, None,
+    ("--force", ("implicitize",), boolean, False, None,
      "emit results even when checks fail"),
     ("--output", ALL_COMMANDS, str, None, None,
      "write the report to a file instead of stdout"),
@@ -122,7 +117,6 @@ def build_parser():
     for name, help_text in zip(ALL_COMMANDS, (
             "run the base-point condition battery",
             "compute the implicit equation",
-            "compute and verify the implicit equation",
             "tabulate quotient dimensions over a bidegree rectangle")):
         p = sub.add_parser(name, help=help_text)
         # a bad preset is a usage error of the subcommand
@@ -215,11 +209,12 @@ def _field(data, name, kind, fallback=None):
 
 def load_jobspec(path, seed_override=None):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # not UTF-8, not JSON, or nested past the parser's recursion limit
         raise InputError("invalid JSON in %s: %s" % (path, exc))
     if not isinstance(data, dict):
         raise InputError("job file must hold a JSON object")
@@ -251,7 +246,7 @@ def load_jobspec(path, seed_override=None):
         raise InputError(str(exc))
     if seed_override is not None:
         seed = seed_override
-    return JobSpec(m=m, n=n, a=strings, phi=phi, seed=seed,
+    return JobSpec(a=strings, phi=phi, seed=seed,
                    assert_one_to_one=one_to_one)
 
 
@@ -350,9 +345,7 @@ def cmd_check(spec, args):
             _human_conditions(report))
 
 
-def _run_pipeline(spec, args):
-    """The pipeline's result, its time, and the --json body of both
-    pipeline commands."""
+def cmd_implicitize(spec, args):
     result, elapsed = _timed(pipeline, spec.phi, _pipeline_config(spec, args))
     record = result.verification
     body = dict(_battery_body(result.report), implicit={
@@ -360,7 +353,6 @@ def _run_pipeline(spec, args):
         "degree": result.degree,
         "k": result.k,
         "term_count": len(result.polynomial.terms),
-        "backend": result.backend,
         "projection_fallback": result.projection_fallback,
         "pivots": _jsonable(result.pivots),
     }, verification={
@@ -371,42 +363,15 @@ def _run_pipeline(spec, args):
         "x3_power": record.x3_power,
         "ok": record.ok,
     })
-    return result, elapsed, body
-
-
-def _follows(record):
-    return "the rows of M %s phi" % (
-        "follow" if record.vanishing_ok else "do not follow")
-
-
-def cmd_implicitize(spec, args):
-    result, elapsed, body = _run_pipeline(spec, args)
     lines = _human_conditions(result.report)
     lines.append("")
     lines.append("|M| = %s" % result.polynomial.render())
-    lines.append("degree %d = 2mn - k with k = %d; %d terms; backend %s"
-                 % (result.degree, result.k, len(result.polynomial.terms),
-                    result.backend))
-    record = result.verification
-    lines.append("verification: %s (%s, x3 power %s)"
-                 % ("PASS" if record.ok else "FAIL", _follows(record),
+    lines.append("degree %d = 2mn - k with k = %d; %d terms"
+                 % (result.degree, result.k, len(result.polynomial.terms)))
+    lines.append("verification: %s (the rows of M %s phi, x3 power %s)"
+                 % ("PASS" if record.ok else "FAIL",
+                    "follow" if record.vanishing_ok else "do not follow",
                     record.x3_power))
-    return record.ok, elapsed, body, lines
-
-
-def cmd_verify(spec, args):
-    result, elapsed, body = _run_pipeline(spec, args)
-    record = result.verification
-    lines = []
-    lines.append("polynomial: %s" % result.polynomial.render())
-    lines.append("vanishing: %s (%s)"
-                 % ("PASS" if record.vanishing_ok else "FAIL",
-                    _follows(record)))
-    lines.append("degree: %d expected %d -> %s"
-                 % (record.degree, record.expected_degree,
-                    "PASS" if record.degree_ok else "FAIL"))
-    lines.append("x3 power: %s" % record.x3_power)
-    lines.append("verification: %s" % ("PASS" if record.ok else "FAIL"))
     return record.ok, elapsed, body, lines
 
 
@@ -424,8 +389,8 @@ def _parse_range(text, fallback):
 
 
 def cmd_hilbert(spec, args):
-    d1 = _parse_range(args.d1, (0, 2 * spec.m))
-    d2 = _parse_range(args.d2, (0, 2 * spec.n))
+    d1 = _parse_range(args.d1, (0, 2 * spec.phi.m))
+    d2 = _parse_range(args.d2, (0, 2 * spec.phi.n))
     gens = list(spec.phi.products()) if args.squared else list(spec.phi.a)
     degrees = [(i, j) for i in range(d1[0], d1[1] + 1)
                for j in range(d2[0], d2[1] + 1)]
@@ -448,7 +413,6 @@ def cmd_hilbert(spec, args):
 COMMANDS = {
     "check": cmd_check,
     "implicitize": cmd_implicitize,
-    "verify": cmd_verify,
     "hilbert": cmd_hilbert,
 }
 
@@ -461,8 +425,8 @@ def main(argv=None):
         spec = load_jobspec(args.input,
                             seed_override=getattr(args, "seed", None))
         passed, elapsed, body, lines = COMMANDS[args.command](spec, args)
-        payload = dict(body, schema=1, command=args.command, m=spec.m,
-                       n=spec.n, a=spec.a, seed=spec.seed,
+        payload = dict(body, schema=1, command=args.command,
+                       m=spec.phi.m, n=spec.phi.n, a=spec.a, seed=spec.seed,
                        timings={"total_s": elapsed})
         emit(args, json.dumps(payload, indent=2, sort_keys=True)
              if args.json else "\n".join(lines))

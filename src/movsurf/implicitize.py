@@ -142,16 +142,20 @@ class VerificationRecord:
 
 @dataclass
 class ImplicitResult:
+    """What pipeline() returns: polynomial, det M normalized, of total
+    degree `degree`; k, the number of plane rows of M; the plane pivots;
+    projection_fallback, true when the quadric rows are the plain kernel
+    basis; and the verification record.  phi and report record the run,
+    not the input's coordinates: phi is the parametrization after any
+    coordinate change, and report.coordinate_change names the change.
+    Until ROADMAP item 9, polynomial too is in those coordinates."""
     polynomial: XPoly
     degree: int
     k: int
-    backend: str                   # always "interp"
     pivots: list
     projection_fallback: bool
     verification: VerificationRecord = None
     report: ConditionReport = None
-    coordinate_change: list = None  # four rows of ints, see generic_change
-    coordinate_seed: int = None
     phi: Parametrization = None
 
 
@@ -653,7 +657,7 @@ def pipeline(phi, config=None, report=None):
     Refuses to run when the condition battery fails, and refuses to return a
     polynomial whose verification failed, unless config.force is set.  When a
     coordinate change was needed, the returned polynomial describes the
-    transformed parametrization and the change is reported alongside.
+    transformed parametrization and result.report records the change.
 
     The grid and the vanishing certificate (_IntegerRows.follows) read one
     _IntegerRows of M; nothing is sampled.
@@ -695,12 +699,8 @@ def pipeline(phi, config=None, report=None):
 
     record = _record(poly, phi_run, k, not fallback, rows.follows(phi_run))
     result = ImplicitResult(polynomial=poly, degree=poly.total_degree(), k=k,
-                            backend="interp", pivots=pivots,
-                            projection_fallback=fallback,
-                            verification=record, report=report,
-                            coordinate_change=report.coordinate_change,
-                            coordinate_seed=report.coordinate_seed,
-                            phi=phi_run)
+                            pivots=pivots, projection_fallback=fallback,
+                            verification=record, report=report, phi=phi_run)
     if not record.ok and not config.force:
         raise VerificationError(
             "verification failed: the rows of M %s phi, degree %d vs %d, "

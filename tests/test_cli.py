@@ -97,6 +97,10 @@ def test_implicitize_quartic_matches_golden(tmp_path):
     assert imp["polynomial"] == load_golden("quartic_base_point_implicit.txt")
     assert imp["degree"] == 7 and imp["k"] == 1 and imp["term_count"] == 27
     assert report["verification"]["ok"] is True
+    assert report["verification"]["vanishing_ok"] is True
+    # the certificate draws no samples, so none are reported
+    assert "samples" not in report["verification"]
+    assert "failures" not in report["verification"]
     # round trip: the reported string re-parses to the same polynomial
     assert parse_xpoly(imp["polynomial"]).render() == imp["polynomial"]
 
@@ -124,11 +128,11 @@ def test_det_backend_flag_is_a_usage_error(tmp_path, capsys, monkeypatch):
             main(["implicitize", "--input", inp, "--det-backend", value])
         assert exc.value.code == 2
         assert "--det-backend" in capsys.readouterr().err
-    # the preset is not read either, and the one determinant is reported
+    # the preset is not read either, and no backend is reported
     monkeypatch.setenv("MOVSURF_DET_BACKEND", "lu")
     code, report = run_json(tmp_path, "implicitize", SEGRE_JOB)
     assert code == 0
-    assert report["implicit"]["backend"] == "interp"
+    assert "backend" not in report["implicit"]
     assert "backend_agreement" not in report["implicit"]
 
 
@@ -181,13 +185,14 @@ def test_hilbert_range_and_squared_flags_have_no_preset(tmp_path,
     assert plain["squared"] is False and plain["d1"] == [0, 4]
 
 
-def test_verify_command(tmp_path):
-    code, report = run_json(tmp_path, "verify", QUARTIC_JOB)
-    assert code == 0
-    assert report["verification"]["vanishing_ok"] is True
-    # the certificate draws no samples, so none are reported
-    assert "samples" not in report["verification"]
-    assert "failures" not in report["verification"]
+def test_verify_is_not_a_subcommand(tmp_path, capsys):
+    # implicitize prints the verification record; no subcommand checks a
+    # polynomial of the user's
+    inp = write_job(tmp_path, QUARTIC_JOB)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--input", inp])
+    assert exc.value.code == 2
+    assert "invalid choice: 'verify'" in capsys.readouterr().err
 
 
 def test_hilbert_quartic(tmp_path):
@@ -267,8 +272,7 @@ def test_malformed_job_field_exits_2(tmp_path, capsys, field, value):
     assert "input error: %s must be" % field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ("check", "implicitize", "verify",
-                                     "hilbert"))
+@pytest.mark.parametrize("command", ("check", "implicitize", "hilbert"))
 def test_an_unknown_job_field_exits_2(tmp_path, capsys, monkeypatch,
                                       command):
     refuse_to_run(monkeypatch)
@@ -281,6 +285,18 @@ def test_an_unknown_job_field_exits_2(tmp_path, capsys, monkeypatch,
 
 def test_missing_file_exits_2(tmp_path):
     assert main(["check", "--input", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("content", [
+    b'{"m": 1, "n": 1, "a": [', b"\xff\xfe{",
+    b"[" * 200000 + b"]" * 200000], ids=["truncated", "not_utf8", "deep"])
+def test_undecodable_job_file_exits_2(tmp_path, content):
+    inp = tmp_path / "job.json"
+    inp.write_bytes(content)
+    proc = run_module("check", "--input", str(inp))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: invalid JSON in %s" % inp)
+    assert "Traceback" not in proc.stderr
 
 
 def test_unwritable_output_exits_2(tmp_path):
@@ -320,7 +336,7 @@ def refuse_to_run(monkeypatch):
     monkeypatch.setattr("movsurf.cli.check_all", refuse)
 
 
-@pytest.mark.parametrize("command", ("check", "implicitize", "verify"))
+@pytest.mark.parametrize("command", ("check", "implicitize"))
 def test_unwritable_output_fails_before_the_command_runs(tmp_path, capsys,
                                                          monkeypatch, command):
     refuse_to_run(monkeypatch)
@@ -363,7 +379,7 @@ def test_bad_window_exits_2(tmp_path, capsys):
     ("--sat-bound", "-1", "sat-bound")])
 def test_out_of_range_option_exits_2(tmp_path, capsys, flag, value, name):
     inp = write_job(tmp_path, QUARTIC_JOB)
-    argv = ["verify", "--input", inp, flag, value]
+    argv = ["implicitize", "--input", inp, flag, value]
     if flag == "--samples":
         # verification draws no samples, so the option is gone and argparse
         # rejects every value of it, in range or not, as a usage error
@@ -378,8 +394,7 @@ def test_out_of_range_option_exits_2(tmp_path, capsys, flag, value, name):
     assert "input error" in err and name in err
 
 
-@pytest.mark.parametrize("command", ["check", "implicitize", "verify",
-                                     "hilbert"])
+@pytest.mark.parametrize("command", ["check", "implicitize", "hilbert"])
 def test_samples_is_a_usage_error_on_every_subcommand(tmp_path, capsys,
                                                       monkeypatch, command):
     # verification is a certificate and draws no samples: the flag is gone,
@@ -411,7 +426,7 @@ def test_non_integer_environment_value_exits_2(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("command, var", [
     ("check", "MOVSURF_JSON"), ("hilbert", "MOVSURF_JSON"),
-    ("implicitize", "MOVSURF_FORCE"), ("verify", "MOVSURF_FORCE")])
+    ("implicitize", "MOVSURF_FORCE")])
 def test_non_boolean_environment_value_exits_2(tmp_path, capsys, monkeypatch,
                                                command, var):
     monkeypatch.setenv(var, "ture")

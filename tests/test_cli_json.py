@@ -1,9 +1,10 @@
 """Regression fixture for the command-line reports of the bundled inputs.
 
-``cli_json_bundled.json`` holds, for each of check, implicitize, verify and
-hilbert on each job file in ``scripts/inputs``, the exit code and the
-``--json`` report with its ``timings`` removed (None when the command writes
-no report).  The test reruns every command with default options and compares.
+``cli_json_bundled.json`` holds, for each subcommand of ``movsurf.cli``
+(check, implicitize and hilbert) on each job file in ``scripts/inputs``,
+the exit code and the ``--json`` report with its ``timings`` removed (None
+when the command writes no report), and nothing else.  The test reruns
+every command with default options and compares.
 
 Regenerate the file only when a change of these reports is intended:
 
@@ -17,12 +18,11 @@ from pathlib import Path
 
 import pytest
 
-from movsurf.cli import ENV_PREFIX, main
+from movsurf.cli import COMMANDS, ENV_PREFIX, main
 
 ROOT = Path(__file__).resolve().parents[1]
 INPUTS = sorted((ROOT / "scripts" / "inputs").glob("*.json"))
 FIXTURE = Path(__file__).with_name("cli_json_bundled.json")
-COMMANDS = ("check", "implicitize", "verify", "hilbert")
 
 
 def _run(command, path, out):
@@ -56,6 +56,8 @@ def test_cli_json_matches_fixture(tmp_path, monkeypatch, command):
         monkeypatch.delenv(name)
     expected = json.loads(FIXTURE.read_text())
     assert len(INPUTS) == 3
+    # a record of a removed command or input would otherwise stay unread
+    assert set(expected) == {_key(c, p) for c in COMMANDS for p in INPUTS}
     for path in INPUTS:
         got = _run(command, path, tmp_path / "out.json")
         assert got == expected[_key(command, path)], _key(command, path)
